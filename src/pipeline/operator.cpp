@@ -22,9 +22,12 @@ WindowAggOp::WindowAggOp(std::string name, std::string time_column, Duration win
 
 Batch WindowAggOp::process(Batch in) {
   if (in.table.num_rows() > 0) {
-    const std::size_t tc = in.table.col_index(time_column_);
-    const sql::Column& times = in.table.column(tc);
-    // Route each row to its window's buffer.
+    const sql::Column& times = in.table.column(time_column_);
+    // Route each row to its window: collect row indices per window (in
+    // input order), then gather-append each window's rows in one call.
+    std::map<TimePoint, std::vector<std::size_t>> routes;
+    std::vector<std::size_t>* route = nullptr;
+    TimePoint route_window = 0;
     for (std::size_t r = 0; r < in.table.num_rows(); ++r) {
       if (times.is_null(r)) continue;
       const TimePoint w = common::window_start(times.int_at(r), window_);
@@ -32,10 +35,16 @@ Batch WindowAggOp::process(Batch in) {
         ++late_dropped_;  // window already finalized: exactly-once emission
         continue;
       }
+      if (route == nullptr || w != route_window) {
+        route = &routes[w];
+        route_window = w;
+      }
+      route->push_back(r);
+    }
+    for (const auto& [w, rows] : routes) {
       auto it = pending_.find(w);
       if (it == pending_.end()) it = pending_.emplace(w, Table(in.table.schema())).first;
-      std::vector<sql::Value> row = in.table.row(r);
-      it->second.append_row(row);
+      it->second.append_rows(in.table, rows);
     }
   }
   return emit_ready(in.watermark);

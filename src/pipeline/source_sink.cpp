@@ -68,23 +68,24 @@ void OceanSink::write(const Table& t) {
   if (t.num_rows() == 0) return;
   if (buffer_.num_columns() == 0) buffer_ = Table(t.schema());
   buffer_.append_table(t);
-  while (buffer_.num_rows() >= rows_per_object_) {
-    // Split off the first rows_per_object_ rows.
-    std::vector<std::size_t> head(rows_per_object_);
-    for (std::size_t i = 0; i < rows_per_object_; ++i) head[i] = i;
-    const Table chunk = buffer_.take(head);
-    std::vector<std::size_t> tail(buffer_.num_rows() - rows_per_object_);
-    for (std::size_t i = 0; i < tail.size(); ++i) tail[i] = rows_per_object_ + i;
-    buffer_ = buffer_.take(tail);
-
-    put_object(chunk);
+  while (buffer_.num_rows() - flushed_ >= rows_per_object_) {
+    put_object(buffer_.slice(flushed_, flushed_ + rows_per_object_));
+    flushed_ += rows_per_object_;
   }
+  compact();
 }
 
 void OceanSink::flush() {
-  if (buffer_.num_rows() == 0) return;
-  put_object(buffer_);
-  buffer_ = Table(buffer_.schema());
+  if (buffered_rows() == 0) return;
+  put_object(buffer_.slice(flushed_, buffer_.num_rows()));
+  flushed_ = buffer_.num_rows();
+  compact();
+}
+
+void OceanSink::compact() {
+  if (in_batch_ || flushed_ == 0) return;
+  buffer_ = buffer_.slice(flushed_, buffer_.num_rows());
+  flushed_ = 0;
 }
 
 void TopicSink::write(const Table& t) {

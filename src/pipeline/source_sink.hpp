@@ -184,6 +184,12 @@ class LakeSink final : public Sink {
 /// identical bytes (put is idempotent by key) — exactly-once at the
 /// object level. Puts retry under the sink retry policy at the
 /// "pipeline.sink" seam.
+///
+/// Flushed rows are not cut out of the buffer: a cursor marks how many
+/// leading rows already sit in objects. Inside a batch the buffer only
+/// grows, so begin_batch() records (rows, cursor, part) in O(1),
+/// rollback_batch() truncates back to them, and commit_batch() compacts
+/// the flushed prefix away. Unbracketed writes compact at once.
 class OceanSink final : public Sink {
  public:
   OceanSink(storage::ObjectStore& ocean, std::string dataset, storage::DataClass data_class,
@@ -193,32 +199,36 @@ class OceanSink final : public Sink {
   /// Flush any buffered remainder as a final (smaller) object.
   void flush() override;
   void begin_batch() override {
-    snap_buffer_ = buffer_;
+    snap_rows_ = buffer_.num_rows();
+    snap_flushed_ = flushed_;
     snap_part_ = part_;
     in_batch_ = true;
   }
   void commit_batch() override {
-    snap_buffer_ = sql::Table{};
     in_batch_ = false;
+    compact();
   }
   void rollback_batch() override {
-    // Restore buffer AND part counter: a chunk flushed mid-batch leaves
-    // the buffer, so a row-count snapshot alone could not reconstruct it.
-    // The replay re-produces the same chunks under the same part keys.
+    // Restore the cursor AND the part counter: the replay re-flushes the
+    // same rows under the same part keys.
     if (in_batch_) {
-      buffer_ = std::move(snap_buffer_);
+      buffer_.truncate(snap_rows_);
+      flushed_ = snap_flushed_;
       part_ = snap_part_;
     }
-    snap_buffer_ = sql::Table{};
     in_batch_ = false;
   }
   std::size_t objects_written() const { return part_; }
+  /// Rows written but not yet in an object.
+  std::size_t buffered_rows() const { return buffer_.num_rows() - flushed_; }
   /// Facility time used for object metadata (advance as the pipeline runs).
   void set_now(common::TimePoint now) { now_ = now; }
   const chaos::RetryStats& retry_stats() const { return retrier_.stats(); }
 
  private:
   void put_object(const sql::Table& chunk);
+  /// Drop the flushed prefix (no-op inside a batch).
+  void compact();
 
   storage::ObjectStore& ocean_;
   std::string dataset_;
@@ -226,9 +236,11 @@ class OceanSink final : public Sink {
   std::size_t rows_per_object_;
   chaos::Retrier retrier_;
   sql::Table buffer_;
+  std::size_t flushed_ = 0;  ///< leading buffer_ rows already in objects
   std::size_t part_ = 0;
   common::TimePoint now_ = 0;
-  sql::Table snap_buffer_;
+  std::size_t snap_rows_ = 0;
+  std::size_t snap_flushed_ = 0;
   std::size_t snap_part_ = 0;
   bool in_batch_ = false;
 };

@@ -93,6 +93,52 @@ Value Column::get(std::size_t i) const {
   return Value::null();
 }
 
+namespace {
+
+template <typename T>
+void append_slice(std::vector<T>& dst, const std::vector<T>& src, std::size_t lo, std::size_t hi) {
+  dst.insert(dst.end(), src.begin() + static_cast<std::ptrdiff_t>(lo),
+             src.begin() + static_cast<std::ptrdiff_t>(hi));
+}
+
+template <typename T>
+void append_gather(std::vector<T>& dst, const std::vector<T>& src, std::span<const std::size_t> rows) {
+  const std::size_t base = dst.size();
+  dst.resize(base + rows.size());
+  T* out = dst.data() + base;
+  for (std::size_t i = 0; i < rows.size(); ++i) out[i] = src[rows[i]];
+}
+
+}  // namespace
+
+void Column::append_range(const Column& src, std::size_t lo, std::size_t hi) {
+  if (src.type_ != type_) throw std::invalid_argument("Column: type mismatch in append_range");
+  if (lo > hi || hi > src.size()) throw std::out_of_range("Column: append_range out of range");
+  switch (type_) {
+    case DataType::kInt64: append_slice(ints_, src.ints_, lo, hi); break;
+    case DataType::kFloat64: append_slice(doubles_, src.doubles_, lo, hi); break;
+    case DataType::kString: append_slice(strings_, src.strings_, lo, hi); break;
+    case DataType::kBool: append_slice(bools_, src.bools_, lo, hi); break;
+    case DataType::kNull: break;
+  }
+  append_slice(valid_, src.valid_, lo, hi);
+}
+
+void Column::append_rows(const Column& src, std::span<const std::size_t> rows) {
+  if (src.type_ != type_) throw std::invalid_argument("Column: type mismatch in append_rows");
+  if (!rows.empty() && *std::max_element(rows.begin(), rows.end()) >= src.size()) {
+    throw std::out_of_range("Column: append_rows index out of range");
+  }
+  switch (type_) {
+    case DataType::kInt64: append_gather(ints_, src.ints_, rows); break;
+    case DataType::kFloat64: append_gather(doubles_, src.doubles_, rows); break;
+    case DataType::kString: append_gather(strings_, src.strings_, rows); break;
+    case DataType::kBool: append_gather(bools_, src.bools_, rows); break;
+    case DataType::kNull: break;
+  }
+  append_gather(valid_, src.valid_, rows);
+}
+
 void Column::reserve(std::size_t n) {
   valid_.reserve(n);
   switch (type_) {
@@ -162,21 +208,30 @@ void Table::append_row(std::initializer_list<Value> row) {
 
 void Table::append_table(const Table& other) {
   if (!(other.schema_ == schema_)) throw std::invalid_argument("Table: schema mismatch in append_table");
-  for (std::size_t r = 0; r < other.num_rows_; ++r) {
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      columns_[c].append(other.columns_[c].get(r));
-    }
+  for (std::size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].append_range(other.columns_[c], 0, other.num_rows_);
   }
   num_rows_ += other.num_rows_;
 }
 
+void Table::append_rows(const Table& other, std::span<const std::size_t> rows) {
+  if (!(other.schema_ == schema_)) throw std::invalid_argument("Table: schema mismatch in append_rows");
+  for (std::size_t c = 0; c < columns_.size(); ++c) columns_[c].append_rows(other.columns_[c], rows);
+  num_rows_ += rows.size();
+}
+
 Table Table::take(std::span<const std::size_t> indices) const {
   Table out(schema_);
-  out.reserve(indices.size());
-  for (std::size_t idx : indices) {
-    for (std::size_t c = 0; c < columns_.size(); ++c) out.columns_[c].append(columns_[c].get(idx));
-    ++out.num_rows_;
-  }
+  out.append_rows(*this, indices);
+  return out;
+}
+
+Table Table::slice(std::size_t lo, std::size_t hi) const {
+  hi = std::min(hi, num_rows_);
+  lo = std::min(lo, hi);
+  Table out(schema_);
+  for (std::size_t c = 0; c < columns_.size(); ++c) out.columns_[c].append_range(columns_[c], lo, hi);
+  out.num_rows_ = hi - lo;
   return out;
 }
 

@@ -86,6 +86,12 @@ class Column {
   std::span<const double> doubles() const { return doubles_; }
   const std::vector<std::string>& strings() const { return strings_; }
 
+  /// Typed bulk appends from a column of the same type (throws on a type
+  /// mismatch): rows [lo, hi) of `src`, or the rows `src` has at `rows`
+  /// (in that order). Null cells copy as nulls.
+  void append_range(const Column& src, std::size_t lo, std::size_t hi);
+  void append_rows(const Column& src, std::span<const std::size_t> rows);
+
   void reserve(std::size_t n);
   /// Drop all rows beyond the first `n` (no-op when n >= size).
   void truncate(std::size_t n);
@@ -126,11 +132,18 @@ class Table {
   void append_row(std::span<const Value> row);
   void append_row(std::initializer_list<Value> row);
 
-  /// Append all rows of `other` (schemas must be equal).
+  /// Append all rows of `other`, column by column (schemas must be equal).
   void append_table(const Table& other);
+
+  /// Gather-append: append the rows of `other` at `rows`, in that order,
+  /// column by column (schemas must be equal; indices must be in range).
+  void append_rows(const Table& other, std::span<const std::size_t> rows);
 
   /// Select a subset of rows by index, preserving order.
   Table take(std::span<const std::size_t> indices) const;
+
+  /// Rows [lo, hi) as a new table (hi is clamped to num_rows()).
+  Table slice(std::size_t lo, std::size_t hi) const;
 
   /// Row as values (for tests/debug; the hot path is columnar).
   std::vector<Value> row(std::size_t i) const;

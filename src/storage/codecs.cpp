@@ -148,7 +148,7 @@ std::vector<std::uint8_t> encode_strings_dict(const std::vector<std::string>& va
   std::vector<std::uint64_t> indexes;
   indexes.reserve(values.size());
   for (const auto& s : values) {
-    auto [it, inserted] = dict.emplace(s, entries.size());
+    auto [it, inserted] = dict.try_emplace(s, entries.size());
     if (inserted) entries.push_back(&it->first);
     indexes.push_back(it->second);
   }

@@ -1,5 +1,7 @@
 #include "telemetry/codec.hpp"
 
+#include <utility>
+
 #include "common/bytes.hpp"
 
 namespace oda::telemetry {
@@ -71,18 +73,53 @@ Schema bronze_schema() {
                 {"value", DataType::kFloat64}};
 }
 
-void append_packet_rows(const TelemetryPacket& pkt, Table& bronze) {
-  for (const auto& r : pkt.readings) {
-    bronze.append_row({Value(pkt.timestamp), Value(static_cast<std::int64_t>(pkt.node_id)),
-                       Value(SensorId::decode(r.sensor).label()), Value(r.value)});
+BronzeBuilder::BronzeBuilder(std::size_t expected_rows) {
+  time_.reserve(expected_rows);
+  node_.reserve(expected_rows);
+  sensor_.reserve(expected_rows);
+  value_.reserve(expected_rows);
+}
+
+void BronzeBuilder::add_reading(std::int64_t time, std::int64_t node, std::uint16_t sensor, double value) {
+  auto it = labels_.find(sensor);
+  if (it == labels_.end()) it = labels_.emplace(sensor, SensorId::decode(sensor).label()).first;
+  time_.append_int(time);
+  node_.append_int(node);
+  sensor_.append_string(it->second);
+  value_.append_double(value);
+}
+
+void BronzeBuilder::add(const TelemetryPacket& pkt) {
+  for (const auto& r : pkt.readings) add_reading(pkt.timestamp, pkt.node_id, r.sensor, r.value);
+}
+
+void BronzeBuilder::add_payload(std::string_view payload) {
+  // Same field order as decode_packet, without the TelemetryPacket.
+  ByteReader br(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(payload.data()),
+                                              payload.size()));
+  const std::int64_t time = br.i64();
+  const std::int64_t node = br.u32();
+  const std::uint64_t n = br.varint();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint16_t sensor = br.u16();
+    add_reading(time, node, sensor, br.f64());
   }
 }
 
+Table BronzeBuilder::finish() {
+  std::vector<sql::Column> columns;
+  columns.reserve(4);
+  columns.push_back(std::exchange(time_, sql::Column(DataType::kInt64)));
+  columns.push_back(std::exchange(node_, sql::Column(DataType::kInt64)));
+  columns.push_back(std::exchange(sensor_, sql::Column(DataType::kString)));
+  columns.push_back(std::exchange(value_, sql::Column(DataType::kFloat64)));
+  return Table(bronze_schema(), std::move(columns));
+}
+
 Table packets_to_bronze(std::span<const stream::RecordView> records) {
-  Table bronze(bronze_schema());
-  bronze.reserve(records.size() * 20);
-  for (const auto& v : records) append_packet_rows(decode_packet(v.payload), bronze);
-  return bronze;
+  BronzeBuilder bronze(records.size() * 20);
+  for (const auto& v : records) bronze.add_payload(v.payload);
+  return bronze.finish();
 }
 
 stream::Record encode_job_event(const JobScheduler::Event& ev, const Job& job) {

@@ -5,6 +5,8 @@
 
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "sql/table.hpp"
@@ -30,12 +32,34 @@ TelemetryPacket decode_packet(std::string_view payload);
 /// (time:int64, node_id:int64, sensor:string, value:float64).
 sql::Schema bronze_schema();
 
-/// Decode a batch of broker record views into one Bronze long table
-/// (reads payload bytes in place; nothing is copied but the rows).
-sql::Table packets_to_bronze(std::span<const stream::RecordView> records);
+/// Builds a Bronze long table column by column, one row per reading.
+/// Each distinct sensor code's label is resolved once per builder. This is
+/// the one Bronze builder: packets_to_bronze and
+/// FacilitySimulator::sample_bronze both go through it.
+class BronzeBuilder {
+ public:
+  explicit BronzeBuilder(std::size_t expected_rows = 0);
 
-/// Append a single packet's readings to a Bronze table (same schema).
-void append_packet_rows(const TelemetryPacket& pkt, sql::Table& bronze);
+  /// Append a packet's readings.
+  void add(const TelemetryPacket& pkt);
+  /// Decode an encode_packet payload straight into the columns.
+  void add_payload(std::string_view payload);
+  /// The table built so far; the builder is empty afterwards.
+  sql::Table finish();
+
+ private:
+  void add_reading(std::int64_t time, std::int64_t node, std::uint16_t sensor, double value);
+
+  sql::Column time_{sql::DataType::kInt64};
+  sql::Column node_{sql::DataType::kInt64};
+  sql::Column sensor_{sql::DataType::kString};
+  sql::Column value_{sql::DataType::kFloat64};
+  std::unordered_map<std::uint16_t, std::string> labels_;
+};
+
+/// Decode a batch of broker record views into one Bronze long table
+/// (reads payload bytes in place; nothing is copied but the cells).
+sql::Table packets_to_bronze(std::span<const stream::RecordView> records);
 
 // --- scheduler events -----------------------------------------------------
 

@@ -165,16 +165,16 @@ void FacilitySimulator::emit_facility_sample(TimePoint t) {
 }
 
 sql::Table FacilitySimulator::sample_bronze(TimePoint t0, TimePoint t1) {
-  sql::Table bronze(bronze_schema());
+  BronzeBuilder bronze;
   std::vector<TelemetryPacket> packets;
   for (TimePoint t = t0; t < t1; t += spec_.sensor_period) {
     scheduler_.advance_to(t);
     packets.clear();
     sensors_.sample_all(t, spec_.sensor_period, scheduler_, packets);
-    for (const auto& pkt : packets) append_packet_rows(pkt, bronze);
+    for (const auto& pkt : packets) bronze.add(pkt);
   }
   if (t1 > now_) now_ = t1;
-  return bronze;
+  return bronze.finish();
 }
 
 }  // namespace oda::telemetry

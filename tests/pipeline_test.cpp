@@ -317,6 +317,59 @@ TEST(SinkTest, OceanSinkChunksObjects) {
   EXPECT_EQ(total, 250u);
 }
 
+TEST(SinkTest, OceanSinkRollbackAcrossPartsReplaysSameObjects) {
+  storage::ObjectStore ocean;
+  OceanSink sink(ocean, "ds", storage::DataClass::kBronze, /*rows_per_object=*/100);
+  const auto rows = [](int lo, int hi) {
+    Table t{Schema{{"time", DataType::kInt64}, {"v", DataType::kFloat64}}};
+    for (int i = lo; i < hi; ++i) t.append_row({Value(std::int64_t{i}), Value(0.5 * i)});
+    return t;
+  };
+  const auto first_time = [&](const std::string& key) {
+    return storage::read_columnar(*ocean.get(key)).column("time").int_at(0);
+  };
+
+  sink.begin_batch();
+  sink.write(rows(0, 60));
+  sink.commit_batch();
+  ASSERT_EQ(sink.objects_written(), 0u);
+  ASSERT_EQ(sink.buffered_rows(), 60u);
+
+  // A batch that crosses rows_per_object twice, then fails downstream.
+  sink.begin_batch();
+  sink.write(rows(60, 230));
+  ASSERT_EQ(sink.objects_written(), 2u);
+  ASSERT_EQ(sink.buffered_rows(), 30u);
+  const auto part0 = *ocean.get("ds/part000000");
+  const auto part1 = *ocean.get("ds/part000001");
+  sink.rollback_batch();
+  EXPECT_EQ(sink.objects_written(), 0u);
+  EXPECT_EQ(sink.buffered_rows(), 60u);
+
+  // The replay puts byte-identical objects under the same part keys.
+  sink.begin_batch();
+  sink.write(rows(60, 230));
+  sink.commit_batch();
+  EXPECT_EQ(sink.objects_written(), 2u);
+  EXPECT_EQ(sink.buffered_rows(), 30u);
+  EXPECT_EQ(ocean.object_count(), 2u);
+  EXPECT_EQ(*ocean.get("ds/part000000"), part0);
+  EXPECT_EQ(*ocean.get("ds/part000001"), part1);
+  EXPECT_EQ(first_time("ds/part000000"), 0);
+  EXPECT_EQ(first_time("ds/part000001"), 100);
+
+  // The committed remainder (rows 200..229) leads the next part.
+  sink.begin_batch();
+  sink.write(rows(230, 300));
+  sink.commit_batch();
+  EXPECT_EQ(sink.objects_written(), 3u);
+  EXPECT_EQ(sink.buffered_rows(), 0u);
+  EXPECT_EQ(first_time("ds/part000002"), 200);
+  EXPECT_EQ(storage::read_columnar(*ocean.get("ds/part000002")).num_rows(), 100u);
+  sink.flush();  // nothing left to flush
+  EXPECT_EQ(sink.objects_written(), 3u);
+}
+
 TEST(SinkTest, LakeSinkWritesTaggedSeries) {
   storage::TimeSeriesDb lake;
   LakeSink sink(lake, "m", "time", "v", {"node"});

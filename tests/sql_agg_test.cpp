@@ -66,6 +66,16 @@ TEST(GroupByTest, CountDistinctAndNullsIgnored) {
   EXPECT_EQ(g.column("n").int_at(0), 3);  // nulls not counted
 }
 
+TEST(GroupByTest, CountDistinctKeysOnTypedValues) {
+  // Doubles that print alike under %g are still distinct values.
+  Table t{Schema{{"k", DataType::kInt64}, {"v", DataType::kFloat64}}};
+  t.append_row({Value(std::int64_t{0}), Value(1.0000001)});
+  t.append_row({Value(std::int64_t{0}), Value(1.0000002)});
+  t.append_row({Value(std::int64_t{0}), Value(1.0000002)});
+  const Table g = group_by(t, {"k"}, {AggSpec{"v", AggKind::kCountDistinct, "d"}});
+  EXPECT_EQ(g.column("d").int_at(0), 2);
+}
+
 TEST(GroupByTest, EmptyColumnCountStar) {
   // kCount with empty column name = COUNT(*).
   const Table g = group_by(readings(), {"node"}, {AggSpec{"", AggKind::kCount, "n"}});

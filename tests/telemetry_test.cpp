@@ -271,6 +271,40 @@ TEST(CodecTest, PacketsToBronzeLongFormat) {
   EXPECT_DOUBLE_EQ(bronze.column("value").double_at(0), 150.0);
 }
 
+TEST(CodecTest, BronzeBuilderSameTableFromPacketsAndPayloads) {
+  // The two entry points of the one Bronze builder: packets as the
+  // simulator holds them (sample_bronze) and their wire payloads
+  // (packets_to_bronze) give the same table, cell for cell.
+  common::Rng rng(17);
+  std::vector<TelemetryPacket> packets(40);
+  for (auto& pkt : packets) {
+    pkt.timestamp = rng.uniform_int(0, 1000) * kSecond;
+    pkt.node_id = static_cast<std::uint32_t>(rng.uniform_index(1u << 31));
+    const std::size_t n = rng.uniform_index(6);  // empty packets included
+    for (std::size_t i = 0; i < n; ++i) {
+      const SensorId id{static_cast<ComponentKind>(rng.uniform_index(5)),
+                        static_cast<std::uint8_t>(rng.uniform_index(8)),
+                        rng.bernoulli(0.5) ? SensorKind::kPowerW : SensorKind::kTempC};
+      pkt.readings.push_back({id.encode(), rng.normal(100.0, 50.0)});
+    }
+  }
+  BronzeBuilder builder;
+  std::vector<stream::StoredRecord> records;
+  for (const auto& pkt : packets) {
+    builder.add(pkt);
+    records.push_back({static_cast<std::int64_t>(records.size()), encode_packet(pkt)});
+  }
+  const sql::Table from_packets = builder.finish();
+  const sql::Table from_payloads = packets_to_bronze(stream::as_views(records));
+  EXPECT_EQ(from_packets.schema(), bronze_schema());
+  ASSERT_GT(from_packets.num_rows(), 0u);
+  EXPECT_EQ(sql::to_csv(from_payloads), sql::to_csv(from_packets));
+  for (std::size_t r = 0; r < from_packets.num_rows(); ++r) {
+    EXPECT_EQ(from_payloads.column("value").double_at(r), from_packets.column("value").double_at(r));
+  }
+  EXPECT_EQ(builder.finish().num_rows(), 0u);  // finish() leaves the builder empty
+}
+
 TEST(CodecTest, LogEventRoundTrip) {
   LogEvent ev;
   ev.timestamp = 99 * kSecond;
