@@ -525,9 +525,9 @@ void engine_scaling(oda::bench::JsonReport& report, bool smoke) {
 
 int main(int argc, char** argv) {
   using namespace oda;
-  // --smoke: the seconds-scale slice the perf ctest tier and the
-  // oda_bench_smoke build hook run (fewer best-of runs, smaller sweeps,
-  // shorter simulated span — same sections, same JSON metric names).
+  // --smoke: the seconds-scale slice the perf ctest tier runs (fewer
+  // best-of runs, smaller sweeps, shorter simulated span — same sections,
+  // same JSON metric names).
   bool smoke = false;
   for (int i = 1; i < argc; ++i) smoke |= std::string_view(argv[i]) == "--smoke";
 
@@ -546,9 +546,9 @@ int main(int argc, char** argv) {
   consume_view_vs_copy(report, smoke);
   engine_scaling(report, smoke);
   report.write();
-  // Regression gate: oda_bench_smoke runs as part of the default build,
-  // so a write path whose batched produce falls back below the per-record
-  // rate fails the build, not just a dashboard.
+  // Regression gate: a write path whose batched produce falls back below
+  // the per-record rate fails perf.fig4a_smoke (`ctest -L perf`), not
+  // just a dashboard.
   if (batch_speedup < 1.0) {
     std::fprintf(stderr,
                  "FAIL: produce_batch_vs_per_record = %.2fx < 1.0 — the staged write path "

@@ -40,11 +40,7 @@ OdaMonitor::OdaMonitor(stream::Broker& broker, storage::TierManager& tiers,
              .clear_after = thresholds_.clear_after});
 }
 
-void OdaMonitor::watch_query(const pipeline::StreamingQuery& query) {
-  watched_.push_back(&query);
-}
-
-void OdaMonitor::watch_query(const engine::Query& query) { watched_engine_.push_back(&query); }
+void OdaMonitor::watch_query(const engine::Query& query) { watched_.push_back(&query); }
 
 void OdaMonitor::watch_engine(const engine::Engine& engine) { engines_.push_back(&engine); }
 
@@ -62,10 +58,7 @@ void OdaMonitor::tick(common::TimePoint now) {
   }
 
   // Watermark freshness per watched query.
-  for (const pipeline::StreamingQuery* q : watched_) {
-    lag_.observe_watermark(q->name(), q->watermark(), now);
-  }
-  for (const engine::Query* q : watched_engine_) {
+  for (const engine::Query* q : watched_) {
     lag_.observe_watermark(q->name(), q->watermark(), now);
   }
 
@@ -78,7 +71,7 @@ void OdaMonitor::tick(common::TimePoint now) {
   slos_.update("stream.lag", static_cast<double>(lag_.fleet_lag()), now);
   common::Duration worst_delay = 0;
   for (const auto& ws : lag_.watermarks()) worst_delay = std::max(worst_delay, ws.delay);
-  if (!watched_.empty() || !watched_engine_.empty()) {
+  if (!watched_.empty()) {
     slos_.update("pipeline.freshness", static_cast<double>(worst_delay), now);
   }
   const double drops = static_cast<double>(

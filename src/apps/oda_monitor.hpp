@@ -16,7 +16,6 @@
 #include "observe/flight.hpp"
 #include "observe/lag.hpp"
 #include "observe/slo.hpp"
-#include "pipeline/query.hpp"
 #include "serve/server.hpp"
 #include "storage/tiers.hpp"
 #include "stream/broker.hpp"
@@ -46,8 +45,6 @@ class OdaMonitor {
              MonitorThresholds thresholds = {});
 
   /// Watch a query's watermark freshness (non-owning; caller keeps it alive).
-  void watch_query(const pipeline::StreamingQuery& query);
-  /// Same, for a sharded engine query.
   void watch_query(const engine::Query& query);
 
   /// Watch an execution engine (non-owning): scheduling totals plus the
@@ -75,8 +72,7 @@ class OdaMonitor {
   stream::Broker& broker_;
   storage::TierManager& tiers_;
   MonitorThresholds thresholds_;
-  std::vector<const pipeline::StreamingQuery*> watched_;
-  std::vector<const engine::Query*> watched_engine_;
+  std::vector<const engine::Query*> watched_;
   std::vector<const engine::Engine*> engines_;
   observe::LagTracker lag_;
   observe::SloBook slos_;

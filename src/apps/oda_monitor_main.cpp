@@ -11,10 +11,12 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/oda_monitor.hpp"
+#include "common/faults.hpp"
 #include "core/framework.hpp"
 #include "engine/engine.hpp"
 #include "observe/export.hpp"
@@ -288,12 +290,17 @@ int main(int argc, char** argv) {
                               oda::telemetry::packets_to_bronze});
   mirror.add_sink(std::make_unique<oda::pipeline::TableSink>());
   // A flight dump of a clean run is a boring flight dump: when one was
-  // asked for, fail the first generation so the timeline shows the fault
-  // instant, the rollback, and the byte-identical replay.
-  if (!flight_dump_path.empty()) {
-    mirror.set_fault_plan(oda::pipeline::FaultPlan{.fail_on_batch = 0});
+  // asked for, the chaos pipeline.batch seam fails the first generation
+  // once, so the timeline shows the fault instant, the rollback, and the
+  // byte-identical replay.
+  {
+    oda::chaos::FaultPlan first_batch_fails(/*seed=*/1);
+    first_batch_fails.configure("pipeline.batch",
+                                {.skip_first = 0, .every_nth = 1, .max_faults = 1});
+    std::optional<oda::chaos::ScopedFaultPlan> scoped;
+    if (!flight_dump_path.empty()) scoped.emplace(first_batch_fails);
+    engine.run_until_caught_up();
   }
-  engine.run_until_caught_up();
   monitor.watch_query(mirror);
   monitor.watch_engine(engine);
 

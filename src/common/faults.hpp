@@ -21,7 +21,9 @@
 //   ocean.get          ObjectStore::get
 //   tiers.migrate      TierManager OCEAN->GLACIER migration unit
 //   telemetry.collect  CollectionChannel delivery (collector -> broker)
-//   pipeline.batch     StreamingQuery micro-batch body
+//   pipeline.batch     engine::Query generation body, once per non-empty
+//                      fetch; SiteConfig{.skip_first = N, .every_nth = 1,
+//                      .max_faults = 1} fails exactly batch N (0-based) once
 //   pipeline.sink      OceanSink / TopicSink external writes
 //
 // Sites fail *before* their side effect (a rejected/timed-out request),

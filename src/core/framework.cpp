@@ -12,10 +12,26 @@ namespace oda::core {
 
 using common::Duration;
 using common::TimePoint;
-using pipeline::BrokerSource;
-using pipeline::StreamingQuery;
+using engine::Query;
 using sql::Table;
 using sql::Value;
+
+namespace {
+
+// Every framework pipeline runs on a team of one: advance() drains the
+// queries one after another on the caller's thread.
+constexpr std::size_t kWorkers = 1;
+
+std::unique_ptr<Query> make_query(pipeline::QueryConfig qc, stream::Broker& broker,
+                                  std::string topic, std::string group,
+                                  pipeline::RecordDecoder decoder) {
+  return std::make_unique<Query>(
+      std::move(qc),
+      engine::SourceSpec{&broker, std::move(topic), std::move(group), std::move(decoder)},
+      kWorkers);
+}
+
+}  // namespace
 
 OdaFramework::OdaFramework(FrameworkConfig config)
     : config_(config), tiers_(broker_, lake_, ocean_, glacier_, config.retention) {}
@@ -40,42 +56,43 @@ std::vector<std::string> OdaFramework::system_names() const {
   return out;
 }
 
-std::unique_ptr<StreamingQuery> OdaFramework::make_bronze_to_silver_power(const std::string& system_name) {
+std::unique_ptr<Query> OdaFramework::make_bronze_to_silver_power(const std::string& system_name) {
   const auto topics = telemetry::TopicNames::for_system(system_name);
   pipeline::QueryConfig qc;
   qc.name = "bronze_to_silver_power." + system_name;
   qc.max_records_per_batch = 8192;
-  // Watermark slack: consumption interleaves the topic's partitions, so
-  // event times within a poll can be skewed by up to a batch's span.
-  // Without this, windows close early and skewed rows drop as late.
+  // Watermark slack: each partition interleaves several nodes' records,
+  // so event times within one lane's fetch are skewed by up to a
+  // collection step. Without this, windows close early and skewed rows
+  // drop as late.
   qc.allowed_lateness = 2 * common::kMinute;
-  auto q = std::make_unique<StreamingQuery>(
-      qc, std::make_unique<BrokerSource>(broker_, topics.power, "silver-pipeline." + system_name,
-                                         telemetry::packets_to_bronze));
-  q->add_operator(std::make_unique<pipeline::WindowAggOp>(
-      "window_agg_15s", "time", config_.silver_window,
-      std::vector<std::string>{"node_id", "sensor"},
-      std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"},
-                                {"value", sql::AggKind::kMin, "min_value"},
-                                {"value", sql::AggKind::kMax, "max_value"},
-                                {"value", sql::AggKind::kCount, "samples"}}));
+  auto q = make_query(qc, broker_, topics.power, "silver-pipeline." + system_name,
+                      telemetry::packets_to_bronze);
+  // Power packets are keyed by node, so every (node, sensor) group lives
+  // in one partition lane and each lane emits complete windows.
+  q->add_operator([window = config_.silver_window] {
+    return std::make_unique<pipeline::WindowAggOp>(
+        "window_agg_15s", "time", window, std::vector<std::string>{"node_id", "sensor"},
+        std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"},
+                                  {"value", sql::AggKind::kMin, "min_value"},
+                                  {"value", sql::AggKind::kMax, "max_value"},
+                                  {"value", sql::AggKind::kCount, "samples"}});
+  });
   q->add_sink(std::make_unique<pipeline::TopicSink>(broker_, "silver.power." + system_name));
   q->add_sink(std::make_unique<pipeline::OceanSink>(ocean_, "silver/power/" + system_name,
                                                     storage::DataClass::kSilver));
   return q;
 }
 
-std::unique_ptr<StreamingQuery> OdaFramework::make_silver_to_lake(const std::string& system_name,
-                                                                  const std::string& sensor_label,
-                                                                  const std::string& metric) {
+std::unique_ptr<Query> OdaFramework::make_silver_to_lake(const std::string& system_name,
+                                                         const std::string& sensor_label,
+                                                         const std::string& metric) {
   broker_.create_topic("silver.power." + system_name);
   pipeline::QueryConfig qc;
   qc.name = "silver_to_lake." + metric + "." + system_name;
   qc.time_column = "window_start";
-  auto q = std::make_unique<StreamingQuery>(
-      qc, std::make_unique<BrokerSource>(broker_, "silver.power." + system_name,
-                                         "lake." + metric + "." + system_name,
-                                         pipeline::decode_columnar_records));
+  auto q = make_query(qc, broker_, "silver.power." + system_name,
+                      "lake." + metric + "." + system_name, pipeline::decode_columnar_records);
   q->add_transform("filter_" + sensor_label, storage::DataClass::kSilver,
                    [sensor_label](const Table& t) {
                      return sql::filter(t, sql::col("sensor") == sql::lit(Value(sensor_label)));
@@ -85,18 +102,19 @@ std::unique_ptr<StreamingQuery> OdaFramework::make_silver_to_lake(const std::str
   return q;
 }
 
-std::unique_ptr<StreamingQuery> OdaFramework::make_silver_to_lake_max(const std::string& system_name,
-                                                                      const std::string& sensor_prefix,
-                                                                      const std::string& sensor_suffix,
-                                                                      const std::string& metric) {
+std::unique_ptr<Query> OdaFramework::make_silver_to_lake_max(const std::string& system_name,
+                                                             const std::string& sensor_prefix,
+                                                             const std::string& sensor_suffix,
+                                                             const std::string& metric) {
   broker_.create_topic("silver.power." + system_name);
   pipeline::QueryConfig qc;
   qc.name = "silver_to_lake_max." + metric + "." + system_name;
   qc.time_column = "window_start";
-  auto q = std::make_unique<StreamingQuery>(
-      qc, std::make_unique<BrokerSource>(broker_, "silver.power." + system_name,
-                                         "lake-max." + metric + "." + system_name,
-                                         pipeline::decode_columnar_records));
+  auto q = make_query(qc, broker_, "silver.power." + system_name,
+                      "lake-max." + metric + "." + system_name, pipeline::decode_columnar_records);
+  // Per lane: one Silver record carries every sensor of a node's window
+  // (TopicSink publishes a whole generation), so each lane's max is
+  // already the node's max.
   q->add_transform(
       "max_" + sensor_prefix + "*" + sensor_suffix, storage::DataClass::kSilver,
       [sensor_prefix, sensor_suffix](const Table& t) {
@@ -121,45 +139,42 @@ std::unique_ptr<StreamingQuery> OdaFramework::make_silver_to_lake_max(const std:
   return q;
 }
 
-std::unique_ptr<StreamingQuery> OdaFramework::make_bronze_archiver(const std::string& system_name) {
+std::unique_ptr<Query> OdaFramework::make_bronze_archiver(const std::string& system_name) {
   const auto topics = telemetry::TopicNames::for_system(system_name);
   pipeline::QueryConfig qc;
   qc.name = "bronze_archiver." + system_name;
   qc.max_records_per_batch = 16384;
-  auto q = std::make_unique<StreamingQuery>(
-      qc, std::make_unique<BrokerSource>(broker_, topics.power, "bronze-archive." + system_name,
-                                         telemetry::packets_to_bronze));
+  auto q = make_query(qc, broker_, topics.power, "bronze-archive." + system_name,
+                      telemetry::packets_to_bronze);
   q->add_sink(std::make_unique<pipeline::OceanSink>(ocean_, "bronze/power/" + system_name,
                                                     storage::DataClass::kBronze));
   return q;
 }
 
-std::unique_ptr<StreamingQuery> OdaFramework::make_ost_to_lake(const std::string& system_name) {
+std::unique_ptr<Query> OdaFramework::make_ost_to_lake(const std::string& system_name) {
   const auto topics = telemetry::TopicNames::for_system(system_name);
   pipeline::QueryConfig qc;
   qc.name = "ost_to_lake." + system_name;
-  auto q = std::make_unique<StreamingQuery>(
-      qc, std::make_unique<BrokerSource>(broker_, topics.storage, "lake-ost." + system_name,
-                                         telemetry::ost_samples_to_table));
+  auto q = make_query(qc, broker_, topics.storage, "lake-ost." + system_name,
+                      telemetry::ost_samples_to_table);
   q->add_sink(std::make_unique<pipeline::LakeSink>(lake_, "ost_latency_ms", "time", "latency_ms",
                                                    std::vector<std::string>{"ost"}));
   return q;
 }
 
-std::unique_ptr<StreamingQuery> OdaFramework::make_fabric_to_lake(const std::string& system_name) {
+std::unique_ptr<Query> OdaFramework::make_fabric_to_lake(const std::string& system_name) {
   const auto topics = telemetry::TopicNames::for_system(system_name);
   pipeline::QueryConfig qc;
   qc.name = "fabric_to_lake." + system_name;
-  auto q = std::make_unique<StreamingQuery>(
-      qc, std::make_unique<BrokerSource>(broker_, topics.fabric, "lake-fabric." + system_name,
-                                         telemetry::switch_samples_to_table));
+  auto q = make_query(qc, broker_, topics.fabric, "lake-fabric." + system_name,
+                      telemetry::switch_samples_to_table);
   q->add_sink(std::make_unique<pipeline::LakeSink>(lake_, "switch_stall_pct", "time",
                                                    "congestion_stall_pct",
                                                    std::vector<std::string>{"switch_id"}));
   return q;
 }
 
-StreamingQuery& OdaFramework::register_query(std::unique_ptr<StreamingQuery> q) {
+Query& OdaFramework::register_query(std::unique_ptr<Query> q) {
   queries_.push_back(std::move(q));
   return *queries_.back();
 }
@@ -168,7 +183,7 @@ void OdaFramework::enable_self_telemetry(observe::ScraperConfig config) {
   if (scraper_) return;
   history_ = std::make_unique<observe::HistoryStore>();
   scraper_ = pipeline::make_scraper(observe::default_registry(), broker_, config);
-  history_query_ = &register_query(pipeline::make_history_query(broker_, *history_));
+  history_query_ = &register_query(engine::make_history_query(broker_, *history_));
 }
 
 void OdaFramework::flush_self_telemetry() {

@@ -19,6 +19,7 @@
 
 #include "core/allocations.hpp"
 #include "core/control_loop.hpp"
+#include "engine/engine.hpp"
 #include "governance/advisory.hpp"
 #include "governance/dictionary.hpp"
 #include "governance/maturity.hpp"
@@ -26,7 +27,6 @@
 #include "ml/registry.hpp"
 #include "observe/history.hpp"
 #include "observe/scraper.hpp"
-#include "pipeline/query.hpp"
 #include "storage/tiers.hpp"
 #include "telemetry/simulator.hpp"
 
@@ -67,37 +67,40 @@ class OdaFramework {
   /// Bronze power packets → 15s window aggregate per (node, sensor) →
   /// Silver stream topic "silver.power.<sys>" + OCEAN dataset
   /// "silver/power/<sys>".
-  std::unique_ptr<pipeline::StreamingQuery> make_bronze_to_silver_power(const std::string& system_name);
+  std::unique_ptr<engine::Query> make_bronze_to_silver_power(const std::string& system_name);
 
   /// Silver stream → filter one sensor → LAKE metric (real-time
   /// diagnostics path). Each call uses its own consumer group, so many
   /// LAKE projections can fan out from one Silver stream.
-  std::unique_ptr<pipeline::StreamingQuery> make_silver_to_lake(const std::string& system_name,
-                                                                const std::string& sensor_label,
-                                                                const std::string& metric);
+  std::unique_ptr<engine::Query> make_silver_to_lake(const std::string& system_name,
+                                                     const std::string& sensor_label,
+                                                     const std::string& metric);
 
   /// Silver stream → worst reading across matching sensors per node →
   /// LAKE metric. E.g. prefix "gpu", suffix ".temp_c" yields the hottest
   /// GPU per node — what thermal dashboards and anomaly detectors watch.
-  std::unique_ptr<pipeline::StreamingQuery> make_silver_to_lake_max(const std::string& system_name,
-                                                                    const std::string& sensor_prefix,
-                                                                    const std::string& sensor_suffix,
-                                                                    const std::string& metric);
+  std::unique_ptr<engine::Query> make_silver_to_lake_max(const std::string& system_name,
+                                                         const std::string& sensor_prefix,
+                                                         const std::string& sensor_suffix,
+                                                         const std::string& metric);
 
   /// Raw Bronze → OCEAN archive dataset "bronze/power/<sys>" (the frozen
   /// Bronze path of Sec VI-B; objects later migrate to GLACIER).
-  std::unique_ptr<pipeline::StreamingQuery> make_bronze_archiver(const std::string& system_name);
+  std::unique_ptr<engine::Query> make_bronze_archiver(const std::string& system_name);
 
   /// OST server telemetry → LAKE metric "ost_latency_ms" (per-OST tags).
   /// Low-volume server streams skip the Silver stage and land directly.
-  std::unique_ptr<pipeline::StreamingQuery> make_ost_to_lake(const std::string& system_name);
+  std::unique_ptr<engine::Query> make_ost_to_lake(const std::string& system_name);
 
   /// Fabric switch telemetry → LAKE metric "switch_stall_pct".
-  std::unique_ptr<pipeline::StreamingQuery> make_fabric_to_lake(const std::string& system_name);
+  std::unique_ptr<engine::Query> make_fabric_to_lake(const std::string& system_name);
 
-  /// Register a query with the framework's run loop.
-  pipeline::StreamingQuery& register_query(std::unique_ptr<pipeline::StreamingQuery> q);
-  const std::vector<std::unique_ptr<pipeline::StreamingQuery>>& queries() const { return queries_; }
+  /// Register a query with the framework's run loop. Every canonical
+  /// pipeline (and the `_oda.history` query) is an engine::Query with a
+  /// team of one: advance() drains them in registration order on the
+  /// caller's thread.
+  engine::Query& register_query(std::unique_ptr<engine::Query> q);
+  const std::vector<std::unique_ptr<engine::Query>>& queries() const { return queries_; }
 
   // --- self-telemetry loop (DESIGN.md §9) --------------------------------
   /// Turn on the loop: a Scraper snapshotting the process registry onto
@@ -146,10 +149,10 @@ class OdaFramework {
   ml::ExperimentTracker experiments_;
   AllocationManager allocations_;
   std::vector<std::unique_ptr<telemetry::FacilitySimulator>> systems_;
-  std::vector<std::unique_ptr<pipeline::StreamingQuery>> queries_;
+  std::vector<std::unique_ptr<engine::Query>> queries_;
   std::unique_ptr<observe::Scraper> scraper_;
   std::unique_ptr<observe::HistoryStore> history_;
-  pipeline::StreamingQuery* history_query_ = nullptr;  ///< owned by queries_
+  engine::Query* history_query_ = nullptr;  ///< owned by queries_
   common::TimePoint now_ = 0;
   common::TimePoint last_retention_ = 0;
 };

@@ -5,7 +5,9 @@
 #include <optional>
 #include <stdexcept>
 
+#include "common/bytes.hpp"
 #include "common/stats.hpp"
+#include "pipeline/self_telemetry.hpp"
 
 namespace oda::engine {
 
@@ -301,11 +303,11 @@ void Query::decode_lanes(std::size_t w) {
     lane.table = decoder_(lane.views.records());
     lane.views.clear();
     wk.last_phase_rows += lane.table.num_rows();
-    // Lane-local event-time extrema; the driver max-reduces the maxima
-    // into the query watermark before any lane operates (so windowing
-    // sees the same watermark a single-threaded run would), and
-    // min-reduces the minima into the oldest-record end-to-end latency
-    // observed at commit.
+    // Lane-local event-time extrema; the driver min-reduces both before
+    // any lane operates: the maxima into the query watermark (every lane
+    // windows against the same, worker-count invariant watermark), the
+    // minima into the oldest-record end-to-end latency observed at
+    // commit.
     const std::size_t tc = lane.table.schema().index_of(config_.time_column);
     if (tc != sql::Schema::npos) {
       const auto& col = lane.table.column(tc);
@@ -331,6 +333,9 @@ void Query::operate_lanes(std::size_t w) {
     pipeline::Batch b{std::move(lane.table), op_watermark_};
     for (std::size_t i = 0; i < lane.ops.size(); ++i) {
       Stopwatch sw;
+      // Parents under the batch span: locally on the driver thread, via
+      // the batch context on a thread worker.
+      observe::Span op_span(lane.ops[i]->name(), batch_ctx_);
       const std::uint64_t in_rows = b.table.num_rows();
       b = lane.ops[i]->process(std::move(b));
       lane.stage_wall[i] += sw.elapsed_seconds();
@@ -395,17 +400,19 @@ void Query::rollback_all_lanes() {
 sql::Table Query::merge_lanes() {
   // The deterministic merge point: ascending partition index, offsets
   // already ascending within each lane. Which worker ran a lane is
-  // invisible here.
+  // invisible here. The first non-empty lane is moved in and grown once
+  // to the summed row count, so appending the rest never reallocates.
+  std::size_t total = 0;
+  for (const Lane& lane : lanes_) total += lane.table.num_rows();
   sql::Table out;
   for (Lane& lane : lanes_) {
-    if (lane.table.num_rows() == 0) {
-      lane.table = sql::Table{};
-      continue;
-    }
-    if (out.num_columns() == 0) {
-      out = std::move(lane.table);
-    } else {
-      out.append_table(lane.table);
+    if (lane.table.num_rows() > 0) {
+      if (out.num_columns() == 0) {
+        out = std::move(lane.table);
+        out.reserve(total);
+      } else {
+        out.append_table(lane.table);
+      }
     }
     lane.table = sql::Table{};
   }
@@ -452,24 +459,24 @@ std::size_t Query::run_once() {
         break;
       }
     }
+    batch_ctx_ = batch_span.context();
 
     chaos::fault_point("pipeline.batch");
-    if (faults_.fail_on_batch && metrics_.batches == *faults_.fail_on_batch) {
-      faults_.fail_on_batch.reset();
-      throw std::runtime_error("injected fault");
-    }
 
     run_phase(Phase::kDecode);
     check_worker_errors();
     // Rows are accounted in decoded-table terms (chunked topics pack many
-    // rows per record), matching StreamingQuery's rows_ingested.
+    // rows per record).
     pulled = 0;
     for (const Lane& lane : lanes_) pulled += lane.table.num_rows();
-    // Global watermark reduction: max over lane maxima. Every lane then
+    // Global watermark reduction: min over the maxima of the lanes that
+    // decoded timed rows (see the header), never lowered. Every lane then
     // operates against the same watermark a workers=1 run would compute.
-    common::TimePoint mx = INT64_MIN;
-    for (const Lane& lane : lanes_) mx = std::max(mx, lane.max_ts);
-    if (mx != INT64_MIN) watermark_ = std::max(watermark_, mx - config_.allowed_lateness);
+    common::TimePoint mn = INT64_MAX;
+    for (const Lane& lane : lanes_) {
+      if (lane.max_ts != INT64_MIN) mn = std::min(mn, lane.max_ts);
+    }
+    if (mn != INT64_MAX) watermark_ = std::max(watermark_, mn - config_.allowed_lateness);
     op_watermark_ = watermark_;
 
     ops_began = true;
@@ -477,8 +484,7 @@ std::size_t Query::run_once() {
     check_worker_errors();
 
     // Merge the lanes' stage accounting (one RunningStats sample per
-    // generation, summed across lanes — comparable to the single-chain
-    // numbers StreamingQuery reports).
+    // generation, summed across lanes).
     flight_emit(0, FlightEventType::kPhaseBegin, FlightPhase::kMerge);
     Stopwatch merge_sw;
     for (std::size_t i = 0; i < metrics_.stages.size(); ++i) {
@@ -595,9 +601,8 @@ std::uint64_t Query::run_until_caught_up(std::size_t max_batches) {
 void Query::finalize() {
   // Drain stateful lane operators in ascending partition order: flush op
   // i, push the result through the remaining stages, then op i+1 — twice,
-  // because downstream stateful ops may still hold the pushed rows.
-  // Same recipe as StreamingQuery::finalize, per lane, so the output is a
-  // pure function of lane state (worker count invisible).
+  // because downstream stateful ops may still hold the pushed rows. The
+  // output is a pure function of lane state (worker count invisible).
   for (int pass = 0; pass < 2; ++pass) {
     for (Lane& lane : lanes_) {
       for (std::size_t i = 0; i < lane.ops.size(); ++i) {
@@ -611,6 +616,47 @@ void Query::finalize() {
     }
   }
   for (pipeline::Sink* s : sinks_) s->flush();
+}
+
+void Query::checkpoint_to(storage::ObjectStore& store, const std::string& key,
+                          common::TimePoint now) const {
+  common::ByteWriter w;
+  w.str(config_.name);
+  w.i64(watermark_);
+  w.varint(lanes_.size());
+  w.varint(metrics_.stages.size());
+  for (const Lane& lane : lanes_) {
+    for (const auto& op : lane.ops) {
+      const auto state = op->checkpoint_state();
+      w.varint(state.size());
+      w.raw(state.data(), state.size());
+    }
+  }
+  store.put(key, w.take(), "checkpoints", storage::DataClass::kBronze, now);
+}
+
+bool Query::restore_from(const storage::ObjectStore& store, const std::string& key) {
+  const auto blob = store.get(key);
+  if (!blob) return false;
+  common::ByteReader r(*blob);
+  const std::string name = r.str();
+  if (name != config_.name) {
+    throw std::runtime_error("Query: checkpoint '" + key + "' belongs to query '" + name +
+                             "', not '" + config_.name + "'");
+  }
+  const common::TimePoint watermark = r.i64();
+  if (r.varint() != lanes_.size()) {
+    throw std::runtime_error("Query: checkpoint '" + key + "' partition count mismatch");
+  }
+  if (r.varint() != metrics_.stages.size()) {
+    throw std::runtime_error("Query: checkpoint '" + key + "' operator count mismatch");
+  }
+  for (Lane& lane : lanes_) {
+    for (auto& op : lane.ops) op->restore_state(r.raw(r.varint()));
+  }
+  watermark_ = watermark;
+  seek_all_members();  // resume from the group's committed offsets
+  return true;
 }
 
 std::int64_t Query::lag() const {
@@ -816,6 +862,23 @@ std::vector<std::pair<std::string, WorkerStats>> Engine::worker_info() const {
     for (const WorkerStats& ws : q->worker_stats()) out.emplace_back(q->name(), ws);
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Self-telemetry history query
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<Query> make_history_query(stream::Broker& broker, observe::HistoryStore& store,
+                                          pipeline::QueryConfig config, chaos::RetryPolicy retry) {
+  broker.create_topic(stream::kMetricsTopic);
+  if (config.name == pipeline::QueryConfig{}.name) config.name = "_oda.history";
+  auto q = std::make_unique<Query>(
+      std::move(config),
+      SourceSpec{&broker, stream::kMetricsTopic, "_oda.history", pipeline::metric_records_to_table,
+                 retry},
+      /*workers=*/1);
+  q->add_sink(std::make_unique<pipeline::HistorySink>(store));
+  return q;
 }
 
 }  // namespace oda::engine

@@ -24,6 +24,13 @@
 //    then a single-threaded merge in ascending partition order into the
 //    sinks, followed by the usual sinks→operators→offsets commit.
 //
+//  * The watermark reduction is a MIN over the newest event time of each
+//    lane that decoded rows this generation (minus the allowed
+//    lateness), never lowered. Every partition gets the same fetch
+//    budget, so while a backlog drains node-keyed partitions drift apart
+//    in event time; the min keeps the slowest active lane's rows on time
+//    where a max would drop them as late.
+//
 // Why committed sink output is byte-identical at ANY worker count (the
 // crown-jewel invariant): per-partition fetch budget is a function of
 // batch size and partition count only; lanes (and their operator state)
@@ -53,6 +60,10 @@
 #include "pipeline/query.hpp"
 #include "pipeline/source_sink.hpp"
 #include "stream/broker.hpp"
+
+namespace oda::observe {
+class HistoryStore;
+}
 
 namespace oda::engine {
 
@@ -174,19 +185,28 @@ struct WorkerStats {
   std::uint64_t handoffs = 0;      ///< lane results handed to the merge point
 };
 
-/// One sharded pipeline: a worker team owning a topic's partitions
-/// end-to-end, per-partition operator chains, and a deterministic merge
-/// point feeding the sinks. Construction happens through
-/// Engine::add_query(); stages chain fluently like StreamingQuery's.
+/// One sharded pipeline — the repo's one executor: a worker team owning
+/// a topic's partitions end-to-end, per-partition operator chains, and a
+/// deterministic merge point feeding the sinks. Engine::add_query()
+/// builds one for the multi-query scheduler; OdaFramework constructs its
+/// pipelines directly with a team of one. Stages chain fluently.
 ///
-/// run_once() is a transaction with exactly the StreamingQuery contract:
-/// sinks begin before the pull; any failure (worker exception, injected
-/// chaos fault, legacy FaultPlan) rolls back every lane's operator
-/// state and sink output and reseeks the members, so the replay
-/// re-produces byte-identical output; a batch that keeps failing is
-/// dead-lettered after max_retries. Never throws on infrastructure
-/// faults. Drive it from ONE thread (the engine's scheduler does);
-/// kill_worker() and stats accessors are driver-thread calls too.
+/// Per-lane operator contract: every stage runs once per partition lane
+/// on that lane's rows only. A stage whose grouping key is (or implies)
+/// the partition key sees complete groups; a stage that aggregates
+/// ACROSS the partition key emits per-partition partials, which the
+/// consumer folds after the drain.
+///
+/// run_once() is a transaction: sinks begin before the pull; any failure
+/// (worker exception, injected chaos fault) rolls back every lane's
+/// operator state and sink output and reseeks the members, so the
+/// replay re-produces byte-identical output — exactly-once into
+/// transactional sinks for generations that eventually commit. A
+/// generation that keeps failing is dead-lettered after max_retries
+/// (at-most-once for that generation only). Never throws on
+/// infrastructure faults. Drive it from ONE thread (the engine's
+/// scheduler does); kill_worker() and stats accessors are driver-thread
+/// calls too.
 class Query {
  public:
   Query(pipeline::QueryConfig config, const SourceSpec& spec, std::size_t workers,
@@ -217,10 +237,21 @@ class Query {
   /// sinks, in ascending partition order (end of stream).
   void finalize();
 
+  /// Durable checkpoint of every lane's operator state plus the
+  /// watermark into the object store (offsets are already durable in the
+  /// broker's committed-offset store). A restarted process rebuilds the
+  /// same query, calls restore_from(), and resumes where the group left
+  /// off. Driver-thread call between generations.
+  void checkpoint_to(storage::ObjectStore& store, const std::string& key,
+                     common::TimePoint now) const;
+  /// Returns false when no checkpoint exists under `key`. Throws
+  /// std::runtime_error when the checkpoint belongs to another query
+  /// name, partition count or operator chain.
+  bool restore_from(const storage::ObjectStore& store, const std::string& key);
+
   const pipeline::QueryMetrics& metrics() const { return metrics_; }
   const std::string& name() const { return config_.name; }
   common::TimePoint watermark() const { return watermark_; }
-  void set_fault_plan(pipeline::FaultPlan plan) { faults_ = plan; }
   const chaos::RetryStats& retry_stats() const { return retrier_.stats(); }
 
   std::int64_t lag() const;
@@ -345,7 +376,6 @@ class Query {
   pipeline::QueryMetrics metrics_;
   common::TimePoint watermark_ = INT64_MIN;
   common::TimePoint watermark_snapshot_ = INT64_MIN;
-  pipeline::FaultPlan faults_;
   std::size_t consecutive_failures_ = 0;
 
   // Flight recorder (nullable = recording off) + driver-side phase
@@ -449,5 +479,15 @@ class Engine {
   observe::Counter* obs_batches_ = nullptr;
   observe::Counter* obs_rows_ = nullptr;
 };
+
+/// The self-telemetry loop's history half (DESIGN.md §9): a query with a
+/// team of one subscribed to `_oda.metrics` (consumer group
+/// "_oda.history") decoding samples into `store` through a
+/// pipeline::HistorySink. Runs anywhere a query runs: the framework's
+/// advance loop or a standalone run_until_caught_up(). `config.name`
+/// defaults to "_oda.history" when left at QueryConfig's default.
+std::unique_ptr<Query> make_history_query(stream::Broker& broker, observe::HistoryStore& store,
+                                          pipeline::QueryConfig config = {},
+                                          chaos::RetryPolicy retry = {});
 
 }  // namespace oda::engine

@@ -3,8 +3,9 @@
 // fixed-capacity per-series rings of raw samples plus multi-resolution
 // rollups (1-minute and 10-minute min/max/avg/count buckets), the same
 // raw→downsample ladder the facility's LAKE applies to sensor data
-// (DESIGN.md §9). Populated by the _oda.metrics StreamingQuery, queried
-// by oda_monitor (--watch sparklines, --history range dumps).
+// (DESIGN.md §9). Populated by the `_oda.history` engine::Query over
+// `_oda.metrics` (engine::make_history_query), queried by oda_monitor
+// (--watch sparklines, --history range dumps).
 //
 // All timestamps are virtual facility time, so a store fed by a
 // deterministic run has byte-identical query results across reruns and

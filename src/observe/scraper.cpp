@@ -217,20 +217,11 @@ void ScraperConfig::validate() const {
   }
 }
 
-Scraper::Scraper(MetricsRegistry& registry, ProduceFn metrics_out, ProduceFn alerts_out,
-                 ScraperConfig config)
-    : registry_(registry),
-      metrics_out_(std::move(metrics_out)),
-      alerts_out_(std::move(alerts_out)),
-      config_(config) {
-  config_.validate();
-}
-
 Scraper::Scraper(MetricsRegistry& registry, StagedProduceFn metrics_out,
                  StagedProduceFn alerts_out, ScraperConfig config)
     : registry_(registry),
-      staged_metrics_out_(std::move(metrics_out)),
-      staged_alerts_out_(std::move(alerts_out)),
+      metrics_out_(std::move(metrics_out)),
+      alerts_out_(std::move(alerts_out)),
       config_(config) {
   config_.validate();
 }
@@ -247,11 +238,8 @@ std::size_t Scraper::scrape(common::TimePoint now) {
   last_scrape_ = now;
   ++stats_.scrapes;
 
-  // Staged mode encodes each sample straight into the reusable staging
-  // arena; legacy mode builds owned Records. Same samples, same bytes.
-  const bool staged_mode = static_cast<bool>(staged_metrics_out_);
-  if (staged_mode) metrics_staging_.clear();
-  std::vector<stream::Record> batch;
+  // Each sample is encoded straight into the reusable staging arena.
+  metrics_staging_.clear();
   // Per-worker sharded counters (engine hot paths) arrive pre-merged:
   // the registry sums their slots inside snapshot(), so a sharded cell
   // is one series here with the same delta-suppression semantics as any
@@ -284,22 +272,13 @@ std::size_t Scraper::scrape(common::TimePoint now) {
     s.value = m.value;
     s.delta = is_new ? 0.0 : m.value - it->second.first;
     s.count = m.count;
-    if (staged_mode) {
-      encode_metric_sample_into(s, now, metrics_staging_);
-    } else {
-      batch.push_back(encode_metric_sample(s, now));
-    }
+    encode_metric_sample_into(s, now, metrics_staging_);
     last_[key] = {m.value, m.count};
   }
 
   std::size_t emitted = 0;
-  if (staged_mode) {
-    if (!metrics_staging_.empty()) {
-      emitted = staged_metrics_out_(metrics_staging_);
-      stats_.samples_emitted += emitted;
-    }
-  } else if (!batch.empty() && metrics_out_) {
-    emitted = metrics_out_(std::move(batch));
+  if (!metrics_staging_.empty() && metrics_out_) {
+    emitted = metrics_out_(metrics_staging_);
     stats_.samples_emitted += emitted;
   }
   emit_alerts();
@@ -307,35 +286,22 @@ std::size_t Scraper::scrape(common::TimePoint now) {
 }
 
 std::size_t Scraper::emit_alerts() {
-  const bool staged_mode = static_cast<bool>(staged_alerts_out_);
-  if (!staged_mode && !alerts_out_) return 0;
-  if (staged_mode) alerts_staging_.clear();
-  std::vector<stream::Record> batch;
+  if (!alerts_out_) return 0;
+  alerts_staging_.clear();
   for (auto& watched : books_) {
     for (const auto& slo : watched.book->all()) {
       const auto& transitions = slo->transitions();
       std::size_t& sent = watched.emitted[slo->spec().name];
       for (std::size_t i = sent; i < transitions.size(); ++i) {
         const auto& tr = transitions[i];
-        if (staged_mode) {
-          encode_alert_event_into({slo->spec().name, tr.from, tr.to, tr.value}, tr.at,
-                                  alerts_staging_);
-        } else {
-          batch.push_back(
-              encode_alert_event({slo->spec().name, tr.from, tr.to, tr.value}, tr.at));
-        }
+        encode_alert_event_into({slo->spec().name, tr.from, tr.to, tr.value}, tr.at,
+                                alerts_staging_);
       }
       sent = transitions.size();
     }
   }
-  if (staged_mode) {
-    if (alerts_staging_.empty()) return 0;
-    const std::size_t n = staged_alerts_out_(alerts_staging_);
-    stats_.alerts_emitted += n;
-    return n;
-  }
-  if (batch.empty()) return 0;
-  const std::size_t n = alerts_out_(std::move(batch));
+  if (alerts_staging_.empty()) return 0;
+  const std::size_t n = alerts_out_(alerts_staging_);
   stats_.alerts_emitted += n;
   return n;
 }

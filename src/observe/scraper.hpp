@@ -66,17 +66,13 @@ bool decode_metric_sample(const stream::Record& r, MetricSample* out);
 bool decode_metric_sample(std::string_view payload, MetricSample* out);
 bool decode_alert_event(const stream::Record& r, AlertEvent* out);
 
-/// Produce seam: takes one scrape's whole batch (maps onto
-/// Producer::produce_batch — one partition lock per partition per scrape),
-/// returns records actually produced. May throw; the caller wrapping it
-/// (pipeline::make_scraper) retries under the chaos policy.
-using ProduceFn = std::function<std::size_t(std::vector<stream::Record>&&)>;
-
-/// Zero-copy produce seam: the scrape is handed over as a staging buffer
-/// (maps onto Producer::produce_staged — bytes flow from the staging arena
-/// straight into segment arenas, no Record ever exists). The callback must
-/// leave the builder intact when it throws (produce_staged does), so the
-/// caller's retry re-flushes the identical batch.
+/// Produce seam: one scrape's whole batch is handed over as a staging
+/// buffer (maps onto Producer::produce_staged — bytes flow from the
+/// staging arena straight into segment arenas, no Record ever exists),
+/// returns records actually produced. May throw; the callback must leave
+/// the builder intact when it throws (produce_staged does), so the
+/// caller's retry (pipeline::make_scraper, under the chaos policy)
+/// re-flushes the identical batch.
 using StagedProduceFn = std::function<std::size_t(stream::BatchBuilder&)>;
 
 struct ScraperConfig {
@@ -126,11 +122,9 @@ struct ScraperStats {
 /// snapshot itself is the synchronization point.
 class Scraper {
  public:
-  Scraper(MetricsRegistry& registry, ProduceFn metrics_out, ProduceFn alerts_out = {},
-          ScraperConfig config = {});
-  /// Staged mode: scrapes encode into internal staging buffers and flush
-  /// through the StagedProduceFn seams — the zero-copy write path. Emitted
-  /// record bytes are identical to the legacy mode's.
+  /// Scrapes encode into internal staging buffers and flush through the
+  /// StagedProduceFn seams — the zero-copy write path. Record bytes are
+  /// those of encode_metric_sample / encode_alert_event.
   Scraper(MetricsRegistry& registry, StagedProduceFn metrics_out, StagedProduceFn alerts_out = {},
           ScraperConfig config = {});
 
@@ -153,15 +147,11 @@ class Scraper {
   std::size_t emit_alerts();
 
   MetricsRegistry& registry_;
-  ProduceFn metrics_out_;
-  ProduceFn alerts_out_;
-  // Staged mode (exactly one of metrics_out_/staged_metrics_out_ is
-  // bound): reusable staging buffers, cleared at the start of each scrape
-  // so records orphaned by an exhausted-retry flush cannot leak into the
-  // next batch (matching the legacy mode, which destroys its moved-from
-  // vector on throw).
-  StagedProduceFn staged_metrics_out_;
-  StagedProduceFn staged_alerts_out_;
+  StagedProduceFn metrics_out_;
+  StagedProduceFn alerts_out_;
+  // Reusable staging buffers, cleared at the start of each scrape so
+  // records orphaned by an exhausted-retry flush cannot leak into the
+  // next batch.
   stream::BatchBuilder metrics_staging_;
   stream::BatchBuilder alerts_staging_;
   ScraperConfig config_;

@@ -2,14 +2,7 @@
 
 #include <stdexcept>
 
-#include "common/bytes.hpp"
-#include "common/faults.hpp"
-#include "observe/trace.hpp"
-
 namespace oda::pipeline {
-
-using common::Stopwatch;
-using sql::Table;
 
 void QueryConfig::validate() const {
   if (name.empty()) {
@@ -21,238 +14,6 @@ void QueryConfig::validate() const {
   if (time_column.empty()) {
     throw std::invalid_argument("QueryConfig: time_column must not be empty");
   }
-}
-
-StreamingQuery::StreamingQuery(QueryConfig config, std::unique_ptr<Source> source)
-    : config_(std::move(config)), source_(std::move(source)) {
-  config_.validate();
-  auto& reg = observe::default_registry();
-  const observe::Labels labels{{"query", config_.name}};
-  obs_batches_ = reg.counter("pipeline.batches", labels);
-  obs_failures_ = reg.counter("pipeline.batch.failures", labels);
-  obs_skipped_ = reg.counter("pipeline.batches.skipped", labels);
-  obs_rows_ = reg.counter("pipeline.rows.ingested", labels);
-  obs_batch_seconds_ = reg.histogram("pipeline.batch.seconds", labels);
-  obs_watermark_ = reg.gauge("pipeline.watermark", labels);
-  obs_e2e_ = reg.histogram("stream.e2e_latency", labels);
-  batch_span_name_ = "query." + config_.name + ".batch";
-}
-
-StreamingQuery& StreamingQuery::add_operator(OperatorPtr op) {
-  StageMetrics sm;
-  sm.name = op->name();
-  sm.output_class = op->output_class();
-  metrics_.stages.push_back(std::move(sm));
-  operators_.push_back(std::move(op));
-  return *this;
-}
-
-StreamingQuery& StreamingQuery::add_transform(std::string name, storage::DataClass out_class,
-                                              std::function<Table(const Table&)> fn) {
-  return add_operator(std::make_unique<TransformOp>(std::move(name), out_class, std::move(fn)));
-}
-
-StreamingQuery& StreamingQuery::add_sink(std::unique_ptr<Sink> sink) {
-  sinks_.push_back(sink.get());
-  owned_sinks_.push_back(std::move(sink));
-  return *this;
-}
-
-StreamingQuery& StreamingQuery::add_sink_ref(Sink& sink) {
-  sinks_.push_back(&sink);
-  return *this;
-}
-
-void StreamingQuery::advance_watermark(const Table& t) {
-  const std::size_t tc = t.schema().index_of(config_.time_column);
-  if (tc == sql::Schema::npos) return;
-  std::int64_t mx = INT64_MIN;
-  const auto& col = t.column(tc);
-  for (std::size_t r = 0; r < t.num_rows(); ++r) {
-    if (col.is_null(r)) continue;
-    const std::int64_t ts = col.int_at(r);
-    mx = std::max(mx, ts);
-    batch_min_ts_ = std::min(batch_min_ts_, ts);
-  }
-  if (mx != INT64_MIN) watermark_ = std::max(watermark_, mx - config_.allowed_lateness);
-}
-
-void StreamingQuery::snapshot_operator_state() {
-  for (const auto& op : operators_) op->begin_batch();
-  watermark_snapshot_ = watermark_;
-}
-
-void StreamingQuery::rollback_operator_state() {
-  for (const auto& op : operators_) op->rollback_batch();
-  watermark_ = watermark_snapshot_;
-}
-
-std::size_t StreamingQuery::run_once() {
-  Stopwatch batch_sw;
-  // The batch span starts a fresh trace unless a span is already open on
-  // this thread; once the pull returns it is re-homed (link) under the
-  // producer span stamped on the first consumed record, continuing the
-  // trace across the broker hop.
-  observe::Span batch_span(batch_span_name_);
-  snapshot_operator_state();
-  for (Sink* s : sinks_) s->begin_batch();
-
-  std::size_t pulled = 0;
-  bool pull_ok = false;
-  batch_min_ts_ = INT64_MAX;
-  try {
-    Table input = source_->pull(config_.max_records_per_batch);
-    pull_ok = true;
-    pulled = input.num_rows();
-    batch_span.link(source_->incoming_trace());
-    if (pulled == 0) {
-      // Nothing happened; close the empty transaction.
-      for (Sink* s : sinks_) s->commit_batch();
-      for (auto& op : operators_) op->commit_batch();
-      return 0;
-    }
-
-    chaos::fault_point("pipeline.batch");
-    if (faults_.fail_on_batch && metrics_.batches == *faults_.fail_on_batch) {
-      faults_.fail_on_batch.reset();
-      throw std::runtime_error("injected fault");
-    }
-
-    advance_watermark(input);
-    Batch batch{std::move(input), watermark_};
-
-    for (std::size_t i = 0; i < operators_.size(); ++i) {
-      Stopwatch sw;
-      observe::Span op_span(operators_[i]->name());
-      const std::uint64_t in_rows = batch.table.num_rows();
-      batch = operators_[i]->process(std::move(batch));
-      StageMetrics& sm = metrics_.stages[i];
-      sm.wall_seconds.add(sw.elapsed_seconds());
-      sm.rows_in += in_rows;
-      sm.rows_out += batch.table.num_rows();
-    }
-    for (Sink* s : sinks_) {
-      observe::Span sink_span("sink.write");
-      s->write(batch.table);
-    }
-
-    // Commit order: sinks first (their commits are infallible in-memory
-    // bookkeeping), then operator state, then the source offsets. Nothing
-    // after the sink writes can throw, so a batch either fully lands or
-    // fully rolls back.
-    for (Sink* s : sinks_) s->commit_batch();
-    for (auto& op : operators_) op->commit_batch();
-    source_->commit();
-    metrics_.rows_ingested += pulled;
-    ++metrics_.batches;
-    consecutive_failures_ = 0;
-    metrics_.batch_wall_seconds.add(batch_sw.elapsed_seconds());
-    obs_batches_->inc();
-    obs_rows_->inc(pulled);
-    obs_batch_seconds_->add(batch_sw.elapsed_seconds());
-    obs_watermark_->set(static_cast<double>(watermark_));
-    if (batch_min_ts_ != INT64_MAX) {
-      // Oldest record's produce→commit gap, in virtual seconds — the
-      // end-to-end latency the paper's STREAM path cares about.
-      obs_e2e_->add(std::max(0.0, static_cast<double>(observe::virtual_now() - batch_min_ts_) /
-                                      static_cast<double>(common::kSecond)));
-    }
-    return pulled;
-  } catch (const std::exception& e) {
-    ++metrics_.failures;
-    metrics_.last_error = e.what();
-    obs_failures_->inc();
-    rollback_operator_state();
-    for (Sink* s : sinks_) s->rollback_batch();
-    if (!pull_ok) {
-      // The pull itself gave up (broker outage outlasting the source's
-      // retry budget). The consumer may have phantom-advanced positions,
-      // so restore them and report "no progress" — the batch was never
-      // observed, there is nothing to dead-letter.
-      source_->rewind();
-      return 0;
-    }
-    if (config_.max_retries > 0 && ++consecutive_failures_ >= config_.max_retries) {
-      // Dead-letter the poison batch: commit past it so the pipeline
-      // makes progress (at-most-once for this batch only). Sinks reset
-      // their replay bookkeeping; any prefix a TopicSink already
-      // published stays (the at-least-once floor documented there).
-      for (Sink* s : sinks_) s->commit_batch();
-      source_->commit();
-      ++metrics_.batches_skipped;
-      obs_skipped_->inc();
-      consecutive_failures_ = 0;
-    } else {
-      source_->rewind();  // replay on the next run_once()
-    }
-    return pulled;
-  }
-}
-
-std::uint64_t StreamingQuery::run_until_caught_up(std::size_t max_batches) {
-  std::uint64_t total = 0;
-  for (std::size_t b = 0; b < max_batches; ++b) {
-    const std::size_t n = run_once();
-    if (n == 0 && source_->lag() == 0) break;
-    total += n;
-  }
-  return total;
-}
-
-void StreamingQuery::finalize() {
-  // Drain stateful operators: flush op i, push the result through the
-  // remaining stages, then flush op i+1 (which now includes the pushed
-  // rows), and so on.
-  for (std::size_t i = 0; i < operators_.size(); ++i) {
-    Batch b = operators_[i]->flush();
-    if (b.table.num_rows() == 0) continue;
-    for (std::size_t j = i + 1; j < operators_.size(); ++j) b = operators_[j]->process(std::move(b));
-    for (Sink* s : sinks_) s->write(b.table);
-  }
-  // A final pass: downstream stateful ops may still hold the pushed rows.
-  for (std::size_t i = 0; i < operators_.size(); ++i) {
-    Batch b = operators_[i]->flush();
-    if (b.table.num_rows() == 0) continue;
-    for (std::size_t j = i + 1; j < operators_.size(); ++j) b = operators_[j]->process(std::move(b));
-    for (Sink* s : sinks_) s->write(b.table);
-  }
-  for (Sink* s : sinks_) s->flush();
-}
-
-void StreamingQuery::checkpoint_to(storage::ObjectStore& store, const std::string& key,
-                                   common::TimePoint now) const {
-  common::ByteWriter w;
-  w.str(config_.name);
-  w.i64(watermark_);
-  w.varint(operators_.size());
-  for (const auto& op : operators_) {
-    const auto state = op->checkpoint_state();
-    w.varint(state.size());
-    w.raw(state.data(), state.size());
-  }
-  store.put(key, w.take(), "checkpoints", storage::DataClass::kBronze, now);
-}
-
-bool StreamingQuery::restore_from(const storage::ObjectStore& store, const std::string& key) {
-  const auto blob = store.get(key);
-  if (!blob) return false;
-  common::ByteReader r(*blob);
-  const std::string name = r.str();
-  if (name != config_.name) {
-    throw std::runtime_error("StreamingQuery: checkpoint '" + key + "' belongs to query '" + name +
-                             "', not '" + config_.name + "'");
-  }
-  watermark_ = r.i64();
-  const std::uint64_t n = r.varint();
-  if (n != operators_.size()) {
-    throw std::runtime_error("StreamingQuery: checkpoint operator count mismatch");
-  }
-  for (auto& op : operators_) {
-    const std::uint64_t len = r.varint();
-    op->restore_state(r.raw(len));
-  }
-  source_->rewind();  // resume from the group's committed offsets
-  return true;
 }
 
 }  // namespace oda::pipeline

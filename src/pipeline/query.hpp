@@ -1,19 +1,15 @@
-// StreamingQuery: one end-to-end ODA pipeline (source → operators →
-// sinks) executed in micro-batches, with per-stage metrics (Fig 4-b),
-// watermarks, and checkpoint/rewind recovery semantics.
+// Configuration and metrics of one end-to-end ODA pipeline (source →
+// operators → sinks) executed in micro-batches, with per-stage metrics
+// (Fig 4-b). The executor is engine::Query (engine/engine.hpp).
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/time.hpp"
-#include "observe/metrics.hpp"
-#include "pipeline/operator.hpp"
-#include "pipeline/source_sink.hpp"
+#include "storage/object_store.hpp"
 
 namespace oda::pipeline {
 
@@ -70,90 +66,8 @@ struct QueryConfig {
 
   /// Reject nonsense at query construction instead of failing (or silently
   /// spinning) deep in a run. Throws std::invalid_argument. Called by the
-  /// StreamingQuery constructor.
+  /// engine::Query constructor.
   void validate() const;
-};
-
-/// Deterministic fault injector for recovery tests: fail the Nth batch.
-struct FaultPlan {
-  std::optional<std::uint64_t> fail_on_batch;
-};
-
-class StreamingQuery {
- public:
-  StreamingQuery(QueryConfig config, std::unique_ptr<Source> source);
-
-  /// Chainable stage registration (in execution order).
-  StreamingQuery& add_operator(OperatorPtr op);
-  StreamingQuery& add_transform(std::string name, storage::DataClass out_class,
-                                std::function<sql::Table(const sql::Table&)> fn);
-  StreamingQuery& add_sink(std::unique_ptr<Sink> sink);
-  /// Keep a non-owning sink (owned by caller, e.g. a LAKE shared sink).
-  StreamingQuery& add_sink_ref(Sink& sink);
-
-  /// Process one micro-batch. Returns rows pulled from the source
-  /// (0 = caught up, or the pull itself failed after retries). Each call
-  /// is a transaction: operators snapshot and sinks begin_batch() before
-  /// the pull; on any failure (exception, injected chaos fault, legacy
-  /// FaultPlan) operator state and sink output roll back and the source
-  /// rewinds, so the replay re-produces byte-identical output —
-  /// exactly-once into transactional sinks for batches that eventually
-  /// commit. A batch that keeps failing is dead-lettered after
-  /// max_retries (at-most-once for that batch only). Never throws on
-  /// infrastructure faults.
-  std::size_t run_once();
-
-  /// Drain until the source is caught up; returns total rows processed.
-  std::uint64_t run_until_caught_up(std::size_t max_batches = SIZE_MAX);
-
-  /// Flush stateful operators through the remaining stages to the sinks.
-  void finalize();
-
-  /// Durable checkpoint of operator state + watermark into the object
-  /// store (source offsets are already durable in the broker's committed-
-  /// offset store). A restarted process reconstructs the same query,
-  /// calls restore_from(), and resumes exactly where the group left off.
-  void checkpoint_to(storage::ObjectStore& store, const std::string& key,
-                     common::TimePoint now) const;
-  /// Returns false when no checkpoint exists under `key`.
-  bool restore_from(const storage::ObjectStore& store, const std::string& key);
-
-  const QueryMetrics& metrics() const { return metrics_; }
-  const std::string& name() const { return config_.name; }
-  common::TimePoint watermark() const { return watermark_; }
-  void set_fault_plan(FaultPlan plan) { faults_ = plan; }
-  Source& source() { return *source_; }
-
- private:
-  void advance_watermark(const sql::Table& t);
-  void snapshot_operator_state();
-  void rollback_operator_state();
-
-  QueryConfig config_;
-  std::unique_ptr<Source> source_;
-  std::vector<OperatorPtr> operators_;
-  std::vector<std::unique_ptr<Sink>> owned_sinks_;
-  std::vector<Sink*> sinks_;
-  QueryMetrics metrics_;
-  // Observability: registry handles resolved once at construction, plus
-  // the batch span name ("query.<name>.batch") cached to avoid per-batch
-  // string assembly.
-  observe::Counter* obs_batches_ = nullptr;
-  observe::Counter* obs_failures_ = nullptr;
-  observe::Counter* obs_skipped_ = nullptr;
-  observe::Counter* obs_rows_ = nullptr;
-  observe::Histogram* obs_batch_seconds_ = nullptr;
-  observe::Gauge* obs_watermark_ = nullptr;
-  /// End-to-end record latency: produce-time event stamp → sink commit,
-  /// in *virtual* seconds. One sample per committed batch (the oldest
-  /// record's latency) — same series the sharded engine reports.
-  observe::Histogram* obs_e2e_ = nullptr;
-  common::TimePoint batch_min_ts_ = INT64_MAX;  ///< oldest event ts this batch
-  std::string batch_span_name_;
-  common::TimePoint watermark_ = INT64_MIN;
-  common::TimePoint watermark_snapshot_ = INT64_MIN;
-  FaultPlan faults_;
-  std::size_t consecutive_failures_ = 0;
 };
 
 }  // namespace oda::pipeline

@@ -88,18 +88,6 @@ std::unique_ptr<observe::Scraper> make_scraper(observe::MetricsRegistry& registr
                                             bind(stream::kAlertsTopic, 0xa1e275ull), config);
 }
 
-std::unique_ptr<StreamingQuery> make_history_query(stream::Broker& broker,
-                                                   observe::HistoryStore& store,
-                                                   QueryConfig config, chaos::RetryPolicy retry) {
-  broker.create_topic(stream::kMetricsTopic);
-  if (config.name == QueryConfig{}.name) config.name = "_oda.history";
-  auto q = std::make_unique<StreamingQuery>(
-      config, std::make_unique<BrokerSource>(broker, stream::kMetricsTopic, "_oda.history",
-                                             metric_records_to_table, retry));
-  q->add_sink(std::make_unique<HistorySink>(store));
-  return q;
-}
-
 std::size_t persist_history_gold(const observe::HistoryStore& store, storage::ObjectStore& ocean,
                                  const std::string& dataset, common::TimePoint now) {
   std::size_t objects = 0;

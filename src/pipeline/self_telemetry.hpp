@@ -1,7 +1,8 @@
-// The self-telemetry loop's back half (DESIGN.md §9): factories that bind
+// The self-telemetry loop's back half (DESIGN.md §9): a factory that binds
 // the observe-layer Scraper to real broker producers on the reserved
-// `_oda.*` topics, and a StreamingQuery that folds `_oda.metrics` back
-// into an observe::HistoryStore through the same micro-batch transaction
+// `_oda.*` topics, and the decoder and sink with which
+// engine::make_history_query folds `_oda.metrics` back into an
+// observe::HistoryStore through the same micro-batch transaction
 // machinery facility data uses — so the framework's own telemetry
 // exercises broker, pipeline and storage end to end and inherits their
 // exactly-once / golden-run guarantees.
@@ -14,7 +15,6 @@
 #include "common/faults.hpp"
 #include "observe/history.hpp"
 #include "observe/scraper.hpp"
-#include "pipeline/query.hpp"
 #include "pipeline/source_sink.hpp"
 #include "storage/object_store.hpp"
 #include "stream/broker.hpp"
@@ -75,17 +75,6 @@ std::unique_ptr<observe::Scraper> make_scraper(observe::MetricsRegistry& registr
                                                stream::Broker& broker,
                                                observe::ScraperConfig config = {},
                                                chaos::RetryPolicy retry = {});
-
-/// The history half: a StreamingQuery subscribed to `_oda.metrics`
-/// (consumer group "_oda.history") decoding samples into `store` through
-/// a HistorySink. Runs anywhere a query runs: the framework's advance
-/// loop, standalone run_until_caught_up(), or an engine scheduler slot.
-/// `config.name` defaults to "_oda.history" when left at QueryConfig's
-/// default.
-std::unique_ptr<StreamingQuery> make_history_query(stream::Broker& broker,
-                                                   observe::HistoryStore& store,
-                                                   QueryConfig config = {},
-                                                   chaos::RetryPolicy retry = {});
 
 /// Persist gold rollups: one columnar object per resolution under
 /// `dataset`/<resolution>, DataClass::kGold, covering every retained

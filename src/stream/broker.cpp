@@ -137,6 +137,14 @@ std::size_t Topic::enforce_retention(common::TimePoint now) {
   return evicted;
 }
 
+void Topic::count_fetched(const FetchView& out) {
+  if (out.empty()) return;
+  obs_fetched_records_->inc_unchecked(out.size());
+  std::size_t bytes = 0;
+  for (const RecordView& v : out) bytes += v.wire_size();
+  obs_fetched_bytes_->inc_unchecked(bytes);
+}
+
 TopicStats Topic::stats() const {
   TopicStats s;
   s.produced_records = obs_produced_records_->value() - base_produced_records_;
@@ -356,8 +364,7 @@ FetchView GroupMember::poll(std::size_t max_records) {
     // batch composition must not change with the view migration.
     positions_[p] = t.partition(p).fetch_view(positions_[p], max_records - out.size(), out);
   }
-  // Not counted into fetched stats: TopicStats::fetched_records has always
-  // meant Consumer (whole-topic) fetches, and the registry cell backs it.
+  t.count_fetched(out);
   return out;
 }
 
@@ -370,6 +377,7 @@ std::vector<PartitionBatchView> GroupMember::poll_by_partition(std::size_t max_p
     PartitionBatchView pb;
     pb.partition = p;
     positions_[p] = t.partition(p).fetch_view(positions_[p], max_per_partition, pb.records);
+    t.count_fetched(pb.records);
     if (!pb.records.empty()) out.push_back(std::move(pb));
   }
   return out;
@@ -422,13 +430,7 @@ FetchView Consumer::poll(std::size_t max_records) {
     positions_[p] = t.partition(p).fetch_view(positions_[p], max_records - out.size(), out);
   }
   next_partition_ = (next_partition_ + 1) % positions_.size();
-  // Empty polls (a caught-up consumer's steady state) touch no counters.
-  if (!out.empty()) {
-    t.obs_fetched_records_->inc_unchecked(out.size());
-    std::size_t bytes = 0;
-    for (const RecordView& v : out) bytes += v.wire_size();
-    t.obs_fetched_bytes_->inc_unchecked(bytes);
-  }
+  t.count_fetched(out);
   return out;
 }
 

@@ -102,6 +102,10 @@ class Topic {
   TopicStats stats() const;
 
  private:
+  /// Fetch accounting shared by every reader (Consumer polls and the
+  /// engine's GroupMember polls alike); empty polls touch no counter.
+  void count_fetched(const FetchView& out);
+
   std::string name_;
   TopicConfig config_;
   std::vector<std::unique_ptr<Partition>> partitions_;
@@ -128,6 +132,7 @@ class Topic {
 
   friend class Broker;
   friend class Consumer;
+  friend class GroupMember;
 };
 
 /// Cached-handle producer for one topic. Broker::producer() resolves the
@@ -264,69 +269,46 @@ class Broker {
   std::map<std::pair<std::string, std::string>, GroupState> groups_;  ///< (group, topic)
 };
 
-/// The one polling contract every broker reader implements — whole-topic
-/// Consumer, rebalancing GroupMember, or anything test code fakes. A
-/// pipeline source programs against this interface, so single-threaded
-/// and engine-driven queries share one source type instead of the two
-/// incompatible polling classes they historically wrapped.
+/// Broker readers. Polling is view-based, full stop: poll() returns
+/// pinned views into the broker's refcounted segments. Code that
+/// genuinely needs owned records (audit maps, replay snapshots held
+/// across polls) uses Consumer::fetch_copy() and pays its one deep copy
+/// explicitly.
 ///
-/// Polling is view-based, full stop: poll() returns pinned views into
-/// the broker's refcounted segments and is the ONLY polling virtual.
-/// The historical copying poll and the poll_view/adopt dual surface are
-/// gone; code that genuinely needs owned records (audit maps, replay
-/// snapshots held across polls) uses the non-virtual fetch_copy()
-/// escape hatch and pays its one deep copy explicitly.
-class Subscription {
- public:
-  virtual ~Subscription() = default;
-
-  /// Fetch up to max_records as views into the broker's refcounted
-  /// segments, pinned for the FetchView's lifetime. Advances in-memory
-  /// positions only; commit() persists them.
-  virtual FetchView poll(std::size_t max_records) = 0;
-  /// Copying escape hatch over poll(): owned records that outlive any
-  /// segment pin. One deep copy per record — hot paths use poll().
-  std::vector<StoredRecord> fetch_copy(std::size_t max_records) {
-    return poll(max_records).to_records();
-  }
-  /// Persist current positions to the broker's committed-offset store.
-  virtual void commit() = 0;
-  /// Reset positions to the last committed snapshot (failure recovery /
-  /// crash restart). A retried poll after seek_to_committed() must replay
-  /// the exact record sequence of the failed attempt.
-  virtual void seek_to_committed() = 0;
-  /// Records between this subscription's positions and the log end.
-  virtual std::int64_t lag() const = 0;
-};
-
 /// A consumer-group member subscribed to every partition of one topic.
 /// poll() round-robins across partitions; commit() persists progress so
 /// a restarted consumer resumes where the group left off (the paper's
 /// "failure and recovery mechanisms that can be difficult to re-engineer
 /// from scratch").
-class Consumer final : public Subscription {
+class Consumer {
  public:
   Consumer(Broker& broker, std::string group, std::string topic);
 
   /// Zero-copy fetch of up to max_records across partitions (round-robin
-  /// interleave). Advances in-memory positions only; call commit() to
-  /// persist.
-  FetchView poll(std::size_t max_records) override;
+  /// interleave), pinned for the FetchView's lifetime. Advances in-memory
+  /// positions only; call commit() to persist.
+  FetchView poll(std::size_t max_records);
+  /// Copying escape hatch over poll(): owned records that outlive any
+  /// segment pin. One deep copy per record — hot paths use poll().
+  std::vector<StoredRecord> fetch_copy(std::size_t max_records) {
+    return poll(max_records).to_records();
+  }
 
   /// Persist current positions to the broker's offset store. Also
   /// snapshots the round-robin cursor, so a later seek_to_committed()
   /// replays polls with the exact partition interleave of the original
-  /// run — exactly-once pipeline recovery depends on replayed batches
-  /// being byte-identical.
-  void commit() override;
+  /// run.
+  void commit();
 
   /// Reset positions (and poll cursor) to the last committed snapshot
-  /// (crash/restart).
-  void seek_to_committed() override;
+  /// (crash/restart). A poll after seek_to_committed() replays the exact
+  /// record sequence of the rolled-back one.
+  void seek_to_committed();
   /// Jump every partition position to the first record with ts >= t.
   void seek_to_time(common::TimePoint t);
 
-  std::int64_t lag() const override;
+  /// Records between this consumer's positions and the log end.
+  std::int64_t lag() const;
   const std::string& group() const { return group_; }
 
  private:
@@ -352,10 +334,10 @@ struct PartitionBatchView {
 /// rechecks the group generation, so scaling the consumer fleet up or
 /// down mid-stream is safe — progress is preserved through the shared
 /// committed-offset store.
-class GroupMember final : public Subscription {
+class GroupMember {
  public:
   GroupMember(Broker& broker, std::string group, std::string topic);
-  ~GroupMember() override;
+  ~GroupMember();
 
   GroupMember(const GroupMember&) = delete;
   GroupMember& operator=(const GroupMember&) = delete;
@@ -363,7 +345,7 @@ class GroupMember final : public Subscription {
   /// Zero-copy fetch of up to max_records from this member's assigned
   /// partitions, resuming each partition from the group's committed
   /// offset.
-  FetchView poll(std::size_t max_records) override;
+  FetchView poll(std::size_t max_records);
   /// Like poll(), but capped per partition and keeping each partition's
   /// records in their own PartitionBatchView. The engine's merge step
   /// orders these by partition index, making batch contents a pure
@@ -375,12 +357,12 @@ class GroupMember final : public Subscription {
   /// last poll, the broker drops the commit and the records are
   /// re-delivered to their new owner (at-least-once across a rebalance,
   /// never a committed-offset regression).
-  void commit() override;
+  void commit();
   /// Drop in-memory positions back to the group's committed offsets for
   /// every assigned partition (replay after a failed batch).
-  void seek_to_committed() override;
+  void seek_to_committed();
   /// Sum of (end offset - position) over this member's assigned partitions.
-  std::int64_t lag() const override;
+  std::int64_t lag() const;
   /// Leave the group explicitly (also done by the destructor).
   void leave();
 

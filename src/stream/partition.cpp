@@ -198,7 +198,7 @@ std::int64_t Partition::fetch_view(std::int64_t offset, std::size_t max_records,
   if (offset >= at_end) return std::min(offset, at_end);
   // Fault seam: fails before handing out anything. A consumer whose poll
   // faulted mid-way must restore its positions before retrying (the
-  // BrokerSource retry does this via seek_to_committed).
+  // engine.pull retry in engine::Query does this via seek_to_committed).
   chaos::fault_point("stream.fetch");
   std::lock_guard lk(mu_);
   const std::int64_t end = next_offset_.load(std::memory_order_relaxed);

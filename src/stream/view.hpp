@@ -88,7 +88,7 @@ class FetchView {
   }
 
   /// Deep copy at an ownership boundary — the implementation behind
-  /// Subscription::fetch_copy, the one named escape hatch from the
+  /// Consumer::fetch_copy, the one named escape hatch from the
   /// view-based polling contract.
   std::vector<StoredRecord> to_records() const {
     std::vector<StoredRecord> out;

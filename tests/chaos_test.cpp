@@ -14,8 +14,8 @@
 
 #include "common/bytes.hpp"
 #include "common/faults.hpp"
+#include "engine/engine.hpp"
 #include "pipeline/operator.hpp"
-#include "pipeline/query.hpp"
 #include "pipeline/source_sink.hpp"
 #include "storage/archive.hpp"
 #include "storage/object_store.hpp"
@@ -224,6 +224,15 @@ struct FlowResult {
   std::uint64_t dropped_records = 0;
 };
 
+/// The Bronze→Silver stage both flows share: a 15 s window per (node,
+/// sensor), one instance per partition lane.
+std::unique_ptr<pipeline::Operator> silver_window() {
+  return std::make_unique<pipeline::WindowAggOp>(
+      "w15", "time", 15 * kSecond, std::vector<std::string>{"node_id", "sensor"},
+      std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"},
+                                {"value", sql::AggKind::kCount, "samples"}});
+}
+
 /// Run the full flow: simulate ~2 minutes of a tiny facility, refine the
 /// power stream Bronze→Silver (windowed agg) into a silver topic + OCEAN
 /// + memory, and consume the silver topic downstream. If `plan` is given
@@ -247,13 +256,12 @@ FlowResult run_flow(std::uint64_t seed, chaos::FaultPlan* plan) {
   // still being injected, not only during the clean finalize().
   qc.allowed_lateness = 20 * kSecond;
   qc.max_retries = 0;  // poison-free flow: replay until the batch commits
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, sim.topics().power, "chaos-silver",
-                                     telemetry::packets_to_bronze, rp));
-  q.add_operator(std::make_unique<pipeline::WindowAggOp>(
-      "w15", "time", 15 * kSecond, std::vector<std::string>{"node_id", "sensor"},
-      std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"},
-                                {"value", sql::AggKind::kCount, "samples"}}));
+  engine::Query q(
+      qc,
+      engine::SourceSpec{&broker, sim.topics().power, "chaos-silver", telemetry::packets_to_bronze,
+                         rp},
+      /*workers=*/1);
+  q.add_operator(silver_window);
   auto table_sink = std::make_unique<pipeline::TableSink>();
   const auto* silver_table = table_sink.get();
   q.add_sink(std::make_unique<pipeline::TopicSink>(broker, "silver.chaos", rp));
@@ -265,9 +273,11 @@ FlowResult run_flow(std::uint64_t seed, chaos::FaultPlan* plan) {
   qc2.name = "chaos_downstream";
   qc2.time_column = "window_start";
   qc2.max_retries = 0;
-  pipeline::StreamingQuery q2(qc2, std::make_unique<pipeline::BrokerSource>(
-                                       broker, "silver.chaos", "chaos-down",
-                                       pipeline::decode_columnar_records, rp));
+  engine::Query q2(
+      qc2,
+      engine::SourceSpec{&broker, "silver.chaos", "chaos-down", pipeline::decode_columnar_records,
+                         rp},
+      /*workers=*/1);
   auto down_sink = std::make_unique<pipeline::TableSink>();
   const auto* down_table = down_sink.get();
   q2.add_sink(std::move(down_sink));
@@ -371,13 +381,10 @@ TEST(ChaosFlowTest, SinkOutageRollsBackThenRecoversExactlyOnce) {
   qc.max_records_per_batch = 500;
   qc.allowed_lateness = 20 * kSecond;  // must match run_flow's golden config
   qc.max_retries = 0;  // never dead-letter; wait out the outage
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, sim.topics().power, "outage",
-                                     telemetry::packets_to_bronze));
-  q.add_operator(std::make_unique<pipeline::WindowAggOp>(
-      "w15", "time", 15 * kSecond, std::vector<std::string>{"node_id", "sensor"},
-      std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"},
-                                {"value", sql::AggKind::kCount, "samples"}}));
+  engine::Query q(
+      qc, engine::SourceSpec{&broker, sim.topics().power, "outage", telemetry::packets_to_bronze},
+      /*workers=*/1);
+  q.add_operator(silver_window);
   auto table_sink = std::make_unique<pipeline::TableSink>();
   const auto* silver_table = table_sink.get();
   q.add_sink(std::make_unique<pipeline::OceanSink>(ocean, "silver/chaos",
@@ -420,9 +427,9 @@ TEST(ChaosFlowTest, HardFaultsDeadLetterWithoutCrashing) {
   qc.name = "hard";
   qc.max_records_per_batch = 200;
   qc.max_retries = 2;  // dead-letter quickly
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, sim.topics().power, "hard",
-                                     telemetry::packets_to_bronze));
+  engine::Query q(
+      qc, engine::SourceSpec{&broker, sim.topics().power, "hard", telemetry::packets_to_bronze},
+      /*workers=*/1);
   auto sink = std::make_unique<pipeline::TableSink>();
   const auto* table = sink.get();
   q.add_sink(std::move(sink));
@@ -436,7 +443,7 @@ TEST(ChaosFlowTest, HardFaultsDeadLetterWithoutCrashing) {
   EXPECT_GT(q.metrics().batches_skipped, 0u);
   EXPECT_GT(q.metrics().failures, 0u);
   EXPECT_GT(table->table().num_rows(), 0u);  // the healthy remainder flowed
-  EXPECT_EQ(q.source().lag(), 0);            // and the query fully caught up
+  EXPECT_EQ(q.lag(), 0);                     // and the query fully caught up
 }
 
 TEST(ChaosFlowTest, CollectionDropsAreCountedNotFatal) {

@@ -2,8 +2,9 @@
 // pipeline-equivalence sweeps (batch size must never change results).
 #include <gtest/gtest.h>
 
+#include "common/faults.hpp"
 #include "common/rng.hpp"
-#include "pipeline/query.hpp"
+#include "engine/engine.hpp"
 #include "sql/ops.hpp"
 #include "storage/columnar.hpp"
 #include "telemetry/collection.hpp"
@@ -13,6 +14,14 @@ namespace {
 
 using common::kMillisecond;
 using common::kSecond;
+
+engine::OperatorFactory windowed_sum_10s() {
+  return [] {
+    return std::make_unique<pipeline::WindowAggOp>(
+        "w", "time", 10 * kSecond, std::vector<std::string>{},
+        std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}});
+  };
+}
 
 TEST(CollectionTest, PathTradeoffsHold) {
   const std::size_t sensors = 24;
@@ -84,12 +93,11 @@ TEST_P(BatchSizeInvariance, WindowedSumsIndependentOfBatching) {
   pipeline::QueryConfig qc;
   qc.max_records_per_batch = GetParam();
   qc.name = "equiv";
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, "in", "g" + std::to_string(GetParam()),
-                                     pipeline::decode_columnar_records));
-  q.add_operator(std::make_unique<pipeline::WindowAggOp>(
-      "w", "time", 10 * kSecond, std::vector<std::string>{},
-      std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
+  engine::Query q(qc,
+                  engine::SourceSpec{&broker, "in", "g" + std::to_string(GetParam()),
+                                     pipeline::decode_columnar_records},
+                  /*workers=*/1);
+  q.add_operator(windowed_sum_10s());
   auto sink = std::make_unique<pipeline::TableSink>();
   auto* out = sink.get();
   q.add_sink(std::move(sink));
@@ -132,16 +140,19 @@ TEST_P(FaultPositionInvariance, RecoveryPreservesExactlyOnce) {
   pipeline::QueryConfig qc;
   qc.max_records_per_batch = 10;
   qc.name = "faulty";
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, "in", "g", pipeline::decode_columnar_records));
-  q.add_operator(std::make_unique<pipeline::WindowAggOp>(
-      "w", "time", 10 * kSecond, std::vector<std::string>{},
-      std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
+  engine::Query q(qc, engine::SourceSpec{&broker, "in", "g", pipeline::decode_columnar_records},
+                  /*workers=*/1);
+  q.add_operator(windowed_sum_10s());
   auto sink = std::make_unique<pipeline::TableSink>();
   auto* out = sink.get();
   q.add_sink(std::move(sink));
-  q.set_fault_plan({GetParam()});
-  q.run_until_caught_up();
+  // The chaos pipeline.batch seam fails batch GetParam() (0-based) once.
+  chaos::FaultPlan plan(1);
+  plan.configure("pipeline.batch", {.skip_first = GetParam(), .every_nth = 1, .max_faults = 1});
+  {
+    chaos::ScopedFaultPlan scoped(plan);
+    q.run_until_caught_up();
+  }
   q.finalize();
   EXPECT_EQ(q.metrics().failures, 1u);
   double total = 0.0;

@@ -2,7 +2,13 @@
 // Bronze→Silver pipeline → LAKE/OCEAN → Gold extraction.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
+#include "common/bytes.hpp"
 #include "core/framework.hpp"
+#include "storage/columnar.hpp"
 #include "telemetry/spec.hpp"
 
 namespace oda {
@@ -96,6 +102,131 @@ TEST_F(FrameworkTest, SystemLookupByName) {
   EXPECT_EQ(&fw_.system("Mountain"), sys_);
   EXPECT_THROW(fw_.system("nope"), std::out_of_range);
   EXPECT_EQ(fw_.system_names(), std::vector<std::string>{"Mountain"});
+}
+
+
+// ---- golden contents --------------------------------------------------------
+// The paper's real-time path at a fixed seed: compass_spec(0.02) with the
+// six canonical pipelines and self-telemetry, 40 fifteen-second steps,
+// then end of stream. LAKE points must match exactly (time and value
+// bits, per metric). OCEAN Bronze and Silver rows must match as
+// multisets: how rows split into objects and their order inside one
+// follows batch boundaries, the rows themselves may not change. The
+// constants were recorded from the single-threaded executor this path
+// ran on before it moved onto engine::Query.
+
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+template <typename T>
+std::uint64_t hash_bits(T v, std::uint64_t h) {
+  std::uint8_t bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  return common::fnv1a(std::span<const std::uint8_t>(bytes, sizeof(T)), h);
+}
+
+/// Hash of one row: every cell's type and exact bits, in column order.
+std::uint64_t row_hash(const sql::Table& t, std::size_t r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t c = 0; c < t.num_columns(); ++c) {
+    const sql::Column& col = t.column(c);
+    h = common::fnv1a(t.schema().field(c).name, h);
+    if (col.is_null(r)) {
+      h = hash_bits<std::uint8_t>(0xff, h);
+      continue;
+    }
+    switch (col.type()) {
+      case sql::DataType::kInt64: h = hash_bits(col.int_at(r), h); break;
+      case sql::DataType::kFloat64: h = hash_bits(col.double_at(r), h); break;
+      case sql::DataType::kString: h = hash_bits(col.str_at(r).size(), common::fnv1a(col.str_at(r), h)); break;
+      case sql::DataType::kBool: h = hash_bits<std::uint8_t>(col.bool_at(r) ? 1 : 0, h); break;
+      default: break;
+    }
+  }
+  return h;
+}
+
+/// Every point of one LAKE metric, in series-key then time order.
+std::uint64_t lake_digest(const storage::TimeSeriesDb& lake, const std::string& metric,
+                          std::size_t* points) {
+  storage::TsQuery q;
+  q.metric = metric;
+  q.t0 = INT64_MIN;
+  const sql::Table t = lake.query(q);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t r = 0; r < t.num_rows(); ++r) h = hash_bits(row_hash(t, r), h);
+  *points = t.num_rows();
+  return h;
+}
+
+struct OceanDigest {
+  std::size_t objects = 0;
+  std::uint64_t rows = 0;
+  std::uint64_t digest = 0;  ///< order-insensitive: sum of mixed row hashes
+};
+
+OceanDigest ocean_digest(const storage::ObjectStore& ocean, const std::string& dataset) {
+  OceanDigest d;
+  for (const auto& meta : ocean.list(dataset + "/")) {
+    const sql::Table t = storage::read_columnar(*ocean.get(meta.key));
+    ++d.objects;
+    d.rows += t.num_rows();
+    for (std::size_t r = 0; r < t.num_rows(); ++r) d.digest += mix64(row_hash(t, r));
+  }
+  return d;
+}
+
+TEST(FrameworkGoldenTest, LiveRigContentsMatchRecordedDigests) {
+  core::FrameworkConfig fc;
+  fc.retention.stream_age = 10 * kMinute;
+  fc.retention_sweep_period = 5 * kMinute;
+  core::OdaFramework fw(fc);
+  telemetry::SimulatorConfig sc;
+  sc.seed = 11;
+  sc.scheduler.arrival_rate_per_hour = 240.0;
+  sc.scheduler.mean_duration_hours = 0.25;
+  const std::string sys = fw.add_system(telemetry::compass_spec(0.02), sc).spec().name;
+  fw.register_query(fw.make_bronze_to_silver_power(sys));
+  fw.register_query(fw.make_silver_to_lake(sys, "node.power_w", "node_power_w"));
+  fw.register_query(fw.make_silver_to_lake_max(sys, "gpu", ".temp_c", "gpu_temp_max_c"));
+  fw.register_query(fw.make_bronze_archiver(sys));
+  fw.register_query(fw.make_ost_to_lake(sys));
+  fw.register_query(fw.make_fabric_to_lake(sys));
+  fw.enable_self_telemetry();
+  for (int step = 0; step < 40; ++step) fw.advance(15 * kSecond);
+  for (const auto& q : fw.queries()) q->finalize();
+
+  struct LakeGolden {
+    const char* metric;
+    std::size_t points;
+    std::uint64_t digest;
+  };
+  const LakeGolden lake[] = {
+      {"node_power_w", 4096, 0x18706dc4a60e1de8ull},
+      {"gpu_temp_max_c", 4096, 0x6c6ff6ba24beec8bull},
+      {"ost_latency_ms", 960, 0x1c3b7ce4b196f4a7ull},
+      {"switch_stall_pct", 480, 0xaf25fec9de69fc4aull},
+  };
+  for (const LakeGolden& g : lake) {
+    std::size_t points = 0;
+    const std::uint64_t digest = lake_digest(fw.lake(), g.metric, &points);
+    EXPECT_EQ(points, g.points) << g.metric;
+    EXPECT_EQ(digest, g.digest) << g.metric << " digest 0x" << std::hex << digest;
+  }
+
+  const OceanDigest bronze = ocean_digest(fw.ocean(), "bronze/power/" + sys);
+  EXPECT_EQ(bronze.objects, 19u);
+  EXPECT_EQ(bronze.rows, 1841343u);
+  EXPECT_EQ(bronze.digest, 0xb8c8597cadae7c7bull) << "bronze digest 0x" << std::hex << bronze.digest;
+  const OceanDigest silver = ocean_digest(fw.ocean(), "silver/power/" + sys);
+  EXPECT_EQ(silver.objects, 2u);
+  EXPECT_EQ(silver.rows, 125948u);
+  EXPECT_EQ(silver.digest, 0x70299e972b8e65ffull) << "silver digest 0x" << std::hex << silver.digest;
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "ml/nn.hpp"
-#include "pipeline/query.hpp"
+#include "engine/engine.hpp"
 #include "sql/agg.hpp"
 #include "sql/expr.hpp"
 #include "sql/ops.hpp"
@@ -97,7 +97,7 @@ TEST(EwmaOpTest, CheckpointRoundTrip) {
   EXPECT_DOUBLE_EQ(a.table.column("ewma").double_at(0), 6.0);  // 0.25*0 + 0.75*8
 }
 
-TEST(EwmaOpTest, InsideStreamingQuery) {
+TEST(EwmaOpTest, InsideEngineQuery) {
   stream::Broker broker;
   broker.create_topic("in", {1, 1 << 20, {}});
   auto producer = broker.producer("in");
@@ -113,9 +113,11 @@ TEST(EwmaOpTest, InsideStreamingQuery) {
   }
   pipeline::QueryConfig qc;
   qc.name = "smooth";
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, "in", "g", pipeline::decode_columnar_records));
-  q.add_operator(std::make_unique<pipeline::EwmaOp>("ewma", std::vector<std::string>{}, "v", 0.2));
+  engine::Query q(qc, engine::SourceSpec{&broker, "in", "g", pipeline::decode_columnar_records},
+                  /*workers=*/1);
+  q.add_operator([] {
+    return std::make_unique<pipeline::EwmaOp>("ewma", std::vector<std::string>{}, "v", 0.2);
+  });
   auto sink = std::make_unique<pipeline::TableSink>();
   auto* out = sink.get();
   q.add_sink(std::move(sink));

@@ -9,6 +9,7 @@
 // exercises rebalancing mid-stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,7 +24,6 @@
 #include "observe/scraper.hpp"
 #include "observe/trace.hpp"
 #include "pipeline/operator.hpp"
-#include "pipeline/query.hpp"
 #include "pipeline/self_telemetry.hpp"
 #include "pipeline/source_sink.hpp"
 #include "sql/agg.hpp"
@@ -249,8 +249,8 @@ std::vector<std::uint8_t> run_with_history(std::size_t workers, chaos::FaultPlan
   q.finalize();
 
   observe::HistoryStore history;
-  auto history_query = pipeline::make_history_query(
-      broker, history, pipeline::QueryConfig{}.with_max_retries(0), retry);
+  auto history_query =
+      make_history_query(broker, history, pipeline::QueryConfig{}.with_max_retries(0), retry);
   history_query->run_until_caught_up();
 
   std::vector<std::uint8_t> bytes = storage::write_columnar(sink_ptr->table());
@@ -340,22 +340,82 @@ TEST(EngineTest, MultiQueryChainDrainsAcrossRounds) {
   EXPECT_EQ(stats.rows, 2 * kRecords);
 }
 
-TEST(EngineTest, BrokerSourceAcceptsAnySubscription) {
-  // BrokerSource programs against stream::Subscription, so a
-  // single-threaded query can read through a rebalancing GroupMember.
+// Backlog drain over unevenly loaded partitions. Heavy nodes emit eight
+// readings per tick where light ones emit one, and every partition gets
+// the same fetch budget, so while the backlog drains the partitions
+// drift apart in event time by far more than the allowed lateness. The
+// watermark is the min over the lanes that decoded rows, so no lane's
+// rows arrive behind it: nothing is dropped as late, every reading lands
+// in exactly one window, and the committed bytes do not depend on the
+// worker count.
+std::vector<std::uint8_t> drain_uneven_backlog(std::size_t workers, std::uint64_t* late_rows,
+                                               std::uint64_t* samples) {
+  constexpr int kTicks = 600;
   stream::Broker broker;
-  auto& topic = broker.create_topic("subs", stream::TopicConfig{}.with_partitions(4));
-  fill_topic(topic);
+  auto& topic = broker.create_topic("uneven", stream::TopicConfig{}.with_partitions(kPartitions));
+  {
+    stream::Producer producer = broker.producer("uneven");
+    for (int tick = 0; tick < kTicks; ++tick) {
+      for (int node = 0; node < 32; ++node) {
+        const int readings = node % 8 == 0 ? 8 : 1;
+        for (int k = 0; k < readings; ++k) {
+          producer.produce(stream::Record{tick * common::kSecond, "node" + std::to_string(node),
+                                          std::to_string(0.5 + k + node)});
+        }
+      }
+    }
+  }
+  std::int64_t lightest = INT64_MAX;
+  std::int64_t heaviest = 0;
+  for (std::size_t p = 0; p < kPartitions; ++p) {
+    lightest = std::min(lightest, topic.partition(p).end_offset());
+    heaviest = std::max(heaviest, topic.partition(p).end_offset());
+  }
+  EXPECT_GE(heaviest, 2 * lightest);  // the load really is uneven
 
-  auto member = std::make_unique<stream::GroupMember>(broker, "subs-group", "subs");
-  pipeline::StreamingQuery q(pipeline::QueryConfig{}.with_name("subs.query"),
-                             std::make_unique<pipeline::BrokerSource>(std::move(member), decode));
+  Engine engine(EngineConfig{}.with_workers(workers).with_ownership(
+      OwnershipConfig{}.with_partitions(kPartitions)));
+  std::vector<const pipeline::WindowAggOp*> lanes;
   auto sink = std::make_unique<pipeline::TableSink>();
   pipeline::TableSink* sink_ptr = sink.get();
+  auto& q = engine.add_query(pipeline::QueryConfig{}
+                                 .with_name("uneven.q")
+                                 .with_batch_size(800)
+                                 .with_allowed_lateness(5 * common::kSecond),
+                             SourceSpec{&broker, "uneven", "uneven-group", decode});
+  q.add_operator([&lanes] {
+    auto op = std::make_unique<pipeline::WindowAggOp>(
+        "window_10s", "time", 10 * common::kSecond, std::vector<std::string>{"node"},
+        std::vector<sql::AggSpec>{{"value", sql::AggKind::kSum, "sum_value"},
+                                  {"value", sql::AggKind::kCount, "samples"}});
+    lanes.push_back(op.get());
+    return op;
+  });
   q.add_sink(std::move(sink));
+  engine.run_until_caught_up();
+  q.finalize();
 
-  q.run_until_caught_up();
-  EXPECT_EQ(sink_ptr->table().num_rows(), kRecords);
+  *late_rows = 0;
+  for (const pipeline::WindowAggOp* op : lanes) *late_rows += op->late_rows_dropped();
+  *samples = 0;
+  const Table& out = sink_ptr->table();
+  for (std::size_t r = 0; r < out.num_rows(); ++r) {
+    *samples += static_cast<std::uint64_t>(out.column("samples").int_at(r));
+  }
+  return storage::write_columnar(out);
+}
+
+TEST(EngineTest, UnevenBacklogDrainsWithoutLateRows) {
+  constexpr std::uint64_t kReadings = 600 * (28 + 4 * 8);
+  std::uint64_t late1 = 0, samples1 = 0, late4 = 0, samples4 = 0;
+  const auto bytes1 = drain_uneven_backlog(1, &late1, &samples1);
+  const auto bytes4 = drain_uneven_backlog(4, &late4, &samples4);
+  EXPECT_EQ(late1, 0u);
+  EXPECT_EQ(late4, 0u);
+  EXPECT_EQ(samples1, kReadings);
+  EXPECT_EQ(samples4, kReadings);
+  EXPECT_GT(bytes1.size(), 0u);
+  EXPECT_EQ(bytes1, bytes4);
 }
 
 TEST(EngineTest, TeamClampsToPartitionCount) {

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "ml/anomaly.hpp"
-#include "pipeline/query.hpp"
+#include "engine/engine.hpp"
 #include "storage/columnar.hpp"
 #include "twin/cooling.hpp"
 
@@ -68,13 +68,15 @@ TEST(InferenceOpTest, AnomalyDetectorInStream) {
 
   pipeline::QueryConfig qc;
   qc.name = "detect";
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, "in", "g", pipeline::decode_columnar_records));
+  engine::Query q(qc, engine::SourceSpec{&broker, "in", "g", pipeline::decode_columnar_records},
+                  /*workers=*/1);
   const double threshold = detector->threshold();
-  q.add_operator(std::make_unique<pipeline::InferenceOp>(
-      "anomaly", std::vector<std::string>{"power", "temp"},
-      [detector](std::span<const double> x) { return detector->score(x); }, "anomaly_score",
-      threshold, "alert"));
+  q.add_operator([detector, threshold] {
+    return std::make_unique<pipeline::InferenceOp>(
+        "anomaly", std::vector<std::string>{"power", "temp"},
+        [detector](std::span<const double> x) { return detector->score(x); }, "anomaly_score",
+        threshold, "alert");
+  });
   auto sink = std::make_unique<pipeline::TableSink>();
   auto* out = sink.get();
   q.add_sink(std::move(sink));

@@ -1,12 +1,13 @@
-// Tests for the micro-batch streaming engine: window operator watermark
+// Tests for the micro-batch streaming pipeline: window operator watermark
 // semantics, exactly-once emission, batch rollback/recovery, dead-letter
-// policy, sinks, and batch-vs-stream equivalence.
+// policy, sinks, and batch-vs-stream equivalence on engine::Query.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "common/faults.hpp"
 #include "common/rng.hpp"
-#include "pipeline/query.hpp"
+#include "engine/engine.hpp"
 #include "sql/expr.hpp"
 #include "sql/ops.hpp"
 #include "storage/columnar.hpp"
@@ -137,7 +138,7 @@ TEST(WindowAggOpTest, CheckpointStateRoundTrips) {
   }
 }
 
-// ---- StreamingQuery end-to-end over a broker --------------------------------
+// ---- engine::Query end-to-end over a broker --------------------------------
 
 struct QueryRig {
   stream::Broker broker;
@@ -153,12 +154,18 @@ struct QueryRig {
     rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
     in_producer.produce(std::move(rec));
   }
-  std::unique_ptr<StreamingQuery> make_query(QueryConfig qc = {}) {
-    auto q = std::make_unique<StreamingQuery>(
-        qc, std::make_unique<BrokerSource>(broker, "in", "g", decode_columnar_records));
-    return q;
+  std::unique_ptr<engine::Query> make_query(QueryConfig qc = {}) {
+    return std::make_unique<engine::Query>(
+        qc, engine::SourceSpec{&broker, "in", "g", decode_columnar_records}, /*workers=*/1);
   }
 };
+
+engine::OperatorFactory windowed_sum(common::Duration window) {
+  return [window] {
+    return std::make_unique<WindowAggOp>("w", "time", window, std::vector<std::string>{},
+                                         std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}});
+  };
+}
 
 TEST(QueryConfigTest, FluentSettersAndValidate) {
   const QueryConfig qc = QueryConfig{}
@@ -180,13 +187,11 @@ TEST(QueryConfigTest, FluentSettersAndValidate) {
                std::invalid_argument);
 }
 
-TEST(StreamingQueryTest, EndToEndWindowedSum) {
+TEST(QueryTest, EndToEndWindowedSum) {
   QueryRig rig;
   for (int i = 0; i < 40; ++i) rig.produce(i * kSecond, 1.0);
   auto q = rig.make_query();
-  q->add_operator(std::make_unique<WindowAggOp>(
-      "w", "time", 10 * kSecond, std::vector<std::string>{},
-      std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
+  q->add_operator(windowed_sum(10 * kSecond));
   auto sink = std::make_unique<TableSink>();
   auto* out = sink.get();
   q->add_sink(std::move(sink));
@@ -199,20 +204,22 @@ TEST(StreamingQueryTest, EndToEndWindowedSum) {
   EXPECT_GT(q->metrics().batches, 0u);
 }
 
-TEST(StreamingQueryTest, InjectedFaultRecoversWithoutLossOrDuplication) {
+TEST(QueryTest, InjectedFaultRecoversWithoutLossOrDuplication) {
   QueryRig rig;
   for (int i = 0; i < 60; ++i) rig.produce(i * kSecond, 1.0);
   QueryConfig qc;
   qc.max_records_per_batch = 10;
   auto q = rig.make_query(qc);
-  q->add_operator(std::make_unique<WindowAggOp>(
-      "w", "time", 10 * kSecond, std::vector<std::string>{},
-      std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
+  q->add_operator(windowed_sum(10 * kSecond));
   auto sink = std::make_unique<TableSink>();
   auto* out = sink.get();
   q->add_sink(std::move(sink));
-  q->set_fault_plan({2});  // fail the third batch once
-  q->run_until_caught_up();
+  chaos::FaultPlan plan(1);
+  plan.configure("pipeline.batch", {.skip_first = 2, .every_nth = 1, .max_faults = 1});
+  {
+    chaos::ScopedFaultPlan scoped(plan);  // fail the third batch once
+    q->run_until_caught_up();
+  }
   q->finalize();
   EXPECT_EQ(q->metrics().failures, 1u);
   double total = 0.0;
@@ -222,7 +229,7 @@ TEST(StreamingQueryTest, InjectedFaultRecoversWithoutLossOrDuplication) {
   EXPECT_DOUBLE_EQ(total, 60.0);  // exactly-once despite the fault
 }
 
-TEST(StreamingQueryTest, PoisonBatchIsSkippedAfterMaxRetries) {
+TEST(QueryTest, PoisonBatchIsSkippedAfterMaxRetries) {
   QueryRig rig;
   for (int i = 0; i < 30; ++i) rig.produce(i * kSecond, 1.0);
   QueryConfig qc;
@@ -247,7 +254,7 @@ TEST(StreamingQueryTest, PoisonBatchIsSkippedAfterMaxRetries) {
   EXPECT_EQ(out->table().num_rows(), 20u);  // the other two batches flowed through
 }
 
-TEST(StreamingQueryTest, StageMetricsTrackRows) {
+TEST(QueryTest, StageMetricsTrackRows) {
   QueryRig rig;
   for (int i = 0; i < 20; ++i) rig.produce(i * kSecond, static_cast<double>(i));
   auto q = rig.make_query();
@@ -261,7 +268,7 @@ TEST(StreamingQueryTest, StageMetricsTrackRows) {
   EXPECT_EQ(q->metrics().stages[0].rows_out, 10u);
 }
 
-TEST(StreamingQueryTest, StreamEqualsBatchResult) {
+TEST(QueryTest, StreamEqualsBatchResult) {
   // The streaming windowed sum must equal a one-shot batch aggregation —
   // the correctness core of the batch->stream transition (Sec VI-B).
   QueryRig rig;
@@ -280,9 +287,7 @@ TEST(StreamingQueryTest, StreamEqualsBatchResult) {
   QueryConfig qc;
   qc.max_records_per_batch = 37;  // odd size to shuffle batch boundaries
   auto q = rig.make_query(qc);
-  q->add_operator(std::make_unique<WindowAggOp>(
-      "w", "time", 15 * kSecond, std::vector<std::string>{},
-      std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
+  q->add_operator(windowed_sum(15 * kSecond));
   auto sink = std::make_unique<TableSink>();
   auto* out = sink.get();
   q->add_sink(std::move(sink));

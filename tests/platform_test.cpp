@@ -6,7 +6,7 @@
 #include "apps/health_dashboard.hpp"
 #include "core/framework.hpp"
 #include "governance/constellation.hpp"
-#include "pipeline/query.hpp"
+#include "engine/engine.hpp"
 #include "storage/columnar.hpp"
 #include "telemetry/interconnect.hpp"
 
@@ -111,12 +111,14 @@ TEST(DurableCheckpointTest, RestartResumesWindowState) {
   auto make_query = [&] {
     pipeline::QueryConfig qc;
     qc.name = "ckpt-query";
-    auto q = std::make_unique<pipeline::StreamingQuery>(
-        qc, std::make_unique<pipeline::BrokerSource>(broker, "in", "g",
-                                                     pipeline::decode_columnar_records));
-    q->add_operator(std::make_unique<pipeline::WindowAggOp>(
-        "w", "time", 10 * kSecond, std::vector<std::string>{},
-        std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
+    auto q = std::make_unique<engine::Query>(
+        qc, engine::SourceSpec{&broker, "in", "g", pipeline::decode_columnar_records},
+        /*workers=*/1);
+    q->add_operator([] {
+      return std::make_unique<pipeline::WindowAggOp>(
+          "w", "time", 10 * kSecond, std::vector<std::string>{},
+          std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}});
+    });
     return q;
   };
 
@@ -159,16 +161,23 @@ TEST(DurableCheckpointTest, MissingAndMismatchedCheckpoints) {
 
   pipeline::QueryConfig qc;
   qc.name = "a";
-  pipeline::StreamingQuery qa(qc, std::make_unique<pipeline::BrokerSource>(
-                                      broker, "in", "g", pipeline::decode_columnar_records));
+  engine::Query qa(qc, engine::SourceSpec{&broker, "in", "g", pipeline::decode_columnar_records},
+                   /*workers=*/1);
   EXPECT_FALSE(qa.restore_from(store, "nope"));
 
   qa.checkpoint_to(store, "ckpt/a", 0);
   pipeline::QueryConfig qc2;
   qc2.name = "b";
-  pipeline::StreamingQuery qb(qc2, std::make_unique<pipeline::BrokerSource>(
-                                       broker, "in", "g2", pipeline::decode_columnar_records));
+  engine::Query qb(qc2, engine::SourceSpec{&broker, "in", "g2", pipeline::decode_columnar_records},
+                   /*workers=*/1);
   EXPECT_THROW(qb.restore_from(store, "ckpt/a"), std::runtime_error);
+
+  // Same name over a topic with another partition count: the lanes'
+  // operator state would not line up, so the restore is rejected too.
+  broker.create_topic("in4", {4, 1 << 20, {}});
+  engine::Query qa4(qc, engine::SourceSpec{&broker, "in4", "g4", pipeline::decode_columnar_records},
+                    /*workers=*/1);
+  EXPECT_THROW(qa4.restore_from(store, "ckpt/a"), std::runtime_error);
 }
 
 // ---- Constellation ------------------------------------------------------

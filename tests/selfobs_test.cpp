@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@
 #include "common/faults.hpp"
 #include "common/rng.hpp"
 #include "core/framework.hpp"
+#include "engine/engine.hpp"
 #include "observe/export.hpp"
 #include "observe/history.hpp"
 #include "observe/metrics.hpp"
@@ -154,20 +156,9 @@ TEST(SelfObsCodecTest, StagedEncodersMatchRecordEncodersByteForByte) {
 
 // --- the scraper ---------------------------------------------------------
 
+// Capture obeying the StagedProduceFn contract: drain the builder on
+// success, materializing owned Records for comparison.
 struct CapturedRecords {
-  std::vector<stream::Record> all;
-  ProduceFn fn() {
-    return [this](std::vector<stream::Record>&& batch) {
-      const std::size_t n = batch.size();
-      for (auto& r : batch) all.push_back(std::move(r));
-      return n;
-    };
-  }
-};
-
-// Staged-mode capture obeying the StagedProduceFn contract: drain the
-// builder on success (materializing owned Records for comparison).
-struct CapturedStaged {
   std::vector<stream::Record> all;
   StagedProduceFn fn() {
     return [this](stream::BatchBuilder& staged) {
@@ -187,23 +178,33 @@ struct CapturedStaged {
   }
 };
 
-// A staged-mode Scraper must emit the same record bytes, in the same
-// order, as a legacy-mode Scraper observing the same registry and SLO
-// book — including delta suppression and alert forwarding.
+void expect_same_records(const std::vector<stream::Record>& got,
+                         const std::vector<stream::Record>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].timestamp, want[i].timestamp) << "record " << i;
+    EXPECT_EQ(got[i].key, want[i].key) << "record " << i;
+    EXPECT_EQ(got[i].payload, want[i].payload) << "record " << i;
+  }
+}
+
+// The Scraper encodes straight into staging buffers; its record bytes
+// must be exactly what the Record-building reference encoders
+// (encode_metric_sample / encode_alert_event) produce for the samples a
+// delta-suppressing scrape of the same registry emits, in the same order
+// — including suppression of an unchanged series and alert forwarding.
 TEST(ScraperTest, StagedScraperMatchesLegacyByteForByte) {
   MetricsRegistry reg;
   SloBook book;
   book.add({.name = "lag", .subject = "q", .unit = "records", .warn = 10, .crit = 100,
             .breach_hold = 0, .clear_after = 1});
 
-  CapturedRecords legacy_metrics, legacy_alerts;
-  Scraper legacy(reg, legacy_metrics.fn(), legacy_alerts.fn());
-  legacy.watch_slos(book);
+  CapturedRecords metrics, alerts;
+  Scraper scraper(reg, metrics.fn(), alerts.fn());
+  scraper.watch_slos(book);
 
-  CapturedStaged staged_metrics, staged_alerts;
-  Scraper staged(reg, staged_metrics.fn(), staged_alerts.fn());
-  staged.watch_slos(book);
-
+  std::vector<stream::Record> want_metrics;
+  std::map<std::string, std::pair<double, std::uint64_t>> last;  // reference delta baseline
   Counter* c = reg.counter("work.done");
   Gauge* g = reg.gauge("queue.depth");
   const double slo_values[] = {1, 50, 50, 500, 2};  // healthy→degraded→breached→healthy
@@ -212,25 +213,27 @@ TEST(ScraperTest, StagedScraperMatchesLegacyByteForByte) {
     if (round != 2) g->set(round * 2.5);  // round 2: unchanged, delta-suppressed
     const auto t = static_cast<TimePoint>(round * 30) * kSecond;
     book.update("lag", slo_values[round], t);
-    legacy.scrape(t);
-    staged.scrape(t);
+    for (const auto& m : reg.snapshot()) {
+      const std::string key = series_key(m.name, m.labels);
+      const auto it = last.find(key);
+      if (it != last.end() && it->second == std::make_pair(m.value, m.count)) continue;
+      const double delta = it == last.end() ? 0.0 : m.value - it->second.first;
+      want_metrics.push_back(encode_metric_sample({key, m.kind, m.value, delta, m.count}, t));
+      last[key] = {m.value, m.count};
+    }
+    scraper.scrape(t);
   }
+  expect_same_records(metrics.all, want_metrics);
+  EXPECT_LT(want_metrics.size(), 10u);  // round 2 really suppressed the gauge
+  EXPECT_EQ(scraper.stats().samples_emitted, want_metrics.size());
 
-  ASSERT_EQ(staged_metrics.all.size(), legacy_metrics.all.size());
-  for (std::size_t i = 0; i < staged_metrics.all.size(); ++i) {
-    EXPECT_EQ(staged_metrics.all[i].timestamp, legacy_metrics.all[i].timestamp);
-    EXPECT_EQ(staged_metrics.all[i].key, legacy_metrics.all[i].key);
-    EXPECT_EQ(staged_metrics.all[i].payload, legacy_metrics.all[i].payload);
+  std::vector<stream::Record> want_alerts;
+  for (const auto& tr : book.all().front()->transitions()) {
+    want_alerts.push_back(encode_alert_event({"lag", tr.from, tr.to, tr.value}, tr.at));
   }
-  ASSERT_EQ(staged_alerts.all.size(), legacy_alerts.all.size());
-  EXPECT_GT(staged_alerts.all.size(), 0u);  // the SLO walk produced transitions
-  for (std::size_t i = 0; i < staged_alerts.all.size(); ++i) {
-    EXPECT_EQ(staged_alerts.all[i].timestamp, legacy_alerts.all[i].timestamp);
-    EXPECT_EQ(staged_alerts.all[i].key, legacy_alerts.all[i].key);
-    EXPECT_EQ(staged_alerts.all[i].payload, legacy_alerts.all[i].payload);
-  }
-  EXPECT_EQ(staged.stats().samples_emitted, legacy.stats().samples_emitted);
-  EXPECT_EQ(staged.stats().alerts_emitted, legacy.stats().alerts_emitted);
+  EXPECT_GT(want_alerts.size(), 0u);  // the SLO walk produced transitions
+  expect_same_records(alerts.all, want_alerts);
+  EXPECT_EQ(scraper.stats().alerts_emitted, want_alerts.size());
 }
 
 TEST(ScraperTest, DeltaEncodingSuppressesUnchangedSeries) {
@@ -454,7 +457,7 @@ TEST(SelfTelemetryPipelineTest, ScrapeFlowsThroughBrokerIntoHistory) {
   MetricsRegistry reg;
   HistoryStore store;
   auto scraper = pipeline::make_scraper(reg, broker, ScraperConfig{});
-  auto query = pipeline::make_history_query(broker, store);
+  auto query = engine::make_history_query(broker, store);
   EXPECT_TRUE(broker.has_topic(stream::kMetricsTopic));
   EXPECT_TRUE(broker.has_topic(stream::kAlertsTopic));
 
@@ -477,7 +480,7 @@ TEST(SelfTelemetryPipelineTest, PoisonRecordsAreCountedAndSkipped) {
   stream::Broker broker;
   HistoryStore store;
   broker.create_topic(stream::kMetricsTopic);
-  auto query = pipeline::make_history_query(broker, store);
+  auto query = engine::make_history_query(broker, store);
 
   Counter* errors = default_registry().counter("selfobs.decode.errors");
   const double before = static_cast<double>(errors->value());
@@ -501,7 +504,7 @@ std::string chaotic_history_dump(bool with_faults) {
   MetricsRegistry reg;
   HistoryStore store;
   auto scraper = pipeline::make_scraper(reg, broker, ScraperConfig{});
-  auto query = pipeline::make_history_query(broker, store);
+  auto query = engine::make_history_query(broker, store);
 
   chaos::FaultPlan plan(0xda7a);
   if (with_faults) {
