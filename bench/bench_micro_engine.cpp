@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) of the framework's hot paths:
-// broker produce/consume (single and batched), Bronze decode, window
-// aggregation, pivot, join, and columnar encode/decode. These are the
-// primitives every figure-level result is built from. A custom main
-// additionally sweeps the engine's 1/2/4/8-worker ingest scaling curve
-// into BENCH_micro_engine.json.
+// broker staged produce and consume, window aggregation, pivot, join,
+// and columnar encode/decode. These are the primitives every
+// figure-level result is built from. A custom main additionally sweeps
+// the engine's 1/2/4/8/16-worker ingest scaling curve and the flight
+// recorder's overhead into BENCH_micro_engine.json. The broker's
+// produce and consume rates and allocations per record are
+// bench_fig4a_ingest_rate's to report.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -45,47 +47,6 @@ const sql::Table& bronze_sample() {
   return table;
 }
 
-void BM_BrokerProduce(benchmark::State& state) {
-  stream::Broker broker;
-  broker.create_topic("t", {8, 4 << 20, {}});
-  stream::Producer producer = broker.producer("t");  // cached handle: no per-record lookup
-  stream::Record rec;
-  rec.payload.assign(static_cast<std::size_t>(state.range(0)), 'x');
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    rec.timestamp = i;
-    rec.key = "n" + std::to_string(i % 512);
-    benchmark::DoNotOptimize(producer.produce(rec));
-    ++i;
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * rec.wire_size());
-}
-BENCHMARK(BM_BrokerProduce)->Arg(64)->Arg(512);
-
-void BM_ProduceBatch(benchmark::State& state) {
-  // Batched appends take each partition lock once per batch; the batch
-  // size is the knob. Keyless records exercise the shared rr cursor.
-  const std::size_t batch_size = static_cast<std::size_t>(state.range(0));
-  stream::Broker broker;
-  broker.create_topic("t", {8, 64 << 20, {}});
-  stream::Producer producer = broker.producer("t");
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    std::vector<stream::Record> batch;
-    batch.reserve(batch_size);
-    for (std::size_t j = 0; j < batch_size; ++j, ++i) {
-      stream::Record r;
-      r.timestamp = i;
-      r.payload.assign(256, 'x');
-      batch.push_back(std::move(r));
-    }
-    benchmark::DoNotOptimize(producer.produce_batch(std::move(batch)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch_size));
-}
-BENCHMARK(BM_ProduceBatch)->Arg(64)->Arg(512)->Arg(4096);
-
 void BM_ProduceStaged(benchmark::State& state) {
   // The zero-copy write path: encode key+payload straight into the
   // producer's staging arena, flush every batch_size records with one
@@ -95,7 +56,7 @@ void BM_ProduceStaged(benchmark::State& state) {
   stream::Broker broker;
   broker.create_topic("t", {8, 64 << 20, {}});
   stream::Producer producer = broker.producer("t");
-  stream::BatchBuilder& staging = producer.staging();
+  stream::BatchBuilder staging;
   const std::string payload(256, 'x');
   std::int64_t i = 0;
   for (auto _ : state) {
@@ -105,25 +66,32 @@ void BM_ProduceStaged(benchmark::State& state) {
     staging.begin_payload();
     w.raw(payload.data(), payload.size());
     staging.end_record();
-    if (staging.pending() >= batch_size) benchmark::DoNotOptimize(producer.flush());
+    if (staging.pending() >= batch_size) {
+      benchmark::DoNotOptimize(producer.produce_staged(staging));
+    }
     ++i;
   }
-  producer.flush();
+  producer.produce_staged(staging);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ProduceStaged)->Arg(64)->Arg(512)->Arg(4096);
 
-void BM_BrokerConsume(benchmark::State& state) {
-  stream::Broker broker;
+/// Pre-fill a topic with 100k keyed 256-byte records, 1024 per flush.
+void fill_consume_topic(stream::Broker& broker) {
   broker.create_topic("t", {8, 4 << 20, {}});
   stream::Producer producer = broker.producer("t");
-  stream::Record rec;
-  rec.payload.assign(256, 'x');
+  stream::BatchBuilder staged;
+  const std::string payload(256, 'x');
   for (int i = 0; i < 100000; ++i) {
-    rec.timestamp = i;
-    rec.key = "n" + std::to_string(i % 512);
-    producer.produce(rec);
+    staged.add(i, "n" + std::to_string(i % 512), payload);
+    if (staged.pending() >= 1024) producer.produce_staged(staged);
   }
+  producer.produce_staged(staged);
+}
+
+void BM_BrokerConsume(benchmark::State& state) {
+  stream::Broker broker;
+  fill_consume_topic(broker);
   for (auto _ : state) {
     stream::Consumer c(broker, "g" + std::to_string(state.iterations()), "t");
     std::size_t total = 0;
@@ -143,15 +111,7 @@ void BM_BrokerConsumeView(benchmark::State& state) {
   // string_views pinned to the immutable segments instead of one owned
   // Record copy per record.
   stream::Broker broker;
-  broker.create_topic("t", {8, 4 << 20, {}});
-  stream::Producer producer = broker.producer("t");
-  stream::Record rec;
-  rec.payload.assign(256, 'x');
-  for (int i = 0; i < 100000; ++i) {
-    rec.timestamp = i;
-    rec.key = "n" + std::to_string(i % 512);
-    producer.produce(rec);
-  }
+  fill_consume_topic(broker);
   for (auto _ : state) {
     stream::Consumer c(broker, "gv" + std::to_string(state.iterations()), "t");
     std::size_t total = 0;
@@ -254,6 +214,18 @@ void BM_LzCompress(benchmark::State& state) {
 }
 BENCHMARK(BM_LzCompress);
 
+/// Fill a topic with n keyless records (64–255-byte payloads, spread by
+/// the round-robin cursor), 1024 per flush.
+void fill_keyless(stream::Producer& producer, std::size_t n) {
+  stream::BatchBuilder staged;
+  const std::string payload(255, 'x');
+  for (std::size_t i = 0; i < n; ++i) {
+    staged.add(static_cast<std::int64_t>(i), "", std::string_view(payload).substr(0, 64 + i % 192));
+    if (staged.pending() >= 1024) producer.produce_staged(staged);
+  }
+  producer.produce_staged(staged);
+}
+
 /// Engine scaling curve: drain the same topic through the same query at
 /// 1/2/4/8/16 workers under partition ownership. Rates, speedups, and
 /// scaling efficiency ((rate_N / N) / rate_1) land in
@@ -274,26 +246,12 @@ double engine_scaling_curve(bench::JsonReport& report, bool smoke) {
     return t;
   };
 
-  std::printf("\nengine ingest scaling (%zu records, %zu partitions):\n", kRecords, kPartitions);
-  double base_rate = 0.0;
-  double speedup_4 = 0.0;
-  for (const std::size_t workers : {1, 2, 4, 8, 16}) {
+  // Drain a freshly filled topic with `workers` workers.
+  const auto drain = [&](std::size_t workers, engine::PhaseProfile* prof) {
     stream::Broker broker;
     broker.create_topic("curve", stream::TopicConfig{}.with_partitions(kPartitions));
     stream::Producer producer = broker.producer("curve");
-    std::vector<stream::Record> batch;
-    batch.reserve(1024);
-    for (std::size_t i = 0; i < kRecords; ++i) {
-      stream::Record r;
-      r.timestamp = static_cast<std::int64_t>(i);
-      r.payload.assign(64 + i % 192, 'x');
-      batch.push_back(std::move(r));
-      if (batch.size() == 1024 || i + 1 == kRecords) {
-        producer.produce_batch(std::move(batch));
-        batch.clear();
-        batch.reserve(1024);
-      }
-    }
+    fill_keyless(producer, kRecords);
 
     engine::Engine eng(engine::EngineConfig{}
                            .with_workers(workers)
@@ -303,8 +261,20 @@ double engine_scaling_curve(bench::JsonReport& report, bool smoke) {
         engine::SourceSpec{&broker, "curve", "curve-group", decode});
     q.add_sink(std::make_unique<pipeline::TableSink>());
     eng.run_until_caught_up();
+    if (prof) *prof = q.phase_profile();
+    return eng.stats();
+  };
 
-    const engine::EngineStats stats = eng.stats();
+  std::printf("\nengine ingest scaling (%zu records, %zu partitions):\n", kRecords, kPartitions);
+  // Warmup: the process's first multi-threaded drain runs slow (fresh
+  // allocator arenas and registry cells), and the 4-worker gate below
+  // must time the engine, not that.
+  (void)drain(4, nullptr);
+  double base_rate = 0.0;
+  double speedup_4 = 0.0;
+  for (const std::size_t workers : {1, 2, 4, 8, 16}) {
+    engine::PhaseProfile prof;
+    const engine::EngineStats stats = drain(workers, &prof);
     const double rate = static_cast<double>(stats.rows) / stats.wall_seconds;
     if (workers == 1) base_rate = rate;
     const double speedup = rate / base_rate;
@@ -320,7 +290,6 @@ double engine_scaling_curve(bench::JsonReport& report, bool smoke) {
     // Where the wall time went: the flight profiler's per-phase shares.
     // This is the column that explains a flat scaling curve — barrier%
     // rising with workers is stall, merge%/commit% are the serial floor.
-    const engine::PhaseProfile prof = q.phase_profile();
     report.metric("engine.phase.fetch_pct." + suffix, prof.pct(prof.fetch_s), "%");
     report.metric("engine.phase.decode_pct." + suffix, prof.pct(prof.decode_s), "%");
     report.metric("engine.phase.operate_pct." + suffix, prof.pct(prof.operate_s), "%");
@@ -362,19 +331,7 @@ double flight_overhead_profile(bench::JsonReport& report, bool smoke) {
   stream::Broker broker;
   broker.create_topic("fl", stream::TopicConfig{}.with_partitions(kPartitions));
   stream::Producer producer = broker.producer("fl");
-  std::vector<stream::Record> batch;
-  batch.reserve(1024);
-  for (std::size_t i = 0; i < kRecords; ++i) {
-    stream::Record r;
-    r.timestamp = static_cast<std::int64_t>(i);
-    r.payload.assign(64 + i % 192, 'x');
-    batch.push_back(std::move(r));
-    if (batch.size() == 1024 || i + 1 == kRecords) {
-      producer.produce_batch(std::move(batch));
-      batch.clear();
-      batch.reserve(1024);
-    }
-  }
+  fill_keyless(producer, kRecords);
 
   int round = 0;
   auto run = [&](std::size_t flight_capacity) {
@@ -418,132 +375,6 @@ double flight_overhead_profile(bench::JsonReport& report, bool smoke) {
   return overhead_pct;
 }
 
-/// Copy-vs-view consume cost, as JSON: one consumer group drains the same
-/// pre-filled topic through fetch_copy() then poll(), with alloc_tracker
-/// deltas around each drain. Lands allocations/record for both paths in
-/// BENCH_micro_engine.json so the zero-copy trajectory is diffable.
-void consume_alloc_profile(bench::JsonReport& report, bool smoke) {
-  const std::size_t kRecords = smoke ? 50000 : 100000;
-  stream::Broker broker;
-  broker.create_topic("prof", {8, 4 << 20, {}});
-  stream::Producer producer = broker.producer("prof");
-  stream::Record rec;
-  rec.payload.assign(256, 'x');
-  for (std::size_t i = 0; i < kRecords; ++i) {
-    rec.timestamp = static_cast<std::int64_t>(i);
-    rec.key = "n" + std::to_string(i % 512);
-    producer.produce(rec);
-  }
-
-  int generation = 0;
-  auto drain = [&](bool views) {
-    ++generation;
-    stream::Consumer c(broker, "prof" + std::to_string(generation), "prof");
-    std::size_t total = 0;
-    const bench::AllocSnapshot before = bench::alloc_snapshot();
-    common::Stopwatch sw;
-    while (total < kRecords) {
-      std::size_t got;
-      if (views) {
-        got = c.poll(8192).size();
-      } else {
-        got = c.fetch_copy(8192).size();
-      }
-      if (got == 0) break;
-      total += got;
-    }
-    const double rate = static_cast<double>(total) / sw.elapsed_seconds();
-    const bench::AllocSnapshot d = bench::alloc_delta(before, bench::alloc_snapshot());
-    return std::pair<double, bench::AllocSnapshot>(rate, d);
-  };
-
-  (void)drain(true);  // warmup
-  const auto [copy_rate, copy_d] = drain(false);
-  const auto [view_rate, view_d] = drain(true);
-  std::printf("\nconsume alloc profile (%zu records): copy %.0fk rec/s %.3f allocs/rec, "
-              "view %.0fk rec/s %.3f allocs/rec\n",
-              kRecords, copy_rate / 1e3,
-              static_cast<double>(copy_d.allocs) / static_cast<double>(kRecords),
-              view_rate / 1e3,
-              static_cast<double>(view_d.allocs) / static_cast<double>(kRecords));
-  report.metric("consume.copy.rate", copy_rate, "records/s");
-  report.metric("consume.view.rate", view_rate, "records/s");
-  report.alloc_metrics("consume.copy", copy_d, static_cast<double>(kRecords));
-  report.alloc_metrics("consume.view", view_d, static_cast<double>(kRecords));
-  report.metric("consume.alloc_reduction",
-                static_cast<double>(copy_d.allocs) / std::max<double>(1.0, static_cast<double>(view_d.allocs)),
-                "x");
-}
-
-/// Produce-side dual of consume_alloc_profile: the same record stream
-/// pushed through per-record produce() and through the staged
-/// encode-into-arena path (encode + flush inside the measured region),
-/// with alloc_tracker deltas around each. Lands the produce-side
-/// allocations/record series in BENCH_micro_engine.json and the
-/// trajectory log.
-void produce_alloc_profile(bench::JsonReport& report, bool smoke) {
-  const std::size_t kRecords = smoke ? 50000 : 100000;
-  constexpr std::size_t kBatch = 512;
-
-  auto per_record = [&] {
-    stream::Broker broker;
-    broker.create_topic("wprof", {8, 4 << 20, {}});
-    stream::Producer producer = broker.producer("wprof");
-    stream::Record rec;
-    rec.payload.assign(256, 'x');
-    const bench::AllocSnapshot before = bench::alloc_snapshot();
-    common::Stopwatch sw;
-    for (std::size_t i = 0; i < kRecords; ++i) {
-      rec.timestamp = static_cast<std::int64_t>(i);
-      rec.key = "n" + std::to_string(i % 512);
-      producer.produce(rec);
-    }
-    const double rate = static_cast<double>(kRecords) / sw.elapsed_seconds();
-    return std::pair<double, bench::AllocSnapshot>(
-        rate, bench::alloc_delta(before, bench::alloc_snapshot()));
-  };
-
-  auto staged = [&] {
-    stream::Broker broker;
-    broker.create_topic("wprof", {8, 4 << 20, {}});
-    stream::Producer producer = broker.producer("wprof");
-    stream::BatchBuilder& staging = producer.staging();
-    const std::string payload(256, 'x');
-    const bench::AllocSnapshot before = bench::alloc_snapshot();
-    common::Stopwatch sw;
-    for (std::size_t i = 0; i < kRecords; ++i) {
-      common::ByteWriter& w = staging.begin_record(static_cast<std::int64_t>(i));
-      w.raw("n", 1);
-      w.text_u64(i % 512);
-      staging.begin_payload();
-      w.raw(payload.data(), payload.size());
-      staging.end_record();
-      if (staging.pending() >= kBatch) producer.flush();
-    }
-    producer.flush();
-    const double rate = static_cast<double>(kRecords) / sw.elapsed_seconds();
-    return std::pair<double, bench::AllocSnapshot>(
-        rate, bench::alloc_delta(before, bench::alloc_snapshot()));
-  };
-
-  (void)staged();  // warmup (allocators, registry cells)
-  const auto [rec_rate, rec_d] = per_record();
-  const auto [staged_rate, staged_d] = staged();
-  std::printf("\nproduce alloc profile (%zu records): per-record %.0fk rec/s %.3f allocs/rec, "
-              "staged %.0fk rec/s %.4f allocs/rec\n",
-              kRecords, rec_rate / 1e3,
-              static_cast<double>(rec_d.allocs) / static_cast<double>(kRecords),
-              staged_rate / 1e3,
-              static_cast<double>(staged_d.allocs) / static_cast<double>(kRecords));
-  report.metric("produce.record.rate", rec_rate, "records/s");
-  report.metric("produce.staged.rate", staged_rate, "records/s");
-  report.alloc_metrics("produce.record", rec_d, static_cast<double>(kRecords));
-  report.alloc_metrics("produce.staged", staged_d, static_cast<double>(kRecords));
-  report.metric("produce.alloc_reduction",
-                static_cast<double>(rec_d.allocs) / std::max<double>(1.0, static_cast<double>(staged_d.allocs)),
-                "x");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -567,8 +398,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   oda::bench::JsonReport report("micro_engine");
-  consume_alloc_profile(report, smoke);
-  produce_alloc_profile(report, smoke);
   const double speedup_4 = engine_scaling_curve(report, smoke);
   const double flight_overhead = flight_overhead_profile(report, smoke);
   report.write();

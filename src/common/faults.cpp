@@ -25,7 +25,7 @@ void FaultPlan::configure_default(SiteConfig cfg) {
 FaultPlan::SiteState& FaultPlan::state_for(std::string_view site) {
   auto it = sites_.find(site);
   if (it == sites_.end()) {
-    it = sites_.emplace(std::string(site), SiteState{}).first;
+    it = sites_.try_emplace(std::string(site)).first;
     it->second.rng = common::Rng(seed_ ^ common::fnv1a(site));
     if (default_cfg_) {
       it->second.cfg = *default_cfg_;

@@ -15,12 +15,15 @@
 //     stay fast and deterministic.
 //
 // Instrumented sites (grep for chaos::fault_point):
-//   stream.produce     Topic::produce (broker ingest)
-//   stream.fetch       Partition::fetch (broker read path)
+//   stream.produce     Topic::produce_staged, once per staged flush
+//                      (the broker's one write path)
+//   stream.fetch       Partition::fetch_view (broker read path), once per
+//                      non-empty partition fetch
 //   ocean.put          ObjectStore::put
 //   ocean.get          ObjectStore::get
 //   tiers.migrate      TierManager OCEAN->GLACIER migration unit
-//   telemetry.collect  CollectionChannel delivery (collector -> broker)
+//   telemetry.collect  CollectionChannel::flush, once per topic flush
+//                      attempt (collector -> broker)
 //   pipeline.batch     engine::Query generation body, once per non-empty
 //                      fetch; SiteConfig{.skip_first = N, .every_nth = 1,
 //                      .max_faults = 1} fails exactly batch N (0-based) once

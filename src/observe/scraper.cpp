@@ -39,15 +39,9 @@ bool state_from_name(const std::string& s, SloState* out) {
 }
 
 // %.17g round-trips every double exactly and prints deterministically —
-// encoded payloads are compared byte-for-byte in golden runs.
-std::string format_exact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// Staged-path formatters use the SAME snprintf formats as the Record path
-// (not std::to_chars), so byte-identity holds by construction.
+// encoded payloads are compared byte-for-byte in golden runs. snprintf,
+// not std::to_chars: the two print some doubles differently, and the
+// recorded wire digests pin snprintf's bytes.
 void write_exact(common::ByteWriter& w, double v) {
   char buf[64];
   const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -105,26 +99,6 @@ std::string series_key(const std::string& name, const Labels& labels) {
   return key;
 }
 
-stream::Record encode_metric_sample(const MetricSample& s, common::TimePoint t) {
-  stream::Record r;
-  r.timestamp = t;
-  r.key = s.series;
-  r.payload = kMetricVersion;
-  r.payload += kSep;
-  r.payload += kind_char(s.kind);
-  r.payload += kSep;
-  r.payload += s.series;
-  r.payload += kSep;
-  r.payload += format_exact(s.value);
-  r.payload += kSep;
-  r.payload += format_exact(s.delta);
-  r.payload += kSep;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, s.count);
-  r.payload += buf;
-  return r;
-}
-
 void encode_metric_sample_into(const MetricSample& s, common::TimePoint t,
                                stream::BatchBuilder& staged) {
   common::ByteWriter& w = staged.begin_record(t);
@@ -144,10 +118,6 @@ void encode_metric_sample_into(const MetricSample& s, common::TimePoint t,
   staged.end_record();
 }
 
-bool decode_metric_sample(const stream::Record& r, MetricSample* out) {
-  return decode_metric_sample(std::string_view(r.payload), out);
-}
-
 bool decode_metric_sample(std::string_view payload, MetricSample* out) {
   const auto f = split_fields(payload);
   if (f.size() != 6 || f[0] != kMetricVersion) return false;
@@ -160,22 +130,6 @@ bool decode_metric_sample(std::string_view payload, MetricSample* out) {
   if (!parse_u64(f[5], &s.count)) return false;
   *out = std::move(s);
   return true;
-}
-
-stream::Record encode_alert_event(const AlertEvent& e, common::TimePoint t) {
-  stream::Record r;
-  r.timestamp = t;
-  r.key = e.slo;
-  r.payload = kAlertVersion;
-  r.payload += kSep;
-  r.payload += e.slo;
-  r.payload += kSep;
-  r.payload += slo_state_name(e.from);
-  r.payload += kSep;
-  r.payload += slo_state_name(e.to);
-  r.payload += kSep;
-  r.payload += format_exact(e.value);
-  return r;
 }
 
 void encode_alert_event_into(const AlertEvent& e, common::TimePoint t,
@@ -197,8 +151,8 @@ void encode_alert_event_into(const AlertEvent& e, common::TimePoint t,
   staged.end_record();
 }
 
-bool decode_alert_event(const stream::Record& r, AlertEvent* out) {
-  const auto f = split_fields(r.payload);
+bool decode_alert_event(std::string_view payload, AlertEvent* out) {
+  const auto f = split_fields(payload);
   if (f.size() != 5 || f[0] != kAlertVersion) return false;
   AlertEvent e;
   if (f[1].empty()) return false;

@@ -1,11 +1,11 @@
 // The self-telemetry loop's front half: a virtual-clock Scraper that
 // periodically snapshots a MetricsRegistry, delta-encodes the series that
-// changed since the previous scrape, and hands the encoded records to
-// produce callbacks — in practice stream::Producer::produce_batch onto
-// the reserved `_oda.metrics` topic (pipeline::make_scraper binds them;
-// this layer cannot link oda_stream, so it only sees the header-only
-// Record type and a std::function seam). SLO state transitions ride the
-// same path onto `_oda.alerts` via watch_slos().
+// changed since the previous scrape into a staging buffer, and hands it
+// to a produce callback — in practice stream::Producer::produce_staged
+// onto the reserved `_oda.metrics` topic (pipeline::make_scraper binds
+// them; this layer cannot link oda_stream, so it only sees the
+// header-only BatchBuilder and a std::function seam). SLO state
+// transitions ride the same path onto `_oda.alerts` via watch_slos().
 //
 // Everything is driven by virtual facility time: poll(now) scrapes only
 // when a full cadence has elapsed, so a deterministic run scrapes at
@@ -49,22 +49,17 @@ struct AlertEvent {
 /// Canonical series key, matching the exporters' `name{k=v,...}` format.
 std::string series_key(const std::string& name, const Labels& labels);
 
-stream::Record encode_metric_sample(const MetricSample& s, common::TimePoint t);
-stream::Record encode_alert_event(const AlertEvent& e, common::TimePoint t);
-/// Zero-copy variants: serialize straight into a staging buffer. Key and
-/// payload bytes are byte-identical to the Record-building encoders (the
-/// golden-run proof depends on it), but nothing is materialized outside
-/// the staging arena.
+/// Serialize straight into a staging buffer, keyed by the series / SLO
+/// name; nothing is materialized outside the staging arena. Payloads are
+/// text fields, doubles printed with %.17g so they round-trip exactly.
 void encode_metric_sample_into(const MetricSample& s, common::TimePoint t,
                                stream::BatchBuilder& staged);
 void encode_alert_event_into(const AlertEvent& e, common::TimePoint t,
                              stream::BatchBuilder& staged);
 /// Strict decoders: false on truncated/corrupt/forged payloads (the
 /// history pipeline skips and counts such records instead of crashing).
-bool decode_metric_sample(const stream::Record& r, MetricSample* out);
-/// Payload-level decode for the zero-copy path (no owned Record needed).
 bool decode_metric_sample(std::string_view payload, MetricSample* out);
-bool decode_alert_event(const stream::Record& r, AlertEvent* out);
+bool decode_alert_event(std::string_view payload, AlertEvent* out);
 
 /// Produce seam: one scrape's whole batch is handed over as a staging
 /// buffer (maps onto Producer::produce_staged — bytes flow from the
@@ -124,7 +119,7 @@ class Scraper {
  public:
   /// Scrapes encode into internal staging buffers and flush through the
   /// StagedProduceFn seams — the zero-copy write path. Record bytes are
-  /// those of encode_metric_sample / encode_alert_event.
+  /// those of encode_metric_sample_into / encode_alert_event_into.
   Scraper(MetricsRegistry& registry, StagedProduceFn metrics_out, StagedProduceFn alerts_out = {},
           ScraperConfig config = {});
 

@@ -69,8 +69,9 @@ class HistorySink final : public Sink {
 /// Build a Scraper producing onto `_oda.metrics` / `_oda.alerts` (topics
 /// created here if absent, `_oda.metrics` with config.metrics_partitions).
 /// Produces retry under `retry` at the "selfobs.produce" chaos seam —
-/// each attempt re-offers the whole batch, and Topic::produce_batch
-/// rejects faulted batches whole, so retries never duplicate records.
+/// each attempt re-flushes the whole staged batch, and
+/// Topic::produce_staged rejects a faulted flush whole and leaves the
+/// builder intact, so retries never duplicate records.
 std::unique_ptr<observe::Scraper> make_scraper(observe::MetricsRegistry& registry,
                                                stream::Broker& broker,
                                                observe::ScraperConfig config = {},

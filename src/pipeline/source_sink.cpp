@@ -94,9 +94,9 @@ void TopicSink::write(const Table& t) {
   // earlier attempt of this batch are skipped, not re-produced.
   const std::size_t idx = writes_this_batch_++;
   if (idx < produced_high_water_) return;
-  stream::Record rec;
   // Batch event time: max of the first int64 column named "time" or
   // "window_start" if present, else 0.
+  common::TimePoint ts = 0;
   std::size_t tc = t.schema().index_of("time");
   if (tc == sql::Schema::npos) tc = t.schema().index_of("window_start");
   if (tc != sql::Schema::npos && t.num_rows() > 0) {
@@ -104,13 +104,16 @@ void TopicSink::write(const Table& t) {
     for (std::size_t r = 0; r < t.num_rows(); ++r) {
       if (!t.column(tc).is_null(r)) mx = std::max(mx, t.column(tc).int_at(r));
     }
-    if (mx != INT64_MIN) rec.timestamp = mx;
+    if (mx != INT64_MIN) ts = mx;
   }
   const auto blob = storage::write_columnar(t);
-  rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
+  // A write whose retries ran out left its record staged; drop it, the
+  // batch replay re-publishes it.
+  staged_.clear();
+  staged_.add(ts, "", std::string_view(reinterpret_cast<const char*>(blob.data()), blob.size()));
   retrier_.run("pipeline.sink", [&] {
     chaos::fault_point("pipeline.sink");
-    producer_.produce(rec);  // copy per attempt; produce rejects before append
+    producer_.produce_staged(staged_);  // a faulted flush leaves the record staged
   });
   produced_high_water_ = idx + 1;
 }

@@ -217,6 +217,7 @@ class TopicSink final : public Sink {
  private:
   std::string topic_;
   stream::Producer producer_;  ///< cached handle; skips name lookup per write
+  stream::BatchBuilder staged_;  ///< the one record a write publishes
   chaos::Retrier retrier_;
   std::size_t writes_this_batch_ = 0;
   std::size_t produced_high_water_ = 0;

@@ -35,62 +35,6 @@ Topic::Topic(std::string name, TopicConfig config) : name_(std::move(name)), con
   base_fetched_bytes_ = obs_fetched_bytes_->value();
 }
 
-std::int64_t Topic::produce(Record r) {
-  // Fault seam: a produce that faults is rejected before any append, so
-  // retrying it can never duplicate the record.
-  chaos::fault_point("stream.produce");
-  // Trace continuation: stamp the producer's current span onto the record
-  // so the consuming micro-batch can re-home its span under it.
-  if (const observe::TraceContext ctx = observe::current_context(); ctx.valid()) {
-    r.trace_id = ctx.trace_id;
-    r.span_id = ctx.span_id;
-  }
-  const std::size_t p = r.key.empty()
-                            ? rr_counter_.fetch_add(1, std::memory_order_relaxed) % partitions_.size()
-                            : common::fnv1a(r.key) % partitions_.size();
-  obs_produced_records_->inc_unchecked();
-  obs_produced_bytes_->inc_unchecked(r.wire_size());
-  return partitions_[p]->append(std::move(r));
-}
-
-std::size_t Topic::produce_batch(std::vector<Record>&& batch) {
-  if (batch.empty()) return 0;
-  // One fault seam for the whole batch, before any append: a faulted batch
-  // is rejected whole, so a retry can never duplicate part of it.
-  chaos::fault_point("stream.produce");
-  const observe::TraceContext ctx = observe::current_context();
-  // Keyless records draw a contiguous block from the shared round-robin
-  // cursor, so a batch lands on exactly the partitions the equivalent
-  // produce() sequence would have hit.
-  std::size_t keyless = 0;
-  for (const Record& r : batch) keyless += r.key.empty() ? 1 : 0;
-  std::uint64_t rr = keyless == 0 ? 0 : rr_counter_.fetch_add(keyless, std::memory_order_relaxed);
-  std::uint64_t bytes = 0;
-  // Route borrowed views, not moved Records: the owned strings stay in
-  // `batch` (alive until after the appends) and each partition copies the
-  // bytes into its arena exactly once.
-  std::vector<std::vector<EncodedRecord>> buckets(partitions_.size());
-  for (const Record& rec : batch) {
-    EncodedRecord r = as_encoded(rec);
-    if (ctx.valid()) {
-      r.trace_id = ctx.trace_id;
-      r.span_id = ctx.span_id;
-    }
-    bytes += r.wire_size();
-    const std::size_t p = r.key.empty() ? rr++ % partitions_.size()
-                                        : common::fnv1a(r.key) % partitions_.size();
-    buckets[p].push_back(r);
-  }
-  const std::size_t n = batch.size();
-  obs_produced_records_->inc_unchecked(n);
-  obs_produced_bytes_->inc_unchecked(bytes);
-  for (std::size_t p = 0; p < buckets.size(); ++p) {
-    if (!buckets[p].empty()) partitions_[p]->append_encoded_batch(buckets[p]);
-  }
-  batch.clear();
-  return n;
-}
-
 std::size_t Topic::produce_staged(BatchBuilder& staged) {
   if (staged.empty()) return 0;
   // Fault seam before any append AND before the builder is touched: a
@@ -98,8 +42,9 @@ std::size_t Topic::produce_staged(BatchBuilder& staged) {
   // the identical bytes — no re-encode, no partial duplication.
   chaos::fault_point("stream.produce");
   const observe::TraceContext ctx = observe::current_context();
-  // Trace stamping happens at flush time (records staged earlier carry no
-  // ids of their own), matching produce_batch's batch-wide stamp.
+  // Trace continuation: records staged earlier carry no ids of their own,
+  // so the flush stamps the producer's current span onto the whole batch
+  // and the consuming micro-batch can re-home its span under it.
   const std::uint64_t trace_id = ctx.valid() ? ctx.trace_id : 0;
   const std::uint64_t span_id = ctx.valid() ? ctx.span_id : 0;
   std::size_t keyless = 0;
@@ -110,19 +55,17 @@ std::size_t Topic::produce_staged(BatchBuilder& staged) {
   auto& route = staged.route_;
   route.resize(partitions_.size());
   for (auto& bucket : route) bucket.clear();
-  std::uint64_t bytes = 0;
   for (const auto& e : staged.entries_) {
     EncodedRecord r = staged.view(e);
     r.trace_id = trace_id;
     r.span_id = span_id;
-    bytes += r.wire_size();
     const std::size_t p = r.key.empty() ? rr++ % partitions_.size()
                                         : common::fnv1a(r.key) % partitions_.size();
     route[p].push_back(r);
   }
   const std::size_t n = staged.entries_.size();
   obs_produced_records_->inc_unchecked(n);
-  obs_produced_bytes_->inc_unchecked(bytes);
+  obs_produced_bytes_->inc_unchecked(staged.wire_bytes());
   for (std::size_t p = 0; p < route.size(); ++p) {
     if (!route[p].empty()) partitions_[p]->append_encoded_batch(route[p]);
   }

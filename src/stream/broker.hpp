@@ -71,28 +71,16 @@ class Topic {
   Partition& partition(std::size_t i) { return *partitions_.at(i); }
   const Partition& partition(std::size_t i) const { return *partitions_.at(i); }
 
-  /// Produce: partition chosen by key hash (empty key -> round-robin).
-  std::int64_t produce(Record r);
-
-  /// Hot-path batching: append a whole batch taking each partition's lock
-  /// once per partition instead of once per record. Records land exactly
-  /// where the equivalent sequence of produce() calls would (same key
-  /// hash, same shared round-robin cursor), so mixed produce/produce_batch
-  /// traffic stays balanced and batch-vs-single runs are comparable. The
-  /// "stream.produce" fault seam fires once, before any append — a faulted
-  /// batch is rejected whole and can be retried without duplication.
-  /// Implemented on the encoded path: the Records' bytes are borrowed, not
-  /// moved, and each partition's share lands via one group-committed
-  /// append. Returns the number of records appended.
-  std::size_t produce_batch(std::vector<Record>&& batch);
-
-  /// The zero-copy flush: route a staging buffer's records to partitions
-  /// and group-commit each partition's share, borrowing bytes straight
-  /// from the staging arena (no Record is ever materialized). Same
-  /// placement, fault-seam and trace-stamp semantics as produce_batch; the
-  /// builder is cleared on success and left INTACT when the fault seam
-  /// throws, so a retry re-flushes the identical batch without re-encoding
-  /// or duplication. Returns the number of records appended.
+  /// The broker's one write path: route a staging buffer's records to
+  /// partitions — by fnv1a(key) % partitions, keyless records by the
+  /// topic's shared round-robin cursor, which a flush advances by its
+  /// keyless count — and group-commit each partition's share, borrowing
+  /// bytes straight from the staging arena. The "stream.produce" fault
+  /// seam fires once, before any append; the builder is cleared on
+  /// success and left INTACT when the seam throws, so a retry re-flushes
+  /// the identical batch without re-encoding or duplication. Records are
+  /// stamped with the caller's current trace context at flush time.
+  /// Returns the number of records appended.
   std::size_t produce_staged(BatchBuilder& staged);
 
   void set_retention(const RetentionPolicy& policy) { config_.retention = policy; }
@@ -110,7 +98,7 @@ class Topic {
   TopicConfig config_;
   std::vector<std::unique_ptr<Partition>> partitions_;
   // Produced/fetched accounting lives in the observe registry cells and
-  // nowhere else: stats() snapshots the same atomics produce()/poll()
+  // nowhere else: stats() snapshots the same atomics produce_staged()/poll()
   // bump (inc_unchecked — they are product accounting, not gated by the
   // metrics flag), so observability adds zero marginal work to the hot
   // path. Handles are resolved once here; registry handles are stable for
@@ -136,38 +124,19 @@ class Topic {
 };
 
 /// Cached-handle producer for one topic. Broker::producer() resolves the
-/// name→topic map once; steady-state produce then goes straight to the
+/// name→topic map once; steady-state flushes then go straight to the
 /// Topic, skipping the broker mutex and the string lookup entirely.
 /// Handles are stable for the broker's lifetime (topics are never
 /// destroyed while the broker lives), so a Producer can be kept hot for
-/// the life of a collector or sink. Copyable and cheap.
+/// the life of a collector or sink. Copyable and cheap; the caller owns
+/// the BatchBuilder it stages into, one per producing thread.
 class Producer {
  public:
   explicit Producer(Topic& topic) : topic_(&topic) {}
 
-  std::int64_t produce(Record r) { return topic_->produce(std::move(r)); }
-  std::size_t produce_batch(std::vector<Record>&& batch) {
-    return topic_->produce_batch(std::move(batch));
-  }
-
   /// Flush a caller-owned staging buffer (cleared on success, intact on a
   /// fault-seam throw — see Topic::produce_staged).
   std::size_t produce_staged(BatchBuilder& staged) { return topic_->produce_staged(staged); }
-
-  /// This producer's own staging buffer, created lazily. Stage records
-  /// with staging().add(...) or the begin_record/begin_payload writer API,
-  /// then flush(). Copies of a Producer SHARE the buffer (it is held by
-  /// shared_ptr) — keep one Producer per producing thread, as ever.
-  BatchBuilder& staging() {
-    if (!staging_) staging_ = std::make_shared<BatchBuilder>();
-    return *staging_;
-  }
-
-  /// Flush this producer's staging buffer; returns records appended
-  /// (0 when nothing is staged).
-  std::size_t flush() {
-    return staging_ && !staging_->empty() ? topic_->produce_staged(*staging_) : 0;
-  }
 
   Topic& topic() { return *topic_; }
   const Topic& topic() const { return *topic_; }
@@ -175,7 +144,6 @@ class Producer {
 
  private:
   Topic* topic_;
-  std::shared_ptr<BatchBuilder> staging_;  ///< lazy; shared across copies
 };
 
 struct TopicPartition {

@@ -76,9 +76,7 @@ void Partition::append_one_unlocked(const EncodedRecord& r, std::int64_t off,
     // while readers hold views into it. Arena bytes per segment are
     // bounded by the wire-size roll rule (first record may exceed it).
     s->arena.reserve(std::max(segment_bytes_, arena_need));
-    if (index_hint > 0) {
-      s->index.reserve(std::min(index_hint, segment_bytes_ / 24 + 1));
-    }
+    s->index.reserve(std::min(index_hint, segment_bytes_ / 24 + 1));
     s->dict = dict_;
     segments_.push_back(std::move(s));
     segments_rolled_counter()->inc();
@@ -104,14 +102,6 @@ void Partition::write_record_unlocked(Segment& seg, const EncodedRecord& r,
   seg.arena.insert(seg.arena.end(), r.payload.begin(), r.payload.end());
   seg.index.push_back(e);
   if (r.timestamp > seg.max_ts) seg.max_ts = r.timestamp;
-}
-
-std::int64_t Partition::append(Record r) {
-  std::lock_guard lk(mu_);
-  const std::int64_t off = next_offset_.load(std::memory_order_relaxed);
-  append_one_unlocked(as_encoded(r), off, /*index_hint=*/0);
-  next_offset_.store(off + 1, std::memory_order_relaxed);
-  return off;
 }
 
 std::int64_t Partition::append_encoded_batch(std::span<const EncodedRecord> batch) {
@@ -154,17 +144,6 @@ std::int64_t Partition::append_encoded_batch(std::span<const EncodedRecord> batc
   // see the whole batch become visible at once.
   next_offset_.store(first + static_cast<std::int64_t>(batch.size()),
                      std::memory_order_relaxed);
-  return first;
-}
-
-std::int64_t Partition::append_batch(std::vector<Record>&& batch) {
-  // Owned-Record shim over the encoded path: the Records stay alive for
-  // the duration of the call, so borrowing their bytes is safe.
-  std::vector<EncodedRecord> views;
-  views.reserve(batch.size());
-  for (const Record& r : batch) views.push_back(as_encoded(r));
-  const std::int64_t first = append_encoded_batch(views);
-  batch.clear();
   return first;
 }
 

@@ -38,22 +38,15 @@ class Partition {
  public:
   explicit Partition(std::size_t segment_bytes = 4 << 20) : segment_bytes_(segment_bytes) {}
 
-  /// Append a record; returns its offset.
-  std::int64_t append(Record r);
-
-  /// Append a whole batch under one lock acquisition, rolling segments
-  /// exactly as the equivalent append() sequence would. Returns the offset
-  /// of the first appended record (records get consecutive offsets).
-  std::int64_t append_batch(std::vector<Record>&& batch);
-
-  /// The zero-copy write path: append records whose bytes live in
-  /// caller-owned storage (a producer's staging arena). One lock
-  /// acquisition, one index reservation sized from the summed wire sizes,
-  /// and a group-committed publish — next_offset_ is stored ONCE after
-  /// the whole batch is in the arena, so concurrent readers see either
-  /// none or all of the batch (visibility ordering and committed_offsets
-  /// semantics unchanged). Segment placement is identical to the
-  /// equivalent append() sequence. Returns the first offset.
+  /// The one write path: append records whose bytes live in caller-owned
+  /// storage (a producer's staging arena). One lock acquisition, one
+  /// index reservation sized from the summed wire sizes, and a
+  /// group-committed publish — next_offset_ is stored ONCE after the
+  /// whole batch is in the arena, so concurrent readers see either none
+  /// or all of the batch (visibility ordering and committed_offsets
+  /// semantics unchanged). A segment rolls at the first record that would
+  /// push it past segment_bytes, however the records are split into
+  /// batches. Records get consecutive offsets; returns the first.
   std::int64_t append_encoded_batch(std::span<const EncodedRecord> batch);
 
   /// Copying escape hatch: copy up to `max_records` records starting at
@@ -151,8 +144,8 @@ class Partition {
   // passed in (not read from next_offset_) because batch appends only
   // publish next_offset_ once at the end, yet a segment rolled mid-batch
   // needs the RUNNING offset as its base_offset. index_hint pre-sizes a
-  // freshly rolled segment's index (batch appends pass the remaining
-  // count). Does NOT advance next_offset_; the caller group-commits.
+  // freshly rolled segment's index (the caller passes the records left in
+  // its batch). Does NOT advance next_offset_; the caller group-commits.
   void append_one_unlocked(const EncodedRecord& r, std::int64_t off, std::size_t index_hint);
 
   // Arena bytes + index entry for one record whose segment and key id are

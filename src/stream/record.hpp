@@ -1,6 +1,8 @@
-// The broker's wire unit. Telemetry collectors serialize sensor
-// observations and events into Records; pipeline sources deserialize
-// them back into sql::Table batches.
+// The broker's wire unit. Collectors encode sensor observations and
+// events straight into a staging buffer (stream/staging.hpp) as
+// EncodedRecords; readers get RecordViews back and decode them into
+// sql::Table batches. An owned Record exists only where a reader copies
+// one out (Consumer::fetch_copy).
 #pragma once
 
 #include <cstdint>
@@ -31,8 +33,8 @@ struct Record {
   std::string payload;              ///< Opaque serialized bytes.
 
   /// Trace continuation (observe::TraceContext flattened to raw ids so
-  /// this header stays observe-free). Stamped by Topic::produce from the
-  /// producer's current span when tracing is on; 0 otherwise. Excluded
+  /// this header stays observe-free). Stamped by Topic::produce_staged
+  /// from the producer's current span when tracing is on; 0 otherwise. Excluded
   /// from wire_size and from replay/determinism comparisons — it is
   /// observability metadata, not data.
   std::uint64_t trace_id = 0;
@@ -52,9 +54,9 @@ struct StoredRecord {
 
 /// A record to append whose bytes live in caller-owned storage — the
 /// write-side dual of RecordView. Producers encode straight into a
-/// staging arena (BatchBuilder) or borrow an owned Record's strings, and
-/// the partition copies the bytes into its segment arena exactly once.
-/// The referenced bytes must stay alive until the append returns.
+/// staging arena (BatchBuilder), and the partition copies the bytes into
+/// its segment arena exactly once. The referenced bytes must stay alive
+/// until the append returns.
 struct EncodedRecord {
   common::TimePoint timestamp = 0;
   std::uint64_t trace_id = 0;
@@ -65,10 +67,5 @@ struct EncodedRecord {
   /// Same accounting as Record::wire_size().
   std::size_t wire_size() const { return key.size() + payload.size() + 24; }
 };
-
-/// Borrowed encoded view of an owned Record (the produce_batch shim).
-inline EncodedRecord as_encoded(const Record& r) {
-  return EncodedRecord{r.timestamp, r.trace_id, r.span_id, r.key, r.payload};
-}
 
 }  // namespace oda::stream

@@ -74,6 +74,9 @@ class BatchBuilder {
 
   std::size_t pending() const { return entries_.size(); }
   std::size_t pending_bytes() const { return buf_.size(); }
+  /// Summed EncodedRecord::wire_size() of the staged records: what their
+  /// flush adds to the topic's produced bytes.
+  std::size_t wire_bytes() const { return buf_.size() + 24 * entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
   /// Drop staged records; capacity (arena, entry table, route scratch) is

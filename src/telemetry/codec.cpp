@@ -13,23 +13,6 @@ using sql::Schema;
 using sql::Table;
 using sql::Value;
 
-stream::Record encode_packet(const TelemetryPacket& pkt) {
-  ByteWriter w;
-  w.i64(pkt.timestamp);
-  w.u32(pkt.node_id);
-  w.varint(pkt.readings.size());
-  for (const auto& r : pkt.readings) {
-    w.u16(r.sensor);
-    w.f64(r.value);
-  }
-  stream::Record rec;
-  rec.timestamp = pkt.timestamp;
-  rec.key = "n" + std::to_string(pkt.node_id);
-  auto bytes = w.take();
-  rec.payload.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return rec;
-}
-
 void encode_packet_into(const TelemetryPacket& pkt, stream::BatchBuilder& staged) {
   ByteWriter& w = staged.begin_record(pkt.timestamp);
   w.raw("n", 1);
@@ -43,10 +26,6 @@ void encode_packet_into(const TelemetryPacket& pkt, stream::BatchBuilder& staged
     w.f64(r.value);
   }
   staged.end_record();
-}
-
-TelemetryPacket decode_packet(const stream::Record& r) {
-  return decode_packet(std::string_view(r.payload));
 }
 
 TelemetryPacket decode_packet(std::string_view payload) {
@@ -122,24 +101,6 @@ Table packets_to_bronze(std::span<const stream::RecordView> records) {
   return bronze.finish();
 }
 
-stream::Record encode_job_event(const JobScheduler::Event& ev, const Job& job) {
-  ByteWriter w;
-  w.i64(ev.time);
-  w.u8(static_cast<std::uint8_t>(ev.kind));
-  w.i64(job.job_id);
-  w.str(job.project);
-  w.str(job.user);
-  w.u8(static_cast<std::uint8_t>(job.archetype));
-  w.varint(job.num_nodes);
-  w.u8(job.uses_gpu ? 1 : 0);
-  stream::Record rec;
-  rec.timestamp = ev.time;
-  rec.key = "j" + std::to_string(job.job_id);
-  auto bytes = w.take();
-  rec.payload.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return rec;
-}
-
 void encode_job_event_into(const JobScheduler::Event& ev, const Job& job,
                            stream::BatchBuilder& staged) {
   ByteWriter& w = staged.begin_record(ev.time);
@@ -196,21 +157,6 @@ const char* severity_name(Severity s) {
   return "?";
 }
 
-stream::Record encode_log_event(const LogEvent& ev) {
-  ByteWriter w;
-  w.i64(ev.timestamp);
-  w.u32(ev.node_id);
-  w.u8(static_cast<std::uint8_t>(ev.severity));
-  w.str(ev.subsystem);
-  w.str(ev.message);
-  stream::Record rec;
-  rec.timestamp = ev.timestamp;
-  rec.key = "n" + std::to_string(ev.node_id);
-  auto bytes = w.take();
-  rec.payload.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return rec;
-}
-
 void encode_log_event_into(const LogEvent& ev, stream::BatchBuilder& staged) {
   ByteWriter& w = staged.begin_record(ev.timestamp);
   w.raw("n", 1);
@@ -222,10 +168,6 @@ void encode_log_event_into(const LogEvent& ev, stream::BatchBuilder& staged) {
   w.str(ev.subsystem);
   w.str(ev.message);
   staged.end_record();
-}
-
-LogEvent decode_log_event(const stream::Record& r) {
-  return decode_log_event(std::string_view(r.payload));
 }
 
 LogEvent decode_log_event(std::string_view payload) {

@@ -17,15 +17,10 @@
 
 namespace oda::telemetry {
 
-/// Serialize a packet into a broker Record (key = node id for stable
-/// partitioning; payload = compact binary).
-stream::Record encode_packet(const TelemetryPacket& pkt);
-/// Zero-copy variant: serialize straight into a staging buffer — key and
-/// payload bytes are byte-identical to encode_packet's, but no Record (or
-/// any intermediate buffer) is materialized.
+/// Serialize a packet straight into a staging buffer (key = "n<node id>"
+/// for stable partitioning; payload = compact binary). No Record or any
+/// intermediate buffer is materialized.
 void encode_packet_into(const TelemetryPacket& pkt, stream::BatchBuilder& staged);
-TelemetryPacket decode_packet(const stream::Record& r);
-/// Payload-level decode for the zero-copy path (no owned Record needed).
 TelemetryPacket decode_packet(std::string_view payload);
 
 /// Schema of the Bronze long-format table:
@@ -42,7 +37,7 @@ class BronzeBuilder {
 
   /// Append a packet's readings.
   void add(const TelemetryPacket& pkt);
-  /// Decode an encode_packet payload straight into the columns.
+  /// Decode an encode_packet_into payload straight into the columns.
   void add_payload(std::string_view payload);
   /// The table built so far; the builder is empty afterwards.
   sql::Table finish();
@@ -63,9 +58,8 @@ sql::Table packets_to_bronze(std::span<const stream::RecordView> records);
 
 // --- scheduler events -----------------------------------------------------
 
-/// Serialize a scheduler event referencing the job metadata.
-stream::Record encode_job_event(const JobScheduler::Event& ev, const Job& job);
-/// Zero-copy variant (byte-identical key/payload, no Record).
+/// Serialize a scheduler event referencing the job metadata (key =
+/// "j<job id>").
 void encode_job_event_into(const JobScheduler::Event& ev, const Job& job,
                            stream::BatchBuilder& staged);
 
@@ -86,10 +80,8 @@ struct LogEvent {
   std::string message;
 };
 
-stream::Record encode_log_event(const LogEvent& ev);
-/// Zero-copy variant (byte-identical key/payload, no Record).
+/// Serialize a log event (key = "n<node id>").
 void encode_log_event_into(const LogEvent& ev, stream::BatchBuilder& staged);
-LogEvent decode_log_event(const stream::Record& r);
 LogEvent decode_log_event(std::string_view payload);
 sql::Schema log_event_schema();
 sql::Table log_events_to_table(std::span<const stream::RecordView> records);

@@ -68,44 +68,46 @@ CollectionPlanCost plan_cost(const SystemSpec& spec, CollectionPath path,
   return cost;
 }
 
-stream::Producer& CollectionChannel::producer_for(const std::string& topic) {
-  auto it = producers_.find(topic);
-  if (it == producers_.end()) {
-    it = producers_.emplace(topic, broker_.producer(topic)).first;
-  }
-  return it->second;
+stream::BatchBuilder& CollectionChannel::stage(const std::string& topic) {
+  auto it = lanes_.find(topic);
+  if (it == lanes_.end()) it = lanes_.try_emplace(topic, broker_.producer(topic)).first;
+  return it->second.staged;
 }
 
-bool CollectionChannel::deliver(const std::string& topic, stream::Record rec) {
+std::size_t CollectionChannel::flush() {
   static observe::Counter* delivered =
       observe::default_registry().counter("telemetry.delivered.records");
   static observe::Counter* dropped = observe::default_registry().counter("telemetry.dropped.records");
-  const std::size_t bytes = rec.wire_size();
-  try {
-    // Resolved inside the try: an unknown topic degrades to a counted
-    // drop, exactly as the string-lookup produce path did.
-    stream::Producer& producer = producer_for(topic);
-    retrier_.run("telemetry.collect", [&] {
-      chaos::fault_point("telemetry.collect");
-      // Copy per attempt: a faulted produce must not leave the record moved-out.
-      producer.produce(rec);
-    });
-  } catch (const std::exception&) {
-    // Retry budget spent or a hard fault: the sample becomes a collection
-    // gap. The collector itself never goes down over a delivery failure.
-    ++stats_.dropped_records;
-    stats_.dropped_bytes += bytes;
-    stats_.retries = retrier_.stats().retries;
-    stats_.backoff_total = retrier_.stats().backoff_total;
-    dropped->inc();
-    return false;
+  std::size_t landed = 0;
+  for (auto& [topic, lane] : lanes_) {
+    if (lane.staged.empty()) continue;
+    const std::size_t records = lane.staged.pending();
+    const std::size_t bytes = lane.staged.wire_bytes();
+    try {
+      // A faulted attempt leaves the builder intact (both seams fire
+      // before any append), so the retry re-flushes the same bytes.
+      retrier_.run("telemetry.collect", [&] {
+        chaos::fault_point("telemetry.collect");
+        lane.producer.produce_staged(lane.staged);
+      });
+    } catch (const std::exception&) {
+      // Retry budget spent or a hard fault: this flush's samples become a
+      // collection gap. The collector itself never goes down over a
+      // delivery failure.
+      lane.staged.clear();
+      stats_.dropped_records += records;
+      stats_.dropped_bytes += bytes;
+      dropped->inc(records);
+      continue;
+    }
+    delivered->inc(records);
+    stats_.delivered_records += records;
+    stats_.delivered_bytes += bytes;
+    landed += records;
   }
-  delivered->inc();
-  ++stats_.delivered_records;
-  stats_.delivered_bytes += bytes;
   stats_.retries = retrier_.stats().retries;
   stats_.backoff_total = retrier_.stats().backoff_total;
-  return true;
+  return landed;
 }
 
 }  // namespace oda::telemetry

@@ -12,6 +12,7 @@
 #include "common/faults.hpp"
 #include "common/time.hpp"
 #include "stream/broker.hpp"
+#include "stream/staging.hpp"
 #include "telemetry/spec.hpp"
 
 namespace oda::telemetry {
@@ -49,7 +50,7 @@ CollectionPlanCost plan_cost(const SystemSpec& spec, CollectionPath path,
 
 /// Delivery accounting for a CollectionChannel. Dropped records are the
 /// paper's "collection gaps": the push path gave up after its retry
-/// budget, and the sample is lost — the facility keeps running.
+/// budget, and the samples are lost — the facility keeps running.
 struct ChannelStats {
   std::uint64_t delivered_records = 0;
   std::uint64_t delivered_bytes = 0;
@@ -60,34 +61,47 @@ struct ChannelStats {
 };
 
 /// The retrying conduit between collectors and the broker — the push
-/// path of Sec IV made concrete. Every delivery passes the
-/// "telemetry.collect" fault seam and the broker's own "stream.produce"
-/// seam; transient faults are retried with backoff, and exhaustion (or a
-/// hard fault) degrades to a counted drop rather than an exception, so a
-/// broker outage can never take the collector down with it.
+/// path of Sec IV made concrete. Collectors encode records into a
+/// per-topic staging buffer (stage()) and the channel flushes each topic
+/// once (flush()). A topic's flush passes the "telemetry.collect" fault
+/// seam and the broker's own "stream.produce" seam as one retried
+/// attempt: transient faults are retried with backoff, and exhaustion (or
+/// a hard fault) drops exactly that flush's records as a counted
+/// collection gap rather than an exception, so a broker outage can never
+/// take the collector down with it.
 class CollectionChannel {
  public:
   explicit CollectionChannel(stream::Broker& broker, chaos::RetryPolicy policy = {},
                              std::uint64_t seed = 0xc011ec70ull)
       : broker_(broker), retrier_(policy, seed) {}
 
-  /// Deliver one record; returns false when the record was dropped.
-  bool deliver(const std::string& topic, stream::Record rec);
+  /// The staging buffer for `topic`; records encoded into it (the
+  /// telemetry encode_*_into encoders) land at the next flush(). Throws
+  /// std::out_of_range for a topic the broker does not have.
+  stream::BatchBuilder& stage(const std::string& topic);
+
+  /// Flush every topic's staged records, in topic-name order. Each
+  /// topic's builder is empty afterwards, whether its records landed or
+  /// were dropped. Returns the records delivered.
+  std::size_t flush();
 
   void set_retry_policy(const chaos::RetryPolicy& p) { retrier_.set_policy(p); }
   const ChannelStats& stats() const { return stats_; }
 
  private:
-  stream::Producer& producer_for(const std::string& topic);
+  /// A topic's cached-handle producer and the builder staged for it: the
+  /// name→topic lookup (broker mutex + map walk) happens once per topic
+  /// per channel, and the builder's capacity is reused every flush.
+  struct Lane {
+    explicit Lane(stream::Producer p) : producer(p) {}
+    stream::Producer producer;
+    stream::BatchBuilder staged;
+  };
 
   stream::Broker& broker_;
   chaos::Retrier retrier_;
   ChannelStats stats_;
-  // Cached-handle producers: the name→topic lookup (broker mutex + map
-  // walk) happens once per topic per channel, not once per sample. Topic
-  // handles are stable for the broker's lifetime, so cached entries never
-  // go stale.
-  std::map<std::string, stream::Producer> producers_;
+  std::map<std::string, Lane> lanes_;
 };
 
 }  // namespace oda::telemetry

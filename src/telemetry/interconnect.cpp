@@ -86,23 +86,19 @@ void InterconnectModel::sample(TimePoint t, Duration dt, const JobScheduler& sch
   }
 }
 
-stream::Record encode_nic_sample(const NicSample& s) {
-  ByteWriter w;
+void encode_nic_sample_into(const NicSample& s, stream::BatchBuilder& staged) {
+  ByteWriter& w = staged.begin_record(s.time);
+  w.raw("n", 1);
+  w.text_u64(s.node_id);
+  staged.begin_payload();
   w.i64(s.time);
   w.u32(s.node_id);
   w.f64(s.tx_bytes_s);
   w.f64(s.rx_bytes_s);
   w.f64(s.messages_s);
   w.u32(s.link_errors);
-  stream::Record rec;
-  rec.timestamp = s.time;
-  rec.key = "n" + std::to_string(s.node_id);
-  auto bytes = w.take();
-  rec.payload.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return rec;
+  staged.end_record();
 }
-
-NicSample decode_nic_sample(const stream::Record& r) { return decode_nic_sample(std::string_view(r.payload)); }
 
 NicSample decode_nic_sample(std::string_view payload) {
   ByteReader br(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(payload.data()),
@@ -135,22 +131,18 @@ Table nic_samples_to_table(std::span<const stream::RecordView> records) {
   return t;
 }
 
-stream::Record encode_switch_sample(const SwitchSample& s) {
-  ByteWriter w;
+void encode_switch_sample_into(const SwitchSample& s, stream::BatchBuilder& staged) {
+  ByteWriter& w = staged.begin_record(s.time);
+  w.raw("sw", 2);
+  w.text_u64(s.switch_id);
+  staged.begin_payload();
   w.i64(s.time);
   w.u32(s.switch_id);
   w.f64(s.throughput_bytes_s);
   w.f64(s.utilization);
   w.f64(s.congestion_stall_pct);
-  stream::Record rec;
-  rec.timestamp = s.time;
-  rec.key = "sw" + std::to_string(s.switch_id);
-  auto bytes = w.take();
-  rec.payload.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return rec;
+  staged.end_record();
 }
-
-SwitchSample decode_switch_sample(const stream::Record& r) { return decode_switch_sample(std::string_view(r.payload)); }
 
 SwitchSample decode_switch_sample(std::string_view payload) {
   ByteReader br(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(payload.data()),

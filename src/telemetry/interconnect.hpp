@@ -10,7 +10,7 @@
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "sql/table.hpp"
-#include "stream/record.hpp"
+#include "stream/staging.hpp"
 #include "stream/view.hpp"
 #include "telemetry/job.hpp"
 
@@ -66,15 +66,15 @@ class InterconnectModel {
 
 // --- wire codecs ---------------------------------------------------------
 
-stream::Record encode_nic_sample(const NicSample& s);
-NicSample decode_nic_sample(const stream::Record& r);
+/// Serialize one NIC sample into a staging buffer (key = "n<node id>").
+void encode_nic_sample_into(const NicSample& s, stream::BatchBuilder& staged);
 NicSample decode_nic_sample(std::string_view payload);
 /// Schema: (time, node_id, tx_bytes_s, rx_bytes_s, messages_s, link_errors).
 sql::Schema nic_schema();
 sql::Table nic_samples_to_table(std::span<const stream::RecordView> records);
 
-stream::Record encode_switch_sample(const SwitchSample& s);
-SwitchSample decode_switch_sample(const stream::Record& r);
+/// Serialize one switch sample into a staging buffer (key = "sw<id>").
+void encode_switch_sample_into(const SwitchSample& s, stream::BatchBuilder& staged);
 SwitchSample decode_switch_sample(std::string_view payload);
 /// Schema: (time, switch_id, throughput_bytes_s, utilization, congestion_stall_pct).
 sql::Schema switch_schema();

@@ -95,8 +95,11 @@ void IoTelemetryModel::sample(TimePoint t, Duration dt, const JobScheduler& sche
   }
 }
 
-stream::Record encode_io_counters(const IoCounters& c) {
-  ByteWriter w;
+void encode_io_counters_into(const IoCounters& c, stream::BatchBuilder& staged) {
+  ByteWriter& w = staged.begin_record(c.interval_start);
+  w.raw("j", 1);
+  w.text_i64(c.job_id);
+  staged.begin_payload();
   w.i64(c.interval_start);
   w.i64(c.interval);
   w.i64(c.job_id);
@@ -105,15 +108,8 @@ stream::Record encode_io_counters(const IoCounters& c) {
   w.u32(c.opens);
   w.u32(c.metadata_ops);
   w.u8(c.checkpoint_phase);
-  stream::Record rec;
-  rec.timestamp = c.interval_start;
-  rec.key = "j" + std::to_string(c.job_id);
-  auto bytes = w.take();
-  rec.payload.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return rec;
+  staged.end_record();
 }
-
-IoCounters decode_io_counters(const stream::Record& r) { return decode_io_counters(std::string_view(r.payload)); }
 
 IoCounters decode_io_counters(std::string_view payload) {
   ByteReader br(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(payload.data()),
@@ -150,22 +146,18 @@ Table io_counters_to_table(std::span<const stream::RecordView> records) {
   return t;
 }
 
-stream::Record encode_ost_sample(const OstSample& s) {
-  ByteWriter w;
+void encode_ost_sample_into(const OstSample& s, stream::BatchBuilder& staged) {
+  ByteWriter& w = staged.begin_record(s.time);
+  w.raw("ost", 3);
+  w.text_u64(s.ost);
+  staged.begin_payload();
   w.i64(s.time);
   w.u32(s.ost);
   w.f64(s.bytes_s);
   w.f64(s.utilization);
   w.f64(s.latency_ms);
-  stream::Record rec;
-  rec.timestamp = s.time;
-  rec.key = "ost" + std::to_string(s.ost);
-  auto bytes = w.take();
-  rec.payload.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return rec;
+  staged.end_record();
 }
-
-OstSample decode_ost_sample(const stream::Record& r) { return decode_ost_sample(std::string_view(r.payload)); }
 
 OstSample decode_ost_sample(std::string_view payload) {
   ByteReader br(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(payload.data()),

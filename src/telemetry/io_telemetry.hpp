@@ -13,7 +13,7 @@
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "sql/table.hpp"
-#include "stream/record.hpp"
+#include "stream/staging.hpp"
 #include "stream/view.hpp"
 #include "telemetry/job.hpp"
 
@@ -75,15 +75,15 @@ class IoTelemetryModel {
 
 // --- wire codecs -------------------------------------------------------
 
-stream::Record encode_io_counters(const IoCounters& c);
-IoCounters decode_io_counters(const stream::Record& r);
+/// Serialize one job's counters into a staging buffer (key = "j<job id>").
+void encode_io_counters_into(const IoCounters& c, stream::BatchBuilder& staged);
 IoCounters decode_io_counters(std::string_view payload);
 /// Schema: (time, job_id, bytes_read, bytes_written, opens, metadata_ops, checkpointing).
 sql::Schema io_counters_schema();
 sql::Table io_counters_to_table(std::span<const stream::RecordView> records);
 
-stream::Record encode_ost_sample(const OstSample& s);
-OstSample decode_ost_sample(const stream::Record& r);
+/// Serialize one OST sample into a staging buffer (key = "ost<index>").
+void encode_ost_sample_into(const OstSample& s, stream::BatchBuilder& staged);
 OstSample decode_ost_sample(std::string_view payload);
 /// Schema: (time, ost, bytes_s, utilization, latency_ms).
 sql::Schema ost_schema();

@@ -52,29 +52,23 @@ void FacilitySimulator::step(Duration dt) {
   const TimePoint target = now_ + dt;
   failures_.schedule_until(target);
 
+  // Every stream encodes into its topic's staging buffer; the channel
+  // flushes them all once, at the end of the step.
+
   // Scheduler events.
-  const auto sched_events = scheduler_.advance_to(target);
-  for (const auto& ev : sched_events) {
-    const Job* job = scheduler_.find_job(ev.job_id);
-    if (!job) continue;
-    auto rec = encode_job_event(ev, *job);
-    stats_.scheduler_bytes += rec.wire_size();
-    ++stats_.scheduler_records;
-    channel_.deliver(topics_.scheduler, std::move(rec));
+  stream::BatchBuilder& scheduler = channel_.stage(topics_.scheduler);
+  for (const auto& ev : scheduler_.advance_to(target)) {
+    if (const Job* job = scheduler_.find_job(ev.job_id)) encode_job_event_into(ev, *job, scheduler);
   }
 
   // Sensor packets at every sample tick in (now_, target].
+  stream::BatchBuilder& power = channel_.stage(topics_.power);
   std::vector<TelemetryPacket> packets;
   while (last_sample_ + spec_.sensor_period <= target) {
     last_sample_ += spec_.sensor_period;
     packets.clear();
     sensors_.sample_all(last_sample_, spec_.sensor_period, scheduler_, packets, &failures_);
-    for (const auto& pkt : packets) {
-      auto rec = encode_packet(pkt);
-      stats_.power_bytes += rec.wire_size();
-      ++stats_.power_records;
-      channel_.deliver(topics_.power, std::move(rec));
-    }
+    for (const auto& pkt : packets) encode_packet_into(pkt, power);
   }
 
   // Facility cooling sensors.
@@ -84,6 +78,10 @@ void FacilitySimulator::step(Duration dt) {
   }
 
   // Per-job I/O counters + OST server telemetry + interconnect counters.
+  stream::BatchBuilder& io = channel_.stage(topics_.io);
+  stream::BatchBuilder& storage = channel_.stage(topics_.storage);
+  stream::BatchBuilder& nic = channel_.stage(topics_.nic);
+  stream::BatchBuilder& fabric = channel_.stage(topics_.fabric);
   std::vector<IoCounters> io_counters;
   std::vector<OstSample> ost_samples;
   std::vector<NicSample> nic_samples;
@@ -96,44 +94,39 @@ void FacilitySimulator::step(Duration dt) {
     switch_samples.clear();
     io_model_.sample(last_io_, config_.io_period, scheduler_, io_counters, ost_samples);
     fabric_model_.sample(last_io_, config_.io_period, scheduler_, nic_samples, switch_samples);
-    for (const auto& c : io_counters) {
-      auto rec = encode_io_counters(c);
-      stats_.io_bytes += rec.wire_size();
-      ++stats_.io_records;
-      channel_.deliver(topics_.io, std::move(rec));
-    }
-    for (const auto& s : ost_samples) {
-      auto rec = encode_ost_sample(s);
-      stats_.storage_bytes += rec.wire_size();
-      ++stats_.storage_records;
-      channel_.deliver(topics_.storage, std::move(rec));
-    }
-    for (const auto& s : nic_samples) {
-      auto rec = encode_nic_sample(s);
-      stats_.nic_bytes += rec.wire_size();
-      ++stats_.nic_records;
-      channel_.deliver(topics_.nic, std::move(rec));
-    }
-    for (const auto& s : switch_samples) {
-      auto rec = encode_switch_sample(s);
-      stats_.fabric_bytes += rec.wire_size();
-      ++stats_.fabric_records;
-      channel_.deliver(topics_.fabric, std::move(rec));
-    }
+    for (const auto& c : io_counters) encode_io_counters_into(c, io);
+    for (const auto& s : ost_samples) encode_ost_sample_into(s, storage);
+    for (const auto& s : nic_samples) encode_nic_sample_into(s, nic);
+    for (const auto& s : switch_samples) encode_switch_sample_into(s, fabric);
   }
 
   // Syslog events: background chatter plus failure xid storms.
-  auto log_events = events_.generate(now_, target);
-  auto failure_events = failures_.events_in(now_, target);
-  log_events.insert(log_events.end(), failure_events.begin(), failure_events.end());
-  for (auto& ev : log_events) {
-    auto rec = encode_log_event(ev);
-    stats_.syslog_bytes += rec.wire_size();
-    ++stats_.syslog_records;
-    channel_.deliver(topics_.syslog, std::move(rec));
-  }
+  stream::BatchBuilder& syslog = channel_.stage(topics_.syslog);
+  for (const auto& ev : events_.generate(now_, target)) encode_log_event_into(ev, syslog);
+  for (const auto& ev : failures_.events_in(now_, target)) encode_log_event_into(ev, syslog);
 
+  flush_staged();
   now_ = target;
+}
+
+void FacilitySimulator::flush_staged() {
+  // Everything staged counts as emitted, whether or not the channel then
+  // delivers it.
+  const auto emitted = [this](const std::string& topic, std::uint64_t& records,
+                              std::uint64_t& bytes) {
+    const stream::BatchBuilder& staged = channel_.stage(topic);
+    records += staged.pending();
+    bytes += staged.wire_bytes();
+  };
+  emitted(topics_.power, stats_.power_records, stats_.power_bytes);
+  emitted(topics_.scheduler, stats_.scheduler_records, stats_.scheduler_bytes);
+  emitted(topics_.syslog, stats_.syslog_records, stats_.syslog_bytes);
+  emitted(topics_.facility, stats_.facility_records, stats_.facility_bytes);
+  emitted(topics_.io, stats_.io_records, stats_.io_bytes);
+  emitted(topics_.storage, stats_.storage_records, stats_.storage_bytes);
+  emitted(topics_.nic, stats_.nic_records, stats_.nic_bytes);
+  emitted(topics_.fabric, stats_.fabric_records, stats_.fabric_bytes);
+  channel_.flush();
 }
 
 void FacilitySimulator::run_until(TimePoint t) {
@@ -158,10 +151,7 @@ void FacilitySimulator::emit_facility_sample(TimePoint t) {
       {SensorId{ComponentKind::kNode, 3, SensorKind::kTempC}.encode(), return_temp},
       {SensorId{ComponentKind::kNode, 4, SensorKind::kUtil}.encode(), flow_lps},
   };
-  auto rec = encode_packet(pkt);
-  stats_.facility_bytes += rec.wire_size();
-  ++stats_.facility_records;
-  channel_.deliver(topics_.facility, std::move(rec));
+  encode_packet_into(pkt, channel_.stage(topics_.facility));
 }
 
 sql::Table FacilitySimulator::sample_bronze(TimePoint t0, TimePoint t1) {

@@ -101,6 +101,8 @@ class FacilitySimulator {
 
  private:
   void emit_facility_sample(common::TimePoint t);
+  /// Count the step's staged records into IngestStats, then flush them.
+  void flush_staged();
 
   SystemSpec spec_;
   stream::Broker& broker_;

@@ -196,9 +196,13 @@ TEST(CopaceticTest, ProcessTableEquivalentToStructs) {
   b.add_rule(rule);
   std::vector<telemetry::LogEvent> events{ev(0, 1, telemetry::Severity::kError),
                                           ev(kSecond, 1, telemetry::Severity::kError)};
-  std::vector<stream::StoredRecord> records;
-  for (const auto& e : events) records.push_back({0, telemetry::encode_log_event(e)});
-  const auto table = telemetry::log_events_to_table(stream::as_views(records));
+  stream::BatchBuilder staged;
+  for (const auto& e : events) telemetry::encode_log_event_into(e, staged);
+  std::vector<stream::EncodedRecord> encoded;
+  staged.snapshot(encoded);
+  std::vector<stream::RecordView> records;
+  for (const auto& r : encoded) records.push_back({0, r.timestamp, 0, 0, r.key, r.payload});
+  const auto table = telemetry::log_events_to_table(records);
   EXPECT_EQ(a.process(events).size(), b.process_table(table).size());
 }
 

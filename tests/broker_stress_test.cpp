@@ -22,12 +22,12 @@ constexpr std::size_t kProducers = 4;
 constexpr std::size_t kPerProducer = 1500;
 constexpr std::size_t kTotal = kProducers * kPerProducer;
 
-Record make_record(std::size_t producer, std::size_t seq) {
-  Record r;
-  r.timestamp = static_cast<common::TimePoint>(seq) * common::kSecond;
-  r.key = "p" + std::to_string(producer);  // stable partition per producer
-  r.payload = std::to_string(producer) + ":" + std::to_string(seq);
-  return r;
+/// Stage producer `producer`'s record `seq`; the payload names both so
+/// audits can check order and count.
+void stage_record(BatchBuilder& staged, std::size_t producer, std::size_t seq) {
+  staged.add(static_cast<common::TimePoint>(seq) * common::kSecond,
+             "p" + std::to_string(producer),  // stable partition per producer
+             std::to_string(producer) + ":" + std::to_string(seq));
 }
 
 TEST(BrokerStressTest, ProducersConsumerChurnAndRetentionRace) {
@@ -55,9 +55,13 @@ TEST(BrokerStressTest, ProducersConsumerChurnAndRetentionRace) {
     producers.emplace_back([&, p] {
       auto stress = broker.producer("stress");
       auto churny = broker.producer("churny");
+      BatchBuilder staged;
+      // One record per flush: the finest interleaving of producers.
       for (std::size_t j = 0; j < kPerProducer; ++j) {
-        stress.produce(make_record(p, j));
-        churny.produce(make_record(p, j));
+        stage_record(staged, p, j);
+        stress.produce_staged(staged);
+        stage_record(staged, p, j);
+        churny.produce_staged(staged);
       }
     });
   }
@@ -185,13 +189,9 @@ TEST(BrokerStressTest, ParallelGroupMembersPartitionTheTopic) {
   TopicConfig tc;
   tc.num_partitions = 6;
   broker.create_topic("shared", tc);
-  auto producer = broker.producer("shared");
-  for (std::size_t j = 0; j < 1200; ++j) {
-    Record r;
-    r.key = "k" + std::to_string(j % 97);
-    r.payload = std::to_string(j);
-    producer.produce(std::move(r));
-  }
+  BatchBuilder staged;
+  for (std::size_t j = 0; j < 1200; ++j) staged.add(0, "k" + std::to_string(j % 97), std::to_string(j));
+  broker.producer("shared").produce_staged(staged);
 
   std::atomic<std::uint64_t> consumed{0};
   constexpr std::size_t kMembers = 3;
@@ -233,8 +233,9 @@ TEST(BrokerStressTest, ParallelGroupMembersPartitionTheTopic) {
 TEST(BrokerStressTest, ProduceBatchRacesRetentionAndReaders) {
   // Batched producers, cached Producer handles, aggressive size-bound
   // retention and a polling reader all racing on one topic. Invariants:
-  // per-partition offsets stay strictly monotonic across batch and single
-  // appends, and byte accounting balances at quiescence. TSan target.
+  // per-partition offsets stay strictly monotonic across batch and
+  // one-record flushes, and byte accounting balances at quiescence. TSan
+  // target.
   Broker broker;
   TopicConfig tc;
   tc.num_partitions = 4;
@@ -252,19 +253,17 @@ TEST(BrokerStressTest, ProduceBatchRacesRetentionAndReaders) {
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&broker, p] {
       Producer producer = broker.producer("batched");
+      BatchBuilder staged;
       for (std::size_t j = 0; j < kBatches; ++j) {
-        std::vector<Record> batch;
-        batch.reserve(kBatchSize);
         for (std::size_t i = 0; i < kBatchSize; ++i) {
           // Keyless: exercises the shared round-robin cursor under races.
-          Record r;
-          r.timestamp = static_cast<common::TimePoint>(j) * common::kSecond;
-          r.payload = std::to_string(p) + ":" + std::to_string(j * kBatchSize + i);
-          batch.push_back(std::move(r));
+          staged.add(static_cast<common::TimePoint>(j) * common::kSecond, "",
+                     std::to_string(p) + ":" + std::to_string(j * kBatchSize + i));
         }
-        producer.produce_batch(std::move(batch));
-        // Interleave a single produce: both paths share the cursor.
-        producer.produce(make_record(p, j));
+        producer.produce_staged(staged);
+        // Interleave a one-record flush: both share the cursor.
+        stage_record(staged, p, j);
+        producer.produce_staged(staged);
       }
     });
   }
@@ -331,12 +330,11 @@ TEST(BrokerStressTest, PinnedViewsSurviveConcurrentRetention) {
 
   std::thread producer_thread([&] {
     auto producer = broker.producer("evict");
+    BatchBuilder staged;
     for (std::size_t j = 0; j < kRecords; ++j) {
-      Record r;
-      r.timestamp = static_cast<common::TimePoint>(j) * common::kSecond;
-      r.key = "host" + std::to_string(j % 7);
-      r.payload = "payload-" + std::to_string(j);
-      producer.produce(std::move(r));
+      staged.add(static_cast<common::TimePoint>(j) * common::kSecond,
+                 "host" + std::to_string(j % 7), "payload-" + std::to_string(j));
+      producer.produce_staged(staged);
     }
     produced_all.store(true, std::memory_order_release);
   });
@@ -417,7 +415,8 @@ TEST(BrokerStressTest, StagedProducersRaceConsumersAndRetention) {
     producers.emplace_back([&broker, p] {
       Producer producer = broker.producer("staged");
       Producer churner = broker.producer("staged-churn");
-      BatchBuilder& staging = producer.staging();
+      BatchBuilder staging;
+      BatchBuilder churn_staging;
       for (std::size_t j = 0; j < kFlushes; ++j) {
         for (std::size_t i = 0; i < kPerFlush; ++i) {
           const std::size_t seq = j * kPerFlush + i;
@@ -434,8 +433,9 @@ TEST(BrokerStressTest, StagedProducersRaceConsumersAndRetention) {
                         "p" + std::to_string(p), payload);
           }
         }
-        producer.flush();
-        churner.produce(make_record(p, j));  // keeps eviction busy
+        producer.produce_staged(staging);
+        stage_record(churn_staging, p, j);
+        churner.produce_staged(churn_staging);  // keeps eviction busy
       }
     });
   }
@@ -504,7 +504,9 @@ TEST(BrokerStressTest, StagedProducersRaceConsumersAndRetention) {
     std::vector<StoredRecord> got;
     topic.partition(p).fetch_copy(topic.partition(p).start_offset(), 1 << 20, got);
     for (std::size_t i = 0; i < got.size(); ++i) {
-      if (i > 0) EXPECT_EQ(got[i].offset, got[i - 1].offset + 1);
+      if (i > 0) {
+        EXPECT_EQ(got[i].offset, got[i - 1].offset + 1);
+      }
       const std::string& payload = got[i].record.payload;
       const std::size_t colon = payload.find(':');
       ASSERT_NE(colon, std::string::npos) << payload;

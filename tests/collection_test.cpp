@@ -7,6 +7,8 @@
 #include "engine/engine.hpp"
 #include "sql/ops.hpp"
 #include "storage/columnar.hpp"
+#include "stream/broker.hpp"
+#include "telemetry/codec.hpp"
 #include "telemetry/collection.hpp"
 
 namespace oda {
@@ -63,6 +65,80 @@ TEST(CollectionTest, DeliveredSamplesAccountForLoss) {
   EXPECT_NEAR(cost.delivered_samples_per_day, gross * cost.delivered_fraction, 1.0);
 }
 
+// ---- the collector's push path ------------------------------------------
+
+/// Stage one step's worth of packets — `nodes` packets at time t — into
+/// the channel's buffer for `topic`.
+void stage_step(telemetry::CollectionChannel& channel, const std::string& topic,
+                common::TimePoint t, std::uint32_t nodes) {
+  for (std::uint32_t n = 0; n < nodes; ++n) {
+    telemetry::TelemetryPacket pkt;
+    pkt.timestamp = t;
+    pkt.node_id = n;
+    pkt.readings = {{telemetry::SensorId{telemetry::ComponentKind::kNode, 0,
+                                         telemetry::SensorKind::kPowerW}
+                         .encode(),
+                     100.0 + n}};
+    telemetry::encode_packet_into(pkt, channel.stage(topic));
+  }
+}
+
+TEST(CollectionChannelTest, FailedFlushDropsExactlyThatStep) {
+  stream::Broker broker;
+  stream::Topic& topic = broker.create_topic("power", stream::TopicConfig{}.with_partitions(4));
+  chaos::RetryPolicy rp;
+  rp.max_attempts = 3;
+  telemetry::CollectionChannel channel(broker, rp);
+  constexpr std::uint32_t kNodes = 40;
+  const auto landed = [&topic] {
+    std::int64_t n = 0;
+    for (std::size_t p = 0; p < topic.num_partitions(); ++p) n += topic.partition(p).end_offset();
+    return n;
+  };
+
+  stage_step(channel, "power", 0, kNodes);
+  EXPECT_EQ(channel.flush(), kNodes);
+  const telemetry::ChannelStats before = channel.stats();
+  EXPECT_EQ(before.delivered_records, kNodes);
+  EXPECT_EQ(before.delivered_bytes, topic.stats().produced_bytes);
+  EXPECT_EQ(landed(), kNodes);
+
+  // The broker rejects every attempt of the second step's flush.
+  stage_step(channel, "power", 15 * kSecond, kNodes);
+  const std::size_t step_bytes = channel.stage("power").wire_bytes();
+  chaos::FaultPlan plan(7);
+  plan.configure("stream.produce", {.transient_p = 1.0});
+  {
+    chaos::ScopedFaultPlan scoped(plan);
+    EXPECT_EQ(channel.flush(), 0u);
+  }
+  EXPECT_EQ(plan.site_stats("stream.produce").visits, rp.max_attempts);  // one flush, retried
+  const telemetry::ChannelStats dropped = channel.stats();
+  EXPECT_EQ(dropped.dropped_records, kNodes);
+  EXPECT_EQ(dropped.dropped_bytes, step_bytes);
+  EXPECT_EQ(dropped.delivered_records, before.delivered_records);
+  EXPECT_EQ(dropped.retries, before.retries + rp.max_attempts - 1);
+  EXPECT_EQ(landed(), kNodes);                   // none of the step's records landed
+  EXPECT_TRUE(channel.stage("power").empty());  // and none waits for the next flush
+
+  // The next step delivers, with offsets dense after the first step's.
+  stage_step(channel, "power", 30 * kSecond, kNodes);
+  EXPECT_EQ(channel.flush(), kNodes);
+  EXPECT_EQ(channel.stats().delivered_records, 2 * kNodes);
+  EXPECT_EQ(channel.stats().dropped_records, kNodes);
+  std::size_t seen = 0;
+  for (std::size_t p = 0; p < topic.num_partitions(); ++p) {
+    stream::FetchView view;
+    topic.partition(p).fetch_view(0, 2 * kNodes, view);
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      EXPECT_EQ(view[i].offset, static_cast<std::int64_t>(i)) << "partition " << p;
+      EXPECT_NE(view[i].timestamp, 15 * kSecond);  // the dropped step never shows up
+    }
+    seen += view.size();
+  }
+  EXPECT_EQ(seen, 2 * kNodes);
+}
+
 // ---- parameterized pipeline equivalence -------------------------------
 // The same input through the same windowed query must produce identical
 // results regardless of micro-batch size — batch boundaries are an
@@ -73,7 +149,7 @@ class BatchSizeInvariance : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(BatchSizeInvariance, WindowedSumsIndependentOfBatching) {
   stream::Broker broker;
   broker.create_topic("in", {1, 1 << 20, {}});
-  auto in_producer = broker.producer("in");
+  stream::BatchBuilder staged;
   common::Rng rng(5);
   common::TimePoint t = 0;
   sql::Table all{sql::Schema{{"time", sql::DataType::kInt64}, {"v", sql::DataType::kFloat64}}};
@@ -83,12 +159,10 @@ TEST_P(BatchSizeInvariance, WindowedSumsIndependentOfBatching) {
     all.append_row({sql::Value(t), sql::Value(v)});
     sql::Table row{all.schema()};
     row.append_row({sql::Value(t), sql::Value(v)});
-    stream::Record rec;
-    rec.timestamp = t;
     const auto blob = storage::write_columnar(row);
-    rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
-    in_producer.produce(std::move(rec));
+    staged.add(t, "", std::string_view(reinterpret_cast<const char*>(blob.data()), blob.size()));
   }
+  broker.producer("in").produce_staged(staged);
 
   pipeline::QueryConfig qc;
   qc.max_records_per_batch = GetParam();
@@ -127,16 +201,15 @@ class FaultPositionInvariance : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(FaultPositionInvariance, RecoveryPreservesExactlyOnce) {
   stream::Broker broker;
   broker.create_topic("in", {1, 1 << 20, {}});
-  auto in_producer = broker.producer("in");
+  stream::BatchBuilder staged;
   for (int i = 0; i < 120; ++i) {
     sql::Table row{sql::Schema{{"time", sql::DataType::kInt64}, {"v", sql::DataType::kFloat64}}};
     row.append_row({sql::Value(static_cast<common::TimePoint>(i) * kSecond), sql::Value(1.0)});
-    stream::Record rec;
-    rec.timestamp = i * kSecond;
     const auto blob = storage::write_columnar(row);
-    rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
-    in_producer.produce(std::move(rec));
+    staged.add(i * kSecond, "",
+               std::string_view(reinterpret_cast<const char*>(blob.data()), blob.size()));
   }
+  broker.producer("in").produce_staged(staged);
   pipeline::QueryConfig qc;
   qc.max_records_per_batch = 10;
   qc.name = "faulty";

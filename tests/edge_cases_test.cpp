@@ -100,17 +100,16 @@ TEST(EwmaOpTest, CheckpointRoundTrip) {
 TEST(EwmaOpTest, InsideEngineQuery) {
   stream::Broker broker;
   broker.create_topic("in", {1, 1 << 20, {}});
-  auto producer = broker.producer("in");
+  stream::BatchBuilder staged;
   for (int i = 0; i < 20; ++i) {
     Table row{Schema{{"time", DataType::kInt64}, {"v", DataType::kFloat64}}};
     row.append_row({Value(static_cast<common::TimePoint>(i) * kSecond),
                     Value(i % 2 == 0 ? 0.0 : 100.0)});  // square wave
-    stream::Record rec;
-    rec.timestamp = i * kSecond;
     const auto blob = storage::write_columnar(row);
-    rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
-    producer.produce(std::move(rec));
+    staged.add(i * kSecond, "",
+               std::string_view(reinterpret_cast<const char*>(blob.data()), blob.size()));
   }
+  broker.producer("in").produce_staged(staged);
   pipeline::QueryConfig qc;
   qc.name = "smooth";
   engine::Query q(qc, engine::SourceSpec{&broker, "in", "g", pipeline::decode_columnar_records},
@@ -195,10 +194,9 @@ TEST(EdgeTest, WindowAggWithAllNullTimes) {
 TEST(EdgeTest, BrokerSinglePartitionSingleRecord) {
   stream::Broker b;
   b.create_topic("t", {1, 64, {}});  // tiny segments
-  stream::Record r;
-  r.timestamp = 5;
-  r.payload = "x";
-  b.producer("t").produce(std::move(r));
+  stream::BatchBuilder staged;
+  staged.add(5, "", "x");
+  b.producer("t").produce_staged(staged);
   stream::Consumer c(b, "g", "t");
   const auto batch = c.poll(10);
   ASSERT_EQ(batch.size(), 1u);

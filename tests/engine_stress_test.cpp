@@ -77,7 +77,9 @@ TEST(EngineStressTest, OwnedWorkersRaceStagedProducersAndRetention) {
     producers.emplace_back([&broker, &live_producers, p] {
       stream::Producer producer = broker.producer("live");
       stream::Producer churner = broker.producer("live-churn");
-      stream::BatchBuilder& staging = producer.staging();
+      stream::BatchBuilder staging;
+      stream::BatchBuilder churn_staging;
+      const std::string churn_payload(256, 'x');
       for (std::size_t j = 0; j < kFlushes; ++j) {
         for (std::size_t i = 0; i < kPerFlush; ++i) {
           const std::size_t seq = j * kPerFlush + i;
@@ -85,11 +87,9 @@ TEST(EngineStressTest, OwnedWorkersRaceStagedProducersAndRetention) {
                       "p" + std::to_string(p) + "." + std::to_string(seq % kPartitions),
                       std::to_string(p) + ":" + std::to_string(seq));
         }
-        producer.flush();
-        stream::Record r;
-        r.timestamp = static_cast<common::TimePoint>(j) * common::kSecond;
-        r.payload.assign(256, 'x');
-        churner.produce(std::move(r));  // keeps eviction busy
+        producer.produce_staged(staging);
+        churn_staging.add(static_cast<common::TimePoint>(j) * common::kSecond, "", churn_payload);
+        churner.produce_staged(churn_staging);  // keeps eviction busy
         if (j % 16 == 0) std::this_thread::yield();
       }
       live_producers.fetch_sub(1, std::memory_order_acq_rel);

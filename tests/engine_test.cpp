@@ -43,33 +43,32 @@ constexpr std::size_t kPartitions = 8;
 constexpr std::size_t kRecords = 6000;
 
 // One record per sensor reading: timestamp = event time, key = node id
-// (hash-partitioned), payload = the reading. [lo, hi) lets the chunked
-// self-telemetry test feed the stream in installments.
+// (hash-partitioned), payload = the reading, each flushed on its own.
+// [lo, hi) lets the chunked self-telemetry test feed the stream in
+// installments.
 void fill_topic(stream::Topic& topic, std::size_t lo, std::size_t hi) {
+  stream::BatchBuilder staged;
   for (std::size_t i = lo; i < hi; ++i) {
-    stream::Record r;
-    r.timestamp = static_cast<common::TimePoint>(i) * common::kSecond / 4;
-    r.key = "node" + std::to_string(i % 32);
-    r.payload = std::to_string(0.5 + static_cast<double>(i % 97));
-    topic.produce(std::move(r));
+    staged.add(static_cast<common::TimePoint>(i) * common::kSecond / 4,
+               "node" + std::to_string(i % 32), std::to_string(0.5 + static_cast<double>(i % 97)));
+    topic.produce_staged(staged);
   }
 }
 
 void fill_topic(stream::Topic& topic) { fill_topic(topic, 0, kRecords); }
 
-// Same records through the zero-copy write path: encoded into a staging
-// buffer and group-committed in flushes. Identical keys/payloads, so the
-// resulting partition layout must match fill_topic's byte for byte.
+// Same records group-committed 512 at a time. Identical keys/payloads, so
+// the resulting partition layout must match fill_topic's byte for byte.
 void fill_topic_staged(stream::Broker& broker, const std::string& topic_name) {
   stream::Producer producer = broker.producer(topic_name);
-  stream::BatchBuilder& staging = producer.staging();
+  stream::BatchBuilder staging;
   for (std::size_t i = 0; i < kRecords; ++i) {
     staging.add(static_cast<common::TimePoint>(i) * common::kSecond / 4,
                 "node" + std::to_string(i % 32),
                 std::to_string(0.5 + static_cast<double>(i % 97)));
-    if (staging.pending() >= 512) producer.flush();
+    if (staging.pending() >= 512) producer.produce_staged(staging);
   }
-  producer.flush();
+  producer.produce_staged(staging);
 }
 
 Table decode(std::span<const stream::RecordView> records) {
@@ -355,14 +354,16 @@ std::vector<std::uint8_t> drain_uneven_backlog(std::size_t workers, std::uint64_
   auto& topic = broker.create_topic("uneven", stream::TopicConfig{}.with_partitions(kPartitions));
   {
     stream::Producer producer = broker.producer("uneven");
+    stream::BatchBuilder staged;
     for (int tick = 0; tick < kTicks; ++tick) {
       for (int node = 0; node < 32; ++node) {
         const int readings = node % 8 == 0 ? 8 : 1;
         for (int k = 0; k < readings; ++k) {
-          producer.produce(stream::Record{tick * common::kSecond, "node" + std::to_string(node),
-                                          std::to_string(0.5 + k + node)});
+          staged.add(tick * common::kSecond, "node" + std::to_string(node),
+                     std::to_string(0.5 + k + node));
         }
       }
+      producer.produce_staged(staged);
     }
   }
   std::int64_t lightest = INT64_MAX;

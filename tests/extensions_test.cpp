@@ -105,7 +105,14 @@ TEST_F(IoTelemetryTest, CodecsRoundTrip) {
   c.opens = 7;
   c.metadata_ops = 29;
   c.checkpoint_phase = 1;
-  const auto back = telemetry::decode_io_counters(telemetry::encode_io_counters(c));
+  stream::BatchBuilder staged;
+  telemetry::encode_io_counters_into(c, staged);
+  std::vector<stream::EncodedRecord> recs;
+  staged.snapshot(recs);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].key, "j42");
+  EXPECT_EQ(recs[0].timestamp, kMinute);
+  const auto back = telemetry::decode_io_counters(recs[0].payload);
   EXPECT_EQ(back.job_id, 42);
   EXPECT_DOUBLE_EQ(back.bytes_read, 1.5e9);
   EXPECT_EQ(back.checkpoint_phase, 1);
@@ -116,7 +123,13 @@ TEST_F(IoTelemetryTest, CodecsRoundTrip) {
   s.bytes_s = 4e9;
   s.utilization = 0.8;
   s.latency_ms = 16.5;
-  const auto sback = telemetry::decode_ost_sample(telemetry::encode_ost_sample(s));
+  staged.clear();
+  telemetry::encode_ost_sample_into(s, staged);
+  recs.clear();
+  staged.snapshot(recs);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].key, "ost3");
+  const auto sback = telemetry::decode_ost_sample(recs[0].payload);
   EXPECT_EQ(sback.ost, 3u);
   EXPECT_DOUBLE_EQ(sback.latency_ms, 16.5);
 }

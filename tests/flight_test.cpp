@@ -219,13 +219,12 @@ constexpr std::size_t kPartitions = 16;
 constexpr std::size_t kRecords = 4000;
 
 void fill_topic(stream::Topic& topic) {
+  stream::BatchBuilder staged;
   for (std::size_t i = 0; i < kRecords; ++i) {
-    stream::Record r;
-    r.timestamp = static_cast<common::TimePoint>(i) * common::kSecond / 4;
-    r.key = "node" + std::to_string(i % 32);
-    r.payload = std::to_string(0.5 + static_cast<double>(i % 97));
-    topic.produce(std::move(r));
+    staged.add(static_cast<common::TimePoint>(i) * common::kSecond / 4,
+               "node" + std::to_string(i % 32), std::to_string(0.5 + static_cast<double>(i % 97)));
   }
+  topic.produce_staged(staged);
 }
 
 Table decode(std::span<const stream::RecordView> records) {

@@ -15,20 +15,13 @@ using sql::Schema;
 using sql::Table;
 using sql::Value;
 
-stream::Record rec(common::TimePoint t, const std::string& key) {
-  stream::Record r;
-  r.timestamp = t;
-  r.key = key;
-  r.payload = "p";
-  return r;
-}
-
 class GroupMemberTest : public ::testing::Test {
  protected:
   GroupMemberTest() {
     broker_.create_topic("t", {4, 1 << 20, {}});
-    auto producer = broker_.producer("t");
-    for (int i = 0; i < 100; ++i) producer.produce(rec(i, "k" + std::to_string(i)));
+    stream::BatchBuilder staged;
+    for (int i = 0; i < 100; ++i) staged.add(i, "k" + std::to_string(i), "p");
+    broker_.producer("t").produce_staged(staged);
   }
   stream::Broker broker_;
 };

@@ -53,18 +53,18 @@ TEST(InferenceOpTest, AnomalyDetectorInStream) {
 
   stream::Broker broker;
   broker.create_topic("in", {1, 1 << 20, {}});
-  auto produce = [&, producer = broker.producer("in")](double power, double temp) mutable {
+  stream::BatchBuilder staged;
+  auto produce = [&](double power, double temp) {
     Table row{Schema{{"time", DataType::kInt64},
                      {"power", DataType::kFloat64},
                      {"temp", DataType::kFloat64}}};
     row.append_row({Value(std::int64_t{0}), Value(power), Value(temp)});
-    stream::Record rec;
     const auto blob = storage::write_columnar(row);
-    rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
-    producer.produce(std::move(rec));
+    staged.add(0, "", std::string_view(reinterpret_cast<const char*>(blob.data()), blob.size()));
   };
   for (int i = 0; i < 30; ++i) produce(1000 + 2000 * 0.5, 30 + 40 * 0.5);  // healthy
   for (int i = 0; i < 5; ++i) produce(1000 + 2000 * 0.3, 30 + 40 * 0.3 + 18.0);  // runaway temp
+  broker.producer("in").produce_staged(staged);
 
   pipeline::QueryConfig qc;
   qc.name = "detect";

@@ -245,15 +245,15 @@ TEST(TraceTest, TraceContinuesAcrossBrokerHopIntoPipeline) {
   ScopedTracer scoped(tracer);
 
   stream::Broker broker;
-  broker.create_topic("t", {.num_partitions = 2});
+  broker.create_topic("t", stream::TopicConfig{}.with_partitions(2));
   auto producer = broker.producer("t");
   TraceContext ingest_ctx;
   {
     Span ingest("ingest");
     ingest_ctx = ingest.context();
-    for (int i = 0; i < 10; ++i) {
-      producer.produce(stream::Record{i * kSecond, "k" + std::to_string(i), "x"});
-    }
+    stream::BatchBuilder staged;
+    for (int i = 0; i < 10; ++i) staged.add(i * kSecond, "k" + std::to_string(i), "x");
+    producer.produce_staged(staged);  // stamps the ingest span onto every record
   }
 
   pipeline::QueryConfig qc;
@@ -294,11 +294,10 @@ TEST(TraceTest, TraceContinuesAcrossBrokerHopIntoPipeline) {
 
 TEST(LagTrackerTest, AgreesWithBrokerOffsets) {
   stream::Broker broker;
-  broker.create_topic("lag", {.num_partitions = 4});
-  auto producer = broker.producer("lag");
-  for (int i = 0; i < 1000; ++i) {
-    producer.produce(stream::Record{i * kSecond, std::to_string(i), "p"});
-  }
+  broker.create_topic("lag", stream::TopicConfig{}.with_partitions(4));
+  stream::BatchBuilder staged;
+  for (int i = 0; i < 1000; ++i) staged.add(i * kSecond, std::to_string(i), "p");
+  broker.producer("lag").produce_staged(staged);
   stream::Consumer consumer(broker, "grp", "lag");
   const auto consumed = static_cast<std::int64_t>(consumer.poll(300).size());
   consumer.commit();
@@ -409,7 +408,8 @@ TEST(SloTest, TransitionsUnderInjectedFaults) {
   {
     chaos::ScopedFaultPlan scoped(plan);
     for (int i = 0; i < 5; ++i) {
-      if (!channel.deliver("telem", stream::Record{i * kSecond, "n", "x"})) ++dropped;
+      channel.stage("telem").add(i * kSecond, "n", "x");
+      if (channel.flush() == 0) ++dropped;
     }
   }
   EXPECT_EQ(dropped, 5u);
@@ -477,9 +477,10 @@ TEST(OdaMonitorTest, TicksAndReports) {
   storage::TapeArchive glacier;
   storage::TierManager tiers(broker, lake, ocean, glacier, {});
 
-  broker.create_topic("t", {.num_partitions = 2});
-  auto producer = broker.producer("t");
-  for (int i = 0; i < 100; ++i) producer.produce(stream::Record{i * kSecond, "", "x"});
+  broker.create_topic("t", stream::TopicConfig{}.with_partitions(2));
+  stream::BatchBuilder staged;
+  for (int i = 0; i < 100; ++i) staged.add(i * kSecond, "", "x");
+  broker.producer("t").produce_staged(staged);
   stream::Consumer consumer(broker, "g", "t");
   (void)consumer.poll(40);
   consumer.commit();
@@ -509,15 +510,17 @@ std::vector<std::pair<std::string, std::int64_t>> traced_flow_fingerprint(std::u
   set_virtual_now(0);
 
   stream::Broker broker;
-  broker.create_topic("d", {.num_partitions = 3});
+  broker.create_topic("d", stream::TopicConfig{}.with_partitions(3));
   auto producer = broker.producer("d");
   common::Rng rng(seed);
   {
     Span ingest("ingest");
+    stream::BatchBuilder staged;
     for (int i = 0; i < 500; ++i) {
-      producer.produce(stream::Record{i * kSecond, std::to_string(rng.next() % 17),
-                                      std::to_string(rng.next() % 1000)});
+      const std::string key = std::to_string(rng.next() % 17);
+      staged.add(i * kSecond, key, std::to_string(rng.next() % 1000));
     }
+    producer.produce_staged(staged);
   }
 
   pipeline::QueryConfig qc;

@@ -146,13 +146,12 @@ struct QueryRig {
   // batch boundaries for the fault/poison tests). The cached handle
   // skips the name lookup on every produced record.
   stream::Producer in_producer{broker.create_topic("in", {1, 1 << 20, {}})};
+  stream::BatchBuilder staged;
+  /// Flushes each record on its own, so tests can interleave produce and poll.
   void produce(common::TimePoint t, double v) {
-    Table row = rows_at({{t, v}});
-    stream::Record rec;
-    rec.timestamp = t;
-    const auto blob = storage::write_columnar(row);
-    rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
-    in_producer.produce(std::move(rec));
+    const auto blob = storage::write_columnar(rows_at({{t, v}}));
+    staged.add(t, "", std::string_view(reinterpret_cast<const char*>(blob.data()), blob.size()));
+    in_producer.produce_staged(staged);
   }
   std::unique_ptr<engine::Query> make_query(QueryConfig qc = {}) {
     return std::make_unique<engine::Query>(

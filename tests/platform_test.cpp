@@ -78,7 +78,14 @@ TEST_F(InterconnectTest, CodecsRoundTrip) {
   n.rx_bytes_s = 1.5e10;
   n.messages_s = 2e5;
   n.link_errors = 3;
-  const auto nb = telemetry::decode_nic_sample(telemetry::encode_nic_sample(n));
+  stream::BatchBuilder staged;
+  telemetry::encode_nic_sample_into(n, staged);
+  std::vector<stream::EncodedRecord> recs;
+  staged.snapshot(recs);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].key, "n9");
+  EXPECT_EQ(recs[0].timestamp, kMinute);
+  const auto nb = telemetry::decode_nic_sample(recs[0].payload);
   EXPECT_EQ(nb.node_id, 9u);
   EXPECT_DOUBLE_EQ(nb.tx_bytes_s, 1.25e10);
   EXPECT_EQ(nb.link_errors, 3u);
@@ -89,7 +96,13 @@ TEST_F(InterconnectTest, CodecsRoundTrip) {
   s.throughput_bytes_s = 4e11;
   s.utilization = 0.5;
   s.congestion_stall_pct = 12.5;
-  const auto sb = telemetry::decode_switch_sample(telemetry::encode_switch_sample(s));
+  staged.clear();
+  telemetry::encode_switch_sample_into(s, staged);
+  recs.clear();
+  staged.snapshot(recs);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].key, "sw2");
+  const auto sb = telemetry::decode_switch_sample(recs[0].payload);
   EXPECT_EQ(sb.switch_id, 2u);
   EXPECT_DOUBLE_EQ(sb.congestion_stall_pct, 12.5);
 }
@@ -99,14 +112,13 @@ TEST_F(InterconnectTest, CodecsRoundTrip) {
 TEST(DurableCheckpointTest, RestartResumesWindowState) {
   stream::Broker broker;
   broker.create_topic("in", {1, 1 << 20, {}});
+  stream::BatchBuilder staged;
   auto produce = [&, producer = broker.producer("in")](common::TimePoint t, double v) mutable {
     Table row{Schema{{"time", DataType::kInt64}, {"v", DataType::kFloat64}}};
     row.append_row({Value(t), Value(v)});
-    stream::Record rec;
-    rec.timestamp = t;
     const auto blob = storage::write_columnar(row);
-    rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
-    producer.produce(std::move(rec));
+    staged.add(t, "", std::string_view(reinterpret_cast<const char*>(blob.data()), blob.size()));
+    producer.produce_staged(staged);
   };
   auto make_query = [&] {
     pipeline::QueryConfig qc;

@@ -28,6 +28,7 @@
 #include "storage/object_store.hpp"
 #include "stream/broker.hpp"
 #include "telemetry/codec.hpp"
+#include "wire_digest.hpp"
 
 namespace oda::observe {
 namespace {
@@ -38,6 +39,14 @@ using common::TimePoint;
 
 // --- record codecs -------------------------------------------------------
 
+/// The one record an encoder staged, as borrowed views into `staged`.
+stream::EncodedRecord only_record(const stream::BatchBuilder& staged) {
+  std::vector<stream::EncodedRecord> out;
+  staged.snapshot(out);
+  EXPECT_EQ(out.size(), 1u);
+  return out.empty() ? stream::EncodedRecord{} : out.front();
+}
+
 TEST(SelfObsCodecTest, MetricSampleRoundTripsByteExactly) {
   const double values[] = {0.0, 1.0, -2.5, 0.1, 3.141592653589793, 1e300, -7.25e-17};
   for (double v : values) {
@@ -47,11 +56,13 @@ TEST(SelfObsCodecTest, MetricSampleRoundTripsByteExactly) {
     s.value = v;
     s.delta = v / 3.0;
     s.count = 123456789012345ull;
-    const stream::Record r = encode_metric_sample(s, 42 * kSecond);
+    stream::BatchBuilder staged;
+    encode_metric_sample_into(s, 42 * kSecond, staged);
+    const stream::EncodedRecord r = only_record(staged);
     EXPECT_EQ(r.timestamp, 42 * kSecond);
     EXPECT_EQ(r.key, s.series);  // series keys partition the metrics topic
     MetricSample out;
-    ASSERT_TRUE(decode_metric_sample(r, &out)) << r.payload;
+    ASSERT_TRUE(decode_metric_sample(r.payload, &out)) << r.payload;
     EXPECT_EQ(out.series, s.series);
     EXPECT_EQ(out.kind, s.kind);
     // %.17g encoding: doubles round-trip bit-exactly, not approximately.
@@ -67,10 +78,13 @@ TEST(SelfObsCodecTest, AlertEventRoundTrips) {
   e.from = SloState::kDegraded;
   e.to = SloState::kBreached;
   e.value = 1234.5;
-  const stream::Record r = encode_alert_event(e, 90 * kSecond);
+  stream::BatchBuilder staged;
+  encode_alert_event_into(e, 90 * kSecond, staged);
+  const stream::EncodedRecord r = only_record(staged);
   EXPECT_EQ(r.timestamp, 90 * kSecond);
+  EXPECT_EQ(r.key, e.slo);
   AlertEvent out;
-  ASSERT_TRUE(decode_alert_event(r, &out)) << r.payload;
+  ASSERT_TRUE(decode_alert_event(r.payload, &out)) << r.payload;
   EXPECT_EQ(out.slo, e.slo);
   EXPECT_EQ(out.from, e.from);
   EXPECT_EQ(out.to, e.to);
@@ -83,35 +97,33 @@ TEST(SelfObsCodecTest, MalformedPayloadsAreRejectedNotCrashed) {
   good.kind = MetricKind::kCounter;
   good.value = 7.0;
   good.count = 3;
-  const stream::Record encoded = encode_metric_sample(good, 0);
+  stream::BatchBuilder staged;
+  encode_metric_sample_into(good, 0, staged);
+  const std::string_view encoded = only_record(staged).payload;
 
   // Every strict prefix of a valid payload must be rejected.
-  for (std::size_t cut = 0; cut < encoded.payload.size(); ++cut) {
-    stream::Record r = encoded;
-    r.payload = encoded.payload.substr(0, cut);
+  for (std::size_t cut = 0; cut < encoded.size(); ++cut) {
     MetricSample out;
-    EXPECT_FALSE(decode_metric_sample(r, &out)) << "prefix length " << cut;
+    EXPECT_FALSE(decode_metric_sample(encoded.substr(0, cut), &out)) << "prefix length " << cut;
   }
   // Wrong magic, garbage, and cross-codec payloads too.
   for (const char* bad :
        {"", "x1\x1f", "m2\x1f" "c\x1f" "s\x1f" "1\x1f" "0\x1f" "0", "not a record",
         "m1\x1f" "?\x1f" "s\x1f" "NOTANUMBER\x1f" "0\x1f" "0"}) {
-    stream::Record r;
-    r.payload = bad;
     MetricSample out;
-    EXPECT_FALSE(decode_metric_sample(r, &out)) << bad;
+    EXPECT_FALSE(decode_metric_sample(bad, &out)) << bad;
     AlertEvent aout;
-    EXPECT_FALSE(decode_alert_event(r, &aout)) << bad;
+    EXPECT_FALSE(decode_alert_event(bad, &aout)) << bad;
   }
   AlertEvent aout;
   EXPECT_FALSE(decode_alert_event(encoded, &aout));  // metric payload is not an alert
 }
 
-// Property test for the zero-copy write path: the staged selfobs
-// encoders must produce byte-identical key/payload to the Record
-// encoders for arbitrary samples — the golden-run invariant rests on
-// the two paths being indistinguishable on the wire.
-TEST(SelfObsCodecTest, StagedEncodersMatchRecordEncodersByteForByte) {
+// Pins the wire format: seeded metric samples and alert events, encoded
+// once, must hash to the digest of every (timestamp, key, payload)
+// recorded from the Record-building encoders these replaced — the
+// golden-run proof rests on the bytes not moving.
+TEST(SelfObsCodecTest, EncodersMatchRecordedDigests) {
   common::Rng rng(0x5e1f0b5);
   const auto random_value = [&rng]() {
     const double mant = static_cast<double>(rng.uniform_int(0, 1 << 30));
@@ -120,7 +132,6 @@ TEST(SelfObsCodecTest, StagedEncodersMatchRecordEncodersByteForByte) {
   };
 
   stream::BatchBuilder staged;
-  std::vector<stream::Record> want;
   for (int i = 0; i < 300; ++i) {
     const auto t = static_cast<TimePoint>(rng.uniform_int(0, 1 << 30));
     MetricSample s;
@@ -132,7 +143,6 @@ TEST(SelfObsCodecTest, StagedEncodersMatchRecordEncodersByteForByte) {
     s.value = random_value();
     s.delta = rng.bernoulli(0.2) ? 0.0 : random_value();
     s.count = rng.next();
-    want.push_back(encode_metric_sample(s, t));
     encode_metric_sample_into(s, t, staged);
 
     AlertEvent e;
@@ -140,21 +150,27 @@ TEST(SelfObsCodecTest, StagedEncodersMatchRecordEncodersByteForByte) {
     e.from = static_cast<SloState>(rng.uniform_index(3));
     e.to = static_cast<SloState>(rng.uniform_index(3));
     e.value = random_value();
-    want.push_back(encode_alert_event(e, t));
     encode_alert_event_into(e, t, staged);
   }
 
   std::vector<stream::EncodedRecord> got;
   staged.snapshot(got);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].timestamp, want[i].timestamp) << "record " << i;
-    EXPECT_EQ(got[i].key, want[i].key) << "record " << i;
-    EXPECT_EQ(got[i].payload, want[i].payload) << "record " << i;
-  }
+  ASSERT_EQ(got.size(), 600u);
+  oda::testing::WireDigest d;
+  for (const stream::EncodedRecord& r : got) d.add(r.timestamp, r.key, r.payload);
+  EXPECT_EQ(d.value(), 0x185674cb3cbfd545ull) << "digest 0x" << std::hex << d.value();
 }
 
 // --- the scraper ---------------------------------------------------------
+
+/// Owned copies of the records staged in `staged`, appended to `out`.
+void copy_staged(const stream::BatchBuilder& staged, std::vector<stream::Record>* out) {
+  std::vector<stream::EncodedRecord> got;
+  staged.snapshot(got);
+  for (const auto& r : got) {
+    out->push_back(stream::Record{r.timestamp, std::string(r.key), std::string(r.payload)});
+  }
+}
 
 // Capture obeying the StagedProduceFn contract: drain the builder on
 // success, materializing owned Records for comparison.
@@ -162,16 +178,8 @@ struct CapturedRecords {
   std::vector<stream::Record> all;
   StagedProduceFn fn() {
     return [this](stream::BatchBuilder& staged) {
-      std::vector<stream::EncodedRecord> got;
-      staged.snapshot(got);
-      for (const auto& r : got) {
-        stream::Record rec;
-        rec.timestamp = r.timestamp;
-        rec.key = std::string(r.key);
-        rec.payload = std::string(r.payload);
-        all.push_back(std::move(rec));
-      }
-      const std::size_t n = got.size();
+      const std::size_t n = staged.pending();
+      copy_staged(staged, &all);
       staged.clear();
       return n;
     };
@@ -188,11 +196,12 @@ void expect_same_records(const std::vector<stream::Record>& got,
   }
 }
 
-// The Scraper encodes straight into staging buffers; its record bytes
-// must be exactly what the Record-building reference encoders
-// (encode_metric_sample / encode_alert_event) produce for the samples a
-// delta-suppressing scrape of the same registry emits, in the same order
-// — including suppression of an unchanged series and alert forwarding.
+// The Scraper's record bytes must be exactly what the encoders
+// (encode_metric_sample_into / encode_alert_event_into, pinned by
+// SelfObsCodecTest.EncodersMatchRecordedDigests) produce for the samples a
+// reference delta-suppressing walk of the same registry emits, in the same
+// order — including suppression of an unchanged series and alert
+// forwarding.
 TEST(ScraperTest, StagedScraperMatchesLegacyByteForByte) {
   MetricsRegistry reg;
   SloBook book;
@@ -203,7 +212,7 @@ TEST(ScraperTest, StagedScraperMatchesLegacyByteForByte) {
   Scraper scraper(reg, metrics.fn(), alerts.fn());
   scraper.watch_slos(book);
 
-  std::vector<stream::Record> want_metrics;
+  stream::BatchBuilder want_metrics;
   std::map<std::string, std::pair<double, std::uint64_t>> last;  // reference delta baseline
   Counter* c = reg.counter("work.done");
   Gauge* g = reg.gauge("queue.depth");
@@ -218,22 +227,26 @@ TEST(ScraperTest, StagedScraperMatchesLegacyByteForByte) {
       const auto it = last.find(key);
       if (it != last.end() && it->second == std::make_pair(m.value, m.count)) continue;
       const double delta = it == last.end() ? 0.0 : m.value - it->second.first;
-      want_metrics.push_back(encode_metric_sample({key, m.kind, m.value, delta, m.count}, t));
+      encode_metric_sample_into({key, m.kind, m.value, delta, m.count}, t, want_metrics);
       last[key] = {m.value, m.count};
     }
     scraper.scrape(t);
   }
-  expect_same_records(metrics.all, want_metrics);
-  EXPECT_LT(want_metrics.size(), 10u);  // round 2 really suppressed the gauge
-  EXPECT_EQ(scraper.stats().samples_emitted, want_metrics.size());
+  std::vector<stream::Record> want;
+  copy_staged(want_metrics, &want);
+  expect_same_records(metrics.all, want);
+  EXPECT_LT(want.size(), 10u);  // round 2 really suppressed the gauge
+  EXPECT_EQ(scraper.stats().samples_emitted, want.size());
 
-  std::vector<stream::Record> want_alerts;
+  stream::BatchBuilder want_alerts;
   for (const auto& tr : book.all().front()->transitions()) {
-    want_alerts.push_back(encode_alert_event({"lag", tr.from, tr.to, tr.value}, tr.at));
+    encode_alert_event_into({"lag", tr.from, tr.to, tr.value}, tr.at, want_alerts);
   }
-  EXPECT_GT(want_alerts.size(), 0u);  // the SLO walk produced transitions
-  expect_same_records(alerts.all, want_alerts);
-  EXPECT_EQ(scraper.stats().alerts_emitted, want_alerts.size());
+  want.clear();
+  copy_staged(want_alerts, &want);
+  EXPECT_GT(want.size(), 0u);  // the SLO walk produced transitions
+  expect_same_records(alerts.all, want);
+  EXPECT_EQ(scraper.stats().alerts_emitted, want.size());
 }
 
 TEST(ScraperTest, DeltaEncodingSuppressesUnchangedSeries) {
@@ -246,7 +259,7 @@ TEST(ScraperTest, DeltaEncodingSuppressesUnchangedSeries) {
   EXPECT_EQ(scraper.scrape(0), 1u);
   ASSERT_EQ(metrics.all.size(), 1u);
   MetricSample s;
-  ASSERT_TRUE(decode_metric_sample(metrics.all[0], &s));
+  ASSERT_TRUE(decode_metric_sample(metrics.all[0].payload, &s));
   EXPECT_EQ(s.series, "work.done");
   EXPECT_EQ(s.value, 5.0);
   EXPECT_EQ(s.delta, 0.0);  // first emission has no baseline
@@ -254,7 +267,7 @@ TEST(ScraperTest, DeltaEncodingSuppressesUnchangedSeries) {
 
   c->inc(3);
   EXPECT_EQ(scraper.scrape(15 * kSecond), 1u);
-  ASSERT_TRUE(decode_metric_sample(metrics.all[1], &s));
+  ASSERT_TRUE(decode_metric_sample(metrics.all[1].payload, &s));
   EXPECT_EQ(s.value, 8.0);
   EXPECT_EQ(s.delta, 3.0);
   EXPECT_EQ(metrics.all[1].timestamp, 15 * kSecond);
@@ -301,7 +314,7 @@ TEST(ScraperTest, InternalTopicSeriesAreExcluded) {
   EXPECT_EQ(scraper.scrape(0), 1u);  // only the facility topic's series
   MetricSample s;
   ASSERT_EQ(metrics.all.size(), 1u);
-  ASSERT_TRUE(decode_metric_sample(metrics.all[0], &s));
+  ASSERT_TRUE(decode_metric_sample(metrics.all[0].payload, &s));
   EXPECT_NE(s.series.find("collect.power"), std::string::npos);
   EXPECT_EQ(scraper.stats().series_excluded, 1u);
 
@@ -326,7 +339,7 @@ TEST(ScraperTest, SloTransitionsForwardOnceEach) {
   scraper.scrape(15 * kSecond);
   ASSERT_EQ(alerts.all.size(), 1u);
   AlertEvent e;
-  ASSERT_TRUE(decode_alert_event(alerts.all[0], &e));
+  ASSERT_TRUE(decode_alert_event(alerts.all[0].payload, &e));
   EXPECT_EQ(e.slo, "lag");
   EXPECT_EQ(e.from, SloState::kHealthy);
   EXPECT_EQ(e.to, SloState::kDegraded);
@@ -341,7 +354,7 @@ TEST(ScraperTest, SloTransitionsForwardOnceEach) {
   book.update("lag", 1, 40 * kSecond);  // degraded → healthy
   scraper.scrape(45 * kSecond);
   ASSERT_EQ(alerts.all.size(), 2u);
-  ASSERT_TRUE(decode_alert_event(alerts.all[1], &e));
+  ASSERT_TRUE(decode_alert_event(alerts.all[1].payload, &e));
   EXPECT_EQ(e.to, SloState::kHealthy);
   EXPECT_EQ(scraper.stats().alerts_emitted, 2u);
 }
@@ -485,8 +498,10 @@ TEST(SelfTelemetryPipelineTest, PoisonRecordsAreCountedAndSkipped) {
   Counter* errors = default_registry().counter("selfobs.decode.errors");
   const double before = static_cast<double>(errors->value());
   auto metrics = broker.producer(stream::kMetricsTopic);
-  metrics.produce(stream::Record{0, "k", "this is not a metric sample"});
-  metrics.produce(encode_metric_sample({"ok", MetricKind::kGauge, 4.0, 0.0, 0}, kSecond));
+  stream::BatchBuilder staged;
+  staged.add(0, "k", "this is not a metric sample");
+  encode_metric_sample_into({"ok", MetricKind::kGauge, 4.0, 0.0, 0}, kSecond, staged);
+  metrics.produce_staged(staged);
   query->run_until_caught_up();
 
   EXPECT_EQ(static_cast<double>(errors->value()) - before, 1.0);

@@ -27,12 +27,12 @@ TEST(SoakTest, BrokerSustainsProducersConsumersAndRetention) {
   for (int tid = 0; tid < 3; ++tid) {
     producers.emplace_back([&, tid] {
       auto producer = broker.producer("soak");
-      stream::Record r;
-      r.payload.assign(64, 'x');
+      stream::BatchBuilder staged;
+      const std::string payload(64, 'x');
       for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-        r.timestamp = static_cast<common::TimePoint>(i) * kSecond;
-        r.key = "k" + std::to_string(tid * 1000 + i % 97);
-        producer.produce(r);
+        staged.add(static_cast<common::TimePoint>(i) * kSecond,
+                   "k" + std::to_string(tid * 1000 + i % 97), payload);
+        producer.produce_staged(staged);
         produced.fetch_add(1, std::memory_order_relaxed);
       }
     });

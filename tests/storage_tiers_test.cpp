@@ -295,13 +295,9 @@ TEST(TierManagerTest, ReportCoversAllFourTiers) {
 TEST(TierManagerTest, StreamRetentionAppliedThroughTierPolicy) {
   stream::Broker broker;
   broker.create_topic("t", {1, 256, {365 * kDay, -1}});  // generous topic default
-  auto producer = broker.producer("t");
-  for (int i = 0; i < 200; ++i) {
-    stream::Record r;
-    r.timestamp = i * kSecond;
-    r.payload.assign(16, 'x');
-    producer.produce(std::move(r));
-  }
+  stream::BatchBuilder staged;
+  for (int i = 0; i < 200; ++i) staged.add(i * kSecond, "", std::string(16, 'x'));
+  broker.producer("t").produce_staged(staged);
   TimeSeriesDb lake;
   ObjectStore ocean;
   TapeArchive glacier;

@@ -21,10 +21,26 @@ Record make_record(common::TimePoint t, const std::string& key = "", std::size_t
   return r;
 }
 
+/// Append one record as a batch of its own; returns its offset.
+std::int64_t append_one(Partition& p, const Record& r) {
+  const EncodedRecord e{r.timestamp, 0, 0, r.key, r.payload};
+  return p.append_encoded_batch(std::span<const EncodedRecord>(&e, 1));
+}
+
+/// Flush one record on its own: one fault-seam visit, one rr draw if keyless.
+std::size_t produce_one(Topic& t, const Record& r) {
+  BatchBuilder staged(256);
+  staged.add(r.timestamp, r.key, r.payload);
+  return t.produce_staged(staged);
+}
+std::size_t produce_one(Producer& producer, const Record& r) {
+  return produce_one(producer.topic(), r);
+}
+
 TEST(PartitionTest, AppendAssignsSequentialOffsets) {
   Partition p;
-  EXPECT_EQ(p.append(make_record(1)), 0);
-  EXPECT_EQ(p.append(make_record(2)), 1);
+  EXPECT_EQ(append_one(p, make_record(1)), 0);
+  EXPECT_EQ(append_one(p, make_record(2)), 1);
   EXPECT_EQ(p.end_offset(), 2);
   EXPECT_EQ(p.start_offset(), 0);
   EXPECT_EQ(p.record_count(), 2u);
@@ -32,7 +48,7 @@ TEST(PartitionTest, AppendAssignsSequentialOffsets) {
 
 TEST(PartitionTest, FetchFromOffsetAndLimit) {
   Partition p;
-  for (int i = 0; i < 10; ++i) p.append(make_record(i));
+  for (int i = 0; i < 10; ++i) append_one(p, make_record(i));
   std::vector<StoredRecord> out;
   const std::int64_t next = p.fetch_copy(3, 4, out);
   EXPECT_EQ(next, 7);
@@ -43,7 +59,7 @@ TEST(PartitionTest, FetchFromOffsetAndLimit) {
 
 TEST(PartitionTest, FetchPastEndReturnsNothing) {
   Partition p;
-  p.append(make_record(1));
+  append_one(p, make_record(1));
   std::vector<StoredRecord> out;
   EXPECT_EQ(p.fetch_copy(5, 10, out), 1);
   EXPECT_TRUE(out.empty());
@@ -51,7 +67,7 @@ TEST(PartitionTest, FetchPastEndReturnsNothing) {
 
 TEST(PartitionTest, OffsetForTime) {
   Partition p;
-  for (int i = 0; i < 10; ++i) p.append(make_record(i * 100));
+  for (int i = 0; i < 10; ++i) append_one(p, make_record(i * 100));
   EXPECT_EQ(p.offset_for_time(0), 0);
   EXPECT_EQ(p.offset_for_time(250), 3);
   EXPECT_EQ(p.offset_for_time(900), 9);
@@ -60,7 +76,7 @@ TEST(PartitionTest, OffsetForTime) {
 
 TEST(PartitionTest, RetentionByAgeDropsWholeSegmentsOnly) {
   Partition p(/*segment_bytes=*/200);  // ~5 records per segment
-  for (int i = 0; i < 50; ++i) p.append(make_record(i * common::kSecond));
+  for (int i = 0; i < 50; ++i) append_one(p, make_record(i * common::kSecond));
   const std::size_t evicted = p.enforce_retention({10 * common::kSecond, -1}, 60 * common::kSecond);
   EXPECT_GT(evicted, 0u);
   EXPECT_GT(p.start_offset(), 0);
@@ -73,7 +89,7 @@ TEST(PartitionTest, RetentionByAgeDropsWholeSegmentsOnly) {
 
 TEST(PartitionTest, RetentionBySizeKeepsActiveSegment) {
   Partition p(200);
-  for (int i = 0; i < 100; ++i) p.append(make_record(i));
+  for (int i = 0; i < 100; ++i) append_one(p, make_record(i));
   p.enforce_retention({0, 400}, 1000);
   EXPECT_LE(p.size_bytes(), 800u);  // bounded (granularity = segment)
   EXPECT_GT(p.record_count(), 0u);  // active segment never evicted
@@ -81,7 +97,7 @@ TEST(PartitionTest, RetentionBySizeKeepsActiveSegment) {
 
 TEST(PartitionTest, FetchSnapsForwardAfterEviction) {
   Partition p(200);
-  for (int i = 0; i < 50; ++i) p.append(make_record(i * common::kSecond));
+  for (int i = 0; i < 50; ++i) append_one(p, make_record(i * common::kSecond));
   p.enforce_retention({5 * common::kSecond, -1}, 100 * common::kSecond);
   std::vector<StoredRecord> out;
   p.fetch_copy(0, 5, out);  // offset 0 evicted
@@ -93,7 +109,7 @@ TEST(PartitionTest, FetchSnapsForwardAfterEviction) {
 
 TEST(PartitionViewTest, FetchViewMatchesFetchByteForByte) {
   Partition p(256);  // several segments
-  for (int i = 0; i < 40; ++i) p.append(make_record(i, "key" + std::to_string(i % 3), 24));
+  for (int i = 0; i < 40; ++i) append_one(p, make_record(i, "key" + std::to_string(i % 3), 24));
   std::vector<StoredRecord> owned;
   const std::int64_t next_owned = p.fetch_copy(5, 20, owned);
   FetchView views;
@@ -121,7 +137,7 @@ TEST(PartitionViewTest, PinnedViewSurvivesSegmentEviction) {
     Record r = make_record(i * common::kSecond, "host" + std::to_string(i % 4));
     r.payload = "payload-" + std::to_string(i);
     originals.push_back(r);
-    p.append(std::move(r));
+    append_one(p, std::move(r));
   }
   FetchView v;
   p.fetch_view(0, 10, v);
@@ -142,7 +158,7 @@ TEST(PartitionViewTest, ViewsOutliveThePartition) {
     Partition p;
     Record r = make_record(7, "node42");
     r.payload = "the payload";
-    p.append(std::move(r));
+    append_one(p, std::move(r));
     p.fetch_view(0, 10, v);
   }  // partition (segments, key dictionary) now only owned via the pins
   ASSERT_EQ(v.size(), 1u);
@@ -152,7 +168,7 @@ TEST(PartitionViewTest, ViewsOutliveThePartition) {
 
 TEST(PartitionViewTest, RepeatedKeysShareDictionaryStorage) {
   Partition p(128);  // several segments, one interned key
-  for (int i = 0; i < 30; ++i) p.append(make_record(i, "shared-host", 8));
+  for (int i = 0; i < 30; ++i) append_one(p, make_record(i, "shared-host", 8));
   FetchView v;
   p.fetch_view(0, 30, v);
   ASSERT_GE(v.size(), 2u);
@@ -164,7 +180,7 @@ TEST(PartitionViewTest, KeyDictionaryCapsAndInlinesOverflowKeys) {
   Partition p(/*segment_bytes=*/8192);  // many segments across the fill
   // Fill the dictionary to its cap with distinct keys.
   for (std::size_t i = 0; i < Partition::kMaxDictKeys; ++i) {
-    p.append(make_record(static_cast<common::TimePoint>(i), "k" + std::to_string(i), 4));
+    append_one(p, make_record(static_cast<common::TimePoint>(i), "k" + std::to_string(i), 4));
   }
   EXPECT_EQ(p.key_dict_size(), Partition::kMaxDictKeys);
   // Past the cap: new keys are not interned (no unbounded dictionary
@@ -173,7 +189,7 @@ TEST(PartitionViewTest, KeyDictionaryCapsAndInlinesOverflowKeys) {
   for (int i = 0; i < 10; ++i) {
     Record r = make_record(1000000 + i, "overflow-key-" + std::to_string(i));
     r.payload = "overflow-payload-" + std::to_string(i);
-    p.append(std::move(r));
+    append_one(p, std::move(r));
   }
   EXPECT_EQ(p.key_dict_size(), Partition::kMaxDictKeys);
   EXPECT_EQ(p.record_count(), Partition::kMaxDictKeys + 10);
@@ -199,7 +215,7 @@ TEST(PartitionViewTest, KeyDictionaryCapsAndInlinesOverflowKeys) {
   // their segment exactly like interned-key views do. Big keyless records
   // first roll the log past the overflow segment (the active segment is
   // never evicted).
-  for (int i = 0; i < 3; ++i) p.append(make_record(1000100 + i, "", 6000));
+  for (int i = 0; i < 3; ++i) append_one(p, make_record(1000100 + i, "", 6000));
   p.enforce_retention({/*max_age=*/1, /*max_bytes=*/-1},
                       /*now=*/2000000 + Partition::kMaxDictKeys);
   EXPECT_GT(p.start_offset(), first_overflow);
@@ -211,7 +227,7 @@ TEST(PartitionViewTest, KeyDictionaryCapsAndInlinesOverflowKeys) {
 
 TEST(PartitionViewTest, ZeroBudgetAndAtEndFetchesAreFree) {
   Partition p;
-  for (int i = 0; i < 5; ++i) p.append(make_record(i));
+  for (int i = 0; i < 5; ++i) append_one(p, make_record(i));
   FetchView v;
   // Zero budget: nothing fetched, no pins taken, offset handed back.
   EXPECT_EQ(p.fetch_view(2, 0, v), 2);
@@ -245,7 +261,7 @@ TEST(TopicTest, EmptyPollLeavesFetchCountersUntouched) {
   auto producer = b.producer("t");
   Record r = make_record(1, "k");
   const std::size_t wire = r.wire_size();
-  producer.produce(std::move(r));
+  produce_one(producer, std::move(r));
   EXPECT_TRUE(c.poll(0).empty());  // zero-budget poll: still free
   EXPECT_EQ(b.topic("t").stats().fetched_records, 0u);
   EXPECT_EQ(c.poll(10).size(), 1u);
@@ -256,8 +272,8 @@ TEST(TopicTest, EmptyPollLeavesFetchCountersUntouched) {
 
 TEST(TopicTest, KeyHashingIsStable) {
   Topic t("x", {4, 1 << 20, {}});
-  t.produce(make_record(1, "nodeA"));
-  t.produce(make_record(2, "nodeA"));
+  produce_one(t, make_record(1, "nodeA"));
+  produce_one(t, make_record(2, "nodeA"));
   // Both must land in the same partition.
   std::size_t with_data = 0;
   for (std::size_t p = 0; p < t.num_partitions(); ++p) {
@@ -271,13 +287,13 @@ TEST(TopicTest, KeyHashingIsStable) {
 
 TEST(TopicTest, EmptyKeyRoundRobins) {
   Topic t("x", {4, 1 << 20, {}});
-  for (int i = 0; i < 8; ++i) t.produce(make_record(i));
+  for (int i = 0; i < 8; ++i) produce_one(t, make_record(i));
   for (std::size_t p = 0; p < 4; ++p) EXPECT_EQ(t.partition(p).record_count(), 2u);
 }
 
 TEST(TopicTest, StatsTrackProducedAndRetained) {
   Topic t("x", {2, 1 << 20, {}});
-  for (int i = 0; i < 10; ++i) t.produce(make_record(i, "k" + std::to_string(i)));
+  for (int i = 0; i < 10; ++i) produce_one(t, make_record(i, "k" + std::to_string(i)));
   const auto s = t.stats();
   EXPECT_EQ(s.produced_records, 10u);
   EXPECT_EQ(s.retained_records, 10u);
@@ -300,7 +316,7 @@ TEST(ConsumerTest, PollsAllRecordsAcrossPartitions) {
   Broker b;
   b.create_topic("t", {4, 1 << 20, {}});
   auto producer = b.producer("t");
-  for (int i = 0; i < 100; ++i) producer.produce(make_record(i, "k" + std::to_string(i)));
+  for (int i = 0; i < 100; ++i) produce_one(producer, make_record(i, "k" + std::to_string(i)));
   Consumer c(b, "g", "t");
   std::size_t total = 0;
   for (;;) {
@@ -316,7 +332,7 @@ TEST(ConsumerTest, CommitAndResumeFromCommitted) {
   Broker b;
   b.create_topic("t", {2, 1 << 20, {}});
   auto producer = b.producer("t");
-  for (int i = 0; i < 20; ++i) producer.produce(make_record(i, "k" + std::to_string(i)));
+  for (int i = 0; i < 20; ++i) produce_one(producer, make_record(i, "k" + std::to_string(i)));
 
   Consumer c1(b, "g", "t");
   const auto first = c1.poll(10);
@@ -339,7 +355,7 @@ TEST(ConsumerTest, IndependentGroupsSeeFullStream) {
   Broker b;
   b.create_topic("t", {2, 1 << 20, {}});
   auto producer = b.producer("t");
-  for (int i = 0; i < 30; ++i) producer.produce(make_record(i));
+  for (int i = 0; i < 30; ++i) produce_one(producer, make_record(i));
   Consumer a(b, "groupA", "t"), c(b, "groupB", "t");
   EXPECT_EQ(a.poll(100).size(), 30u);
   EXPECT_EQ(c.poll(100).size(), 30u);  // fan-out: each group gets everything
@@ -349,7 +365,7 @@ TEST(ConsumerTest, SeekToTime) {
   Broker b;
   b.create_topic("t", {1, 1 << 20, {}});
   auto producer = b.producer("t");
-  for (int i = 0; i < 10; ++i) producer.produce(make_record(i * common::kMinute));
+  for (int i = 0; i < 10; ++i) produce_one(producer, make_record(i * common::kMinute));
   Consumer c(b, "g", "t");
   c.seek_to_time(5 * common::kMinute);
   const auto batch = c.poll(100);
@@ -361,7 +377,7 @@ TEST(BrokerTest, LagAccountsCommittedOffsets) {
   Broker b;
   b.create_topic("t", {2, 1 << 20, {}});
   auto producer = b.producer("t");
-  for (int i = 0; i < 10; ++i) producer.produce(make_record(i));
+  for (int i = 0; i < 10; ++i) produce_one(producer, make_record(i));
   EXPECT_EQ(b.lag("g", "t"), 10);
   Consumer c(b, "g", "t");
   (void)c.poll(4);
@@ -376,8 +392,8 @@ TEST(BrokerTest, RetentionAllTopics) {
   auto pa = b.producer("a");
   auto px = b.producer("x");
   for (int i = 0; i < 100; ++i) {
-    pa.produce(make_record(i * common::kSecond));
-    px.produce(make_record(i * common::kSecond));
+    produce_one(pa, make_record(i * common::kSecond));
+    produce_one(px, make_record(i * common::kSecond));
   }
   b.set_retention_all({10 * common::kSecond, -1});
   const std::size_t evicted = b.enforce_retention(200 * common::kSecond);
@@ -393,7 +409,7 @@ TEST(BrokerTest, ConcurrentProducersAndConsumer) {
     producers.emplace_back([&b, tid] {
       auto producer = b.producer("t");
       for (int i = 0; i < kPerThread; ++i) {
-        producer.produce(make_record(i, "t" + std::to_string(tid) + "_" + std::to_string(i)));
+        produce_one(producer, make_record(i, "t" + std::to_string(tid) + "_" + std::to_string(i)));
       }
     });
   }
@@ -423,22 +439,23 @@ TEST(TopicConfigTest, ValidateRejectsNonsense) {
 }
 
 TEST(TopicTest, ProduceBatchMatchesSequentialProduce) {
-  // Same records through produce() one-by-one and through produce_batch()
-  // must land on the same partitions at the same offsets — batching is a
-  // locking optimization, not a placement change.
+  // Same records flushed as one batch and one per flush must land on the
+  // same partitions at the same offsets — batching is a locking
+  // optimization, not a placement change.
   Broker seq_broker;
   Broker batch_broker;
   auto& seq_topic = seq_broker.create_topic("t", TopicConfig{}.with_partitions(4));
   auto& batch_topic = batch_broker.create_topic("t", TopicConfig{}.with_partitions(4));
 
-  std::vector<Record> batch;
+  BatchBuilder batch;
   for (std::size_t i = 0; i < 200; ++i) {
     // Mix keyed (hash placement) and keyless (round-robin placement).
     const std::string key = i % 3 == 0 ? "" : "k" + std::to_string(i % 7);
-    seq_topic.produce(make_record(static_cast<common::TimePoint>(i), key));
-    batch.push_back(make_record(static_cast<common::TimePoint>(i), key));
+    const Record r = make_record(static_cast<common::TimePoint>(i), key);
+    EXPECT_EQ(produce_one(seq_topic, r), 1u);
+    batch.add(r.timestamp, r.key, r.payload);
   }
-  EXPECT_EQ(batch_topic.produce_batch(std::move(batch)), 200u);
+  EXPECT_EQ(batch_topic.produce_staged(batch), 200u);
 
   EXPECT_EQ(seq_topic.stats().produced_records, batch_topic.stats().produced_records);
   EXPECT_EQ(seq_topic.stats().produced_bytes, batch_topic.stats().produced_bytes);
@@ -457,15 +474,16 @@ TEST(TopicTest, ProduceBatchMatchesSequentialProduce) {
 }
 
 TEST(TopicTest, ProduceBatchInterleavesWithSingleProduce) {
-  // The shared round-robin cursor keeps mixed traffic balanced: batch
-  // then singles must cover partitions exactly like all-singles would.
+  // The shared round-robin cursor keeps mixed traffic balanced: a batch
+  // flush then one-record flushes must cover partitions exactly like
+  // all one-record flushes would.
   Broker b;
   auto& topic = b.create_topic("t", TopicConfig{}.with_partitions(4));
-  std::vector<Record> batch;
-  for (std::size_t i = 0; i < 6; ++i) batch.push_back(make_record(1));
-  topic.produce_batch(std::move(batch));  // keyless: rr 0..5
-  topic.produce(make_record(1));          // keyless: rr 6
-  topic.produce(make_record(1));          // keyless: rr 7
+  BatchBuilder batch;
+  for (std::size_t i = 0; i < 6; ++i) batch.add(1, "", "x");
+  EXPECT_EQ(topic.produce_staged(batch), 6u);  // keyless: rr 0..5
+  produce_one(topic, make_record(1));          // keyless: rr 6
+  produce_one(topic, make_record(1));          // keyless: rr 7
   for (std::size_t p = 0; p < 4; ++p) {
     EXPECT_EQ(topic.partition(p).record_count(), 2u) << "partition " << p;
   }
@@ -476,50 +494,61 @@ TEST(ProducerTest, CachedHandleProducesAndBatches) {
   b.create_topic("t", TopicConfig{}.with_partitions(2));
   Producer producer = b.producer("t");
   EXPECT_EQ(producer.topic_name(), "t");
-  producer.produce(make_record(1, "k"));
-  std::vector<Record> batch;
-  batch.push_back(make_record(2, "k"));
-  batch.push_back(make_record(3, "k"));
-  EXPECT_EQ(producer.produce_batch(std::move(batch)), 2u);
+  BatchBuilder staged;
+  staged.add(1, "k", "x");
+  EXPECT_EQ(producer.produce_staged(staged), 1u);
+  staged.add(2, "k", "y");
+  staged.add(3, "k", "z");
+  EXPECT_EQ(producer.produce_staged(staged), 2u);
   EXPECT_EQ(b.topic("t").stats().produced_records, 3u);
   // Unknown topics still fail fast at handle resolution.
   EXPECT_THROW(b.producer("missing"), std::out_of_range);
 }
 
 TEST(StagedProduceTest, MatchesProduceBatchByteForByte) {
-  // The zero-copy staged flush must be indistinguishable from the owned-
-  // Record batch: same partition placement, same offsets, same bytes.
-  Broker batch_broker;
-  Broker staged_broker;
-  auto& batch_topic = batch_broker.create_topic("t", TopicConfig{}.with_partitions(4));
-  auto& staged_topic = staged_broker.create_topic("t", TopicConfig{}.with_partitions(4));
-
+  // Staged flushes store byte for byte the owned Records they were
+  // staged from, and every record lands where the placement rule puts
+  // it, whatever the flush boundaries: a keyed record on
+  // fnv1a(key) % partitions, a
+  // keyless one on the topic's shared round-robin cursor, which each flush
+  // advances by its keyless count. Within a partition, offsets are dense
+  // and follow staging order, and the bytes land unchanged.
+  constexpr std::size_t kPartitions = 4;
+  Broker b;
+  auto& topic = b.create_topic("t", TopicConfig{}.with_partitions(kPartitions));
   common::Rng rng(0x57a6ed);
-  std::vector<Record> batch;
-  BatchBuilder staging;
-  for (std::size_t i = 0; i < 300; ++i) {
-    const std::string key = i % 3 == 0 ? "" : "k" + std::to_string(rng.uniform_index(7));
-    std::string payload(rng.uniform_index(64) + 1, 'a');
-    for (char& c : payload) c = static_cast<char>('a' + rng.uniform_index(26));
-    batch.push_back(Record{static_cast<common::TimePoint>(i), key, payload});
-    staging.add(static_cast<common::TimePoint>(i), key, payload);
+  BatchBuilder staged;
+  std::vector<std::vector<Record>> want(kPartitions);
+  std::uint64_t rr = 0;
+  std::uint64_t wire = 0;
+  std::size_t total = 0;
+  // One-record flushes between batches, and an empty flush.
+  for (const std::size_t n : {6, 1, 1, 200, 0, 1, 37, 2, 1}) {
+    for (std::size_t i = 0; i < n; ++i, ++total) {
+      const std::string key = total % 3 == 0 ? "" : "k" + std::to_string(rng.uniform_index(7));
+      std::string payload(rng.uniform_index(64) + 1, 'a');
+      for (char& c : payload) c = static_cast<char>('a' + rng.uniform_index(26));
+      const auto ts = static_cast<common::TimePoint>(total);
+      staged.add(ts, key, payload);
+      const std::size_t p = key.empty() ? rr++ % kPartitions : common::fnv1a(key) % kPartitions;
+      want[p].push_back(Record{ts, key, payload});
+      wire += want[p].back().wire_size();
+    }
+    EXPECT_EQ(topic.produce_staged(staged), n);
+    EXPECT_TRUE(staged.empty());  // consumed on success
   }
-  EXPECT_EQ(batch_topic.produce_batch(std::move(batch)), 300u);
-  EXPECT_EQ(staged_topic.produce_staged(staging), 300u);
-  EXPECT_TRUE(staging.empty());  // consumed on success
 
-  EXPECT_EQ(batch_topic.stats().produced_records, staged_topic.stats().produced_records);
-  EXPECT_EQ(batch_topic.stats().produced_bytes, staged_topic.stats().produced_bytes);
-  for (std::size_t p = 0; p < 4; ++p) {
-    std::vector<StoredRecord> a, b;
-    batch_topic.partition(p).fetch_copy(0, 1000, a);
-    staged_topic.partition(p).fetch_copy(0, 1000, b);
-    ASSERT_EQ(a.size(), b.size()) << "partition " << p;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].offset, b[i].offset);
-      EXPECT_EQ(a[i].record.timestamp, b[i].record.timestamp);
-      EXPECT_EQ(a[i].record.key, b[i].record.key);
-      EXPECT_EQ(a[i].record.payload, b[i].record.payload);
+  EXPECT_EQ(topic.stats().produced_records, total);
+  EXPECT_EQ(topic.stats().produced_bytes, wire);
+  for (std::size_t p = 0; p < kPartitions; ++p) {
+    FetchView got;
+    topic.partition(p).fetch_view(0, total, got);
+    ASSERT_EQ(got.size(), want[p].size()) << "partition " << p;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].offset, static_cast<std::int64_t>(i)) << "partition " << p;
+      EXPECT_EQ(got[i].timestamp, want[p][i].timestamp);
+      EXPECT_EQ(got[i].key, want[p][i].key);
+      EXPECT_EQ(got[i].payload, want[p][i].payload);
     }
   }
 }
@@ -568,7 +597,9 @@ TEST(StagedProduceTest, EncodedBatchRoundTripsAcrossTheDictionaryCap) {
                      static_cast<char>('a' + rng.uniform_index(26)));
     originals.push_back(std::move(r));
   }
-  for (const Record& r : originals) encoded.push_back(as_encoded(r));
+  for (const Record& r : originals) {
+    encoded.push_back(EncodedRecord{r.timestamp, 0, 0, r.key, r.payload});
+  }
   // Split into uneven batches, including empty ones.
   std::size_t at = 0;
   std::int64_t expect_first = 0;
@@ -607,11 +638,9 @@ TEST(StagedProduceTest, EmptyBatchesAndFlushesAreNoOps) {
   Broker b;
   auto& topic = b.create_topic("t", TopicConfig{}.with_partitions(2));
   Producer producer = b.producer("t");
-  EXPECT_EQ(producer.flush(), 0u);  // nothing staged, no builder yet
   BatchBuilder empty;
+  EXPECT_EQ(producer.produce_staged(empty), 0u);
   EXPECT_EQ(topic.produce_staged(empty), 0u);
-  std::vector<Record> no_records;
-  EXPECT_EQ(topic.produce_batch(std::move(no_records)), 0u);
   Partition part;
   EXPECT_EQ(part.append_encoded_batch({}), 0);
   EXPECT_EQ(topic.stats().produced_records, 0u);
@@ -619,15 +648,16 @@ TEST(StagedProduceTest, EmptyBatchesAndFlushesAreNoOps) {
 }
 
 TEST(StagedProduceTest, ProducerStagingFlushInterleavesWithRoundRobin) {
-  // Staged keyless records draw from the SAME shared rr cursor as
-  // produce(), so mixed staged/single traffic stays balanced.
+  // A batch's keyless records and one-record flushes draw from the SAME
+  // shared rr cursor, so mixed batch/single traffic stays balanced.
   Broker b;
   auto& topic = b.create_topic("t", TopicConfig{}.with_partitions(4));
   Producer producer = b.producer("t");
-  for (std::size_t i = 0; i < 6; ++i) producer.staging().add(1, "", "x");
-  EXPECT_EQ(producer.flush(), 6u);  // keyless: rr 0..5
-  producer.produce(make_record(1));  // rr 6
-  producer.produce(make_record(1));  // rr 7
+  BatchBuilder staged;
+  for (std::size_t i = 0; i < 6; ++i) staged.add(1, "", "x");
+  EXPECT_EQ(producer.produce_staged(staged), 6u);  // keyless: rr 0..5
+  produce_one(producer, make_record(1));  // rr 6
+  produce_one(producer, make_record(1));  // rr 7
   for (std::size_t p = 0; p < 4; ++p) {
     EXPECT_EQ(topic.partition(p).record_count(), 2u) << "partition " << p;
   }
@@ -639,13 +669,14 @@ TEST(StagedProduceTest, BuilderCapacityIsReusedAcrossFlushes) {
   Broker b;
   b.create_topic("t", TopicConfig{}.with_partitions(2));
   Producer producer = b.producer("t");
-  BatchBuilder& staging = producer.staging();
+  BatchBuilder staging;
   for (int round = 0; round < 3; ++round) {
     for (std::size_t i = 0; i < 100; ++i) {
       staging.add(static_cast<common::TimePoint>(i), "k", "0123456789abcdef");
     }
     EXPECT_EQ(staging.pending(), 100u);
-    EXPECT_EQ(producer.flush(), 100u);
+    EXPECT_EQ(staging.wire_bytes(), 100u * (1 + 16 + 24));
+    EXPECT_EQ(producer.produce_staged(staging), 100u);
     EXPECT_TRUE(staging.empty());
     EXPECT_EQ(staging.pending_bytes(), 0u);
   }
@@ -656,7 +687,7 @@ TEST(SubscriptionTest, ConsumerAndGroupMemberShareTheInterface) {
   Broker b;
   b.create_topic("t", TopicConfig{}.with_partitions(2));
   auto producer = b.producer("t");
-  for (std::size_t i = 0; i < 10; ++i) producer.produce(make_record(1, "k" + std::to_string(i)));
+  for (std::size_t i = 0; i < 10; ++i) produce_one(producer, make_record(1, "k" + std::to_string(i)));
 
   // Both concrete readers drain the topic through the same polling API.
   const auto drain = [](auto& sub) {

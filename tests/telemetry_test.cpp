@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "telemetry/events.hpp"
 #include "telemetry/simulator.hpp"
+#include "wire_digest.hpp"
 
 namespace oda::telemetry {
 namespace {
@@ -14,6 +18,24 @@ namespace {
 using common::kHour;
 using common::kMinute;
 using common::kSecond;
+
+/// The records staged in `staged`, as borrowed views.
+std::vector<stream::EncodedRecord> staged_records(const stream::BatchBuilder& staged) {
+  std::vector<stream::EncodedRecord> out;
+  staged.snapshot(out);
+  return out;
+}
+
+/// Owned copies of the staged records, numbered from offset 0 — the
+/// input packets_to_bronze sees through as_views.
+std::vector<stream::StoredRecord> stored_records(const stream::BatchBuilder& staged) {
+  std::vector<stream::StoredRecord> out;
+  for (const stream::EncodedRecord& r : staged_records(staged)) {
+    out.push_back({static_cast<std::int64_t>(out.size()),
+                   stream::Record{r.timestamp, std::string(r.key), std::string(r.payload)}});
+  }
+  return out;
+}
 
 TEST(SpecTest, FullScaleSystems) {
   const auto m = mountain_spec();
@@ -248,10 +270,13 @@ TEST(CodecTest, PacketRoundTrip) {
   pkt.node_id = 77;
   pkt.readings = {{SensorId{ComponentKind::kGpu, 2, SensorKind::kPowerW}.encode(), 281.5},
                   {SensorId{ComponentKind::kNode, 0, SensorKind::kTempC}.encode(), 24.25}};
-  const auto rec = encode_packet(pkt);
-  EXPECT_EQ(rec.key, "n77");
-  EXPECT_EQ(rec.timestamp, pkt.timestamp);
-  const auto back = decode_packet(rec);
+  stream::BatchBuilder staged;
+  encode_packet_into(pkt, staged);
+  const auto recs = staged_records(staged);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].key, "n77");
+  EXPECT_EQ(recs[0].timestamp, pkt.timestamp);
+  const auto back = decode_packet(recs[0].payload);
   EXPECT_EQ(back.timestamp, pkt.timestamp);
   EXPECT_EQ(back.node_id, 77u);
   ASSERT_EQ(back.readings.size(), 2u);
@@ -263,7 +288,9 @@ TEST(CodecTest, PacketsToBronzeLongFormat) {
   pkt.timestamp = kSecond;
   pkt.node_id = 3;
   pkt.readings = {{SensorId{ComponentKind::kCpu, 0, SensorKind::kPowerW}.encode(), 150.0}};
-  std::vector<stream::StoredRecord> records{{0, encode_packet(pkt)}};
+  stream::BatchBuilder staged;
+  encode_packet_into(pkt, staged);
+  const auto records = stored_records(staged);
   const auto bronze = packets_to_bronze(stream::as_views(records));
   ASSERT_EQ(bronze.num_rows(), 1u);
   EXPECT_EQ(bronze.column("sensor").str_at(0), "cpu0.power_w");
@@ -289,11 +316,12 @@ TEST(CodecTest, BronzeBuilderSameTableFromPacketsAndPayloads) {
     }
   }
   BronzeBuilder builder;
-  std::vector<stream::StoredRecord> records;
+  stream::BatchBuilder staged;
   for (const auto& pkt : packets) {
     builder.add(pkt);
-    records.push_back({static_cast<std::int64_t>(records.size()), encode_packet(pkt)});
+    encode_packet_into(pkt, staged);
   }
+  const auto records = stored_records(staged);
   const sql::Table from_packets = builder.finish();
   const sql::Table from_payloads = packets_to_bronze(stream::as_views(records));
   EXPECT_EQ(from_packets.schema(), bronze_schema());
@@ -312,29 +340,40 @@ TEST(CodecTest, LogEventRoundTrip) {
   ev.severity = Severity::kCritical;
   ev.subsystem = "gpu-xid";
   ev.message = "xid 63";
-  const LogEvent back = decode_log_event(encode_log_event(ev));
+  stream::BatchBuilder staged;
+  encode_log_event_into(ev, staged);
+  const auto recs = staged_records(staged);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].key, "n5");
+  const LogEvent back = decode_log_event(recs[0].payload);
   EXPECT_EQ(back.timestamp, ev.timestamp);
   EXPECT_EQ(back.severity, Severity::kCritical);
   EXPECT_EQ(back.subsystem, "gpu-xid");
   EXPECT_EQ(back.message, "xid 63");
 }
 
-// Property test for the zero-copy write path: every `_into` encoder must
-// produce byte-identical key and payload to its Record-materializing
-// twin — golden runs depend on the two paths being indistinguishable.
-TEST(CodecTest, StagedEncodersMatchRecordEncodersByteForByte) {
+/// Random doubles spanning signs, magnitudes and exponents.
+double random_value(common::Rng& rng) {
+  const double mant = static_cast<double>(rng.uniform_int(0, 1 << 30));
+  const double v = std::ldexp(mant, static_cast<int>(rng.uniform_int(-40, 40)));
+  return rng.bernoulli(0.5) ? -v : v;
+}
+
+std::uint64_t digest_of(const stream::BatchBuilder& staged) {
+  oda::testing::WireDigest d;
+  for (const stream::EncodedRecord& r : staged_records(staged)) d.add(r.timestamp, r.key, r.payload);
+  return d.value();
+}
+
+// Pins the wire format: seeded packets, scheduler events and log events,
+// encoded once, must hash to the digest of every (timestamp, key, payload)
+// recorded from the Record-building encoders these replaced.
+TEST(CodecTest, EncodersMatchRecordedDigests) {
   common::Rng rng(0xc0dec);
-  // Random doubles spanning signs, magnitudes and exponents.
-  const auto random_value = [&rng]() {
-    const double mant = static_cast<double>(rng.uniform_int(0, 1 << 30));
-    const double v = std::ldexp(mant, static_cast<int>(rng.uniform_int(-40, 40)));
-    return rng.bernoulli(0.5) ? -v : v;
-  };
   const char* subsystems[] = {"lustre", "slingshot", "gpu-xid", "kernel", ""};
   const char* projects[] = {"AST051", "CHM027", "", "FUS112"};
 
   stream::BatchBuilder staged;
-  std::vector<stream::Record> want;
   for (int i = 0; i < 200; ++i) {
     TelemetryPacket pkt;
     pkt.timestamp = static_cast<common::TimePoint>(rng.uniform_int(0, 1 << 30));
@@ -342,9 +381,8 @@ TEST(CodecTest, StagedEncodersMatchRecordEncodersByteForByte) {
     const std::size_t readings = rng.uniform_index(6);  // includes empty packets
     for (std::size_t s = 0; s < readings; ++s) {
       pkt.readings.push_back(
-          {static_cast<std::uint16_t>(rng.uniform_index(1 << 16)), random_value()});
+          {static_cast<std::uint16_t>(rng.uniform_index(1 << 16)), random_value(rng)});
     }
-    want.push_back(encode_packet(pkt));
     encode_packet_into(pkt, staged);
 
     Job job;
@@ -358,7 +396,6 @@ TEST(CodecTest, StagedEncodersMatchRecordEncodersByteForByte) {
     ev.kind = static_cast<JobScheduler::EventKind>(rng.uniform_index(3));
     ev.time = static_cast<common::TimePoint>(rng.uniform_int(0, 1 << 30));
     ev.job_id = job.job_id;
-    want.push_back(encode_job_event(ev, job));
     encode_job_event_into(ev, job, staged);
 
     LogEvent log;
@@ -367,18 +404,58 @@ TEST(CodecTest, StagedEncodersMatchRecordEncodersByteForByte) {
     log.severity = static_cast<Severity>(rng.uniform_index(4));
     log.subsystem = subsystems[rng.uniform_index(5)];
     log.message = "m" + std::to_string(rng.next());
-    want.push_back(encode_log_event(log));
     encode_log_event_into(log, staged);
   }
+  ASSERT_EQ(staged.pending(), 600u);
+  EXPECT_EQ(digest_of(staged), 0x239e4bfe4bbde437ull);
+}
 
-  std::vector<stream::EncodedRecord> got;
-  staged.snapshot(got);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].timestamp, want[i].timestamp) << "record " << i;
-    EXPECT_EQ(got[i].key, want[i].key) << "record " << i;
-    EXPECT_EQ(got[i].payload, want[i].payload) << "record " << i;
+// The same pin for the per-job I/O, OST, NIC and switch encoders.
+TEST(CodecTest, IoAndFabricEncodersMatchRecordedDigests) {
+  common::Rng rng(0x10fab);
+  const auto random_time = [&rng]() {
+    return static_cast<common::TimePoint>(rng.uniform_int(0, 1 << 30)) * kSecond;
+  };
+  stream::BatchBuilder staged;
+  for (int i = 0; i < 200; ++i) {
+    IoCounters c;
+    c.job_id = rng.uniform_int(-1000, 1 << 24);  // negative ids exercise the key's sign
+    c.interval_start = random_time();
+    c.interval = rng.uniform_int(1, 600) * kSecond;
+    c.bytes_read = random_value(rng);
+    c.bytes_written = random_value(rng);
+    c.opens = static_cast<std::uint32_t>(rng.next());
+    c.metadata_ops = static_cast<std::uint32_t>(rng.next());
+    c.checkpoint_phase = static_cast<std::uint8_t>(rng.uniform_index(2));
+    encode_io_counters_into(c, staged);
+
+    OstSample o;
+    o.time = random_time();
+    o.ost = static_cast<std::uint32_t>(rng.next());
+    o.bytes_s = random_value(rng);
+    o.utilization = random_value(rng);
+    o.latency_ms = random_value(rng);
+    encode_ost_sample_into(o, staged);
+
+    NicSample nic;
+    nic.time = random_time();
+    nic.node_id = static_cast<std::uint32_t>(rng.next());
+    nic.tx_bytes_s = random_value(rng);
+    nic.rx_bytes_s = random_value(rng);
+    nic.messages_s = random_value(rng);
+    nic.link_errors = static_cast<std::uint32_t>(rng.next());
+    encode_nic_sample_into(nic, staged);
+
+    SwitchSample sw;
+    sw.time = random_time();
+    sw.switch_id = static_cast<std::uint32_t>(rng.next());
+    sw.throughput_bytes_s = random_value(rng);
+    sw.utilization = random_value(rng);
+    sw.congestion_stall_pct = random_value(rng);
+    encode_switch_sample_into(sw, staged);
   }
+  ASSERT_EQ(staged.pending(), 800u);
+  EXPECT_EQ(digest_of(staged), 0x3a6c36fb4d957bb6ull);
 }
 
 TEST(EventGeneratorTest, EventsSortedAndInRange) {
@@ -428,6 +505,44 @@ TEST(SimulatorTest, IngestStatsAccumulate) {
                                   st.facility_bytes + st.io_bytes + st.storage_bytes +
                                   st.nic_bytes + st.fabric_bytes);
   EXPECT_EQ(sim.now(), 2 * kMinute);
+}
+
+// What the simulator commits to the broker — every topic partition's
+// (offset, timestamp, key, payload) after two minutes at a fixed seed —
+// hashes to the digest recorded when each sample was produced as its own
+// Record. Staging per topic and flushing once per step must not move a
+// record, re-order a partition or change a byte.
+TEST(SimulatorTest, TopicContentsMatchRecordedDigest) {
+  stream::Broker broker;
+  SimulatorConfig cfg;
+  cfg.scheduler.arrival_rate_per_hour = 600.0;  // every topic carries records
+  cfg.scheduler.mean_duration_hours = 0.2;
+  cfg.seed = 2024;
+  FacilitySimulator sim(mountain_spec(0.004), broker, cfg);
+  sim.run_until(2 * kMinute);
+
+  oda::testing::WireDigest d;
+  std::uint64_t records = 0;
+  for (const std::string& name : broker.topic_names()) {
+    stream::Topic& topic = broker.topic(name);
+    std::size_t in_topic = 0;
+    for (std::size_t p = 0; p < topic.num_partitions(); ++p) {
+      d.mark(name, p);
+      stream::FetchView view;
+      topic.partition(p).fetch_view(0, SIZE_MAX, view);
+      for (const stream::RecordView& v : view) d.add(v.offset, v.timestamp, v.key, v.payload);
+      in_topic += view.size();
+    }
+    EXPECT_GT(in_topic, 0u) << name;
+    records += in_topic;
+  }
+  EXPECT_EQ(broker.topic_names().size(), 8u);
+  EXPECT_EQ(records, 2619u);
+  EXPECT_EQ(d.value(), 0x95d43ba06573f1b4ull) << "digest 0x" << std::hex << d.value();
+  const ChannelStats& cs = sim.channel().stats();
+  EXPECT_EQ(cs.delivered_records, records);
+  EXPECT_EQ(cs.dropped_records, 0u);
+  EXPECT_EQ(cs.delivered_bytes, sim.ingest_stats().total_bytes());
 }
 
 TEST(SimulatorTest, SampleBronzeMatchesSchema) {
