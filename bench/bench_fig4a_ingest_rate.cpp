@@ -166,11 +166,11 @@ ThroughputResult broker_throughput_once(std::size_t n) {
   stream::Broker broker;
   res.single = produce_sweep(broker, "bench", n, 1);
 
-  stream::Consumer consumer(broker, "bench-group", "bench");
+  stream::GroupMember consumer(broker, "bench-group", "bench");
   common::Stopwatch sw;
   std::size_t consumed = 0;
   while (consumed < n) {
-    const auto batch = consumer.poll(8192);
+    const auto batch = consumer.poll(1024);  // 8192 a poll over 8 partitions
     if (batch.empty()) break;
     consumed += batch.size();
   }
@@ -201,7 +201,9 @@ double broker_throughput(oda::bench::JsonReport& report, bool smoke) {
   }
   observe::set_metrics_enabled(true);
 
-  const double wire = static_cast<double>(stream::Record{0, "n000", std::string(200, 'x')}.wire_size());
+  const std::string payload(200, 'x');  // produce_sweep's record shape
+  const double wire =
+      static_cast<double>(stream::EncodedRecord{0, 0, 0, "n000", payload}.wire_size());
   const double mbs_on = on.single.rate * wire / (1024.0 * 1024.0);
   const double overhead_prod = (off.single.rate - on.single.rate) / off.single.rate * 100.0;
   const double overhead_cons = (off.consume_rate - on.consume_rate) / off.consume_rate * 100.0;
@@ -319,13 +321,12 @@ void scraper_overhead(oda::bench::JsonReport& report, bool smoke) {
 }
 
 /// Zero-copy read path on the multi-consumer config: the same pre-filled
-/// topic is drained by kGroups independent consumer groups (the paper's
-/// fan-out, where every team subscribes to the same firehose), once
-/// through the copying fetch_copy() and once through the view-returning
-/// poll(). The win shows up twice — drain rate, and allocations per
-/// record (fetch_copy deep-copies key+payload per record; poll hands out
-/// string_views pinned to the immutable segments).
-void consume_view_vs_copy(oda::bench::JsonReport& report, bool smoke) {
+/// topic is drained by kGroups independent readers (the paper's fan-out,
+/// where every team subscribes to the same firehose), each a GroupMember
+/// alone in a group that is fresh for every drain. Reports drain rate and
+/// allocations per record: poll hands out string_views pinned to the
+/// immutable segments, so allocations are per poll, not per record.
+void consume_fanout(oda::bench::JsonReport& report, bool smoke) {
   using namespace oda;
   const std::size_t kRecords = smoke ? 60000 : 200000;
   constexpr std::size_t kGroups = 4;
@@ -348,11 +349,11 @@ void consume_view_vs_copy(oda::bench::JsonReport& report, bool smoke) {
     double heap_bytes_per_record = 1e300;
   };
   int generation = 0;
-  auto drain = [&](bool views) {
+  auto drain = [&] {
     ++generation;  // fresh groups every run: each drain reads the full log
-    std::vector<std::unique_ptr<stream::Consumer>> consumers;
+    std::vector<std::unique_ptr<stream::GroupMember>> readers;
     for (std::size_t g = 0; g < kGroups; ++g) {
-      consumers.push_back(std::make_unique<stream::Consumer>(
+      readers.push_back(std::make_unique<stream::GroupMember>(
           broker, "fan" + std::to_string(generation) + "_" + std::to_string(g), "fanout"));
     }
     const std::size_t want = kRecords * kGroups;
@@ -361,13 +362,7 @@ void consume_view_vs_copy(oda::bench::JsonReport& report, bool smoke) {
     common::Stopwatch sw;
     while (total < want) {
       std::size_t got = 0;
-      for (auto& c : consumers) {
-        if (views) {
-          got += c->poll(8192).size();
-        } else {
-          got += c->fetch_copy(8192).size();
-        }
-      }
+      for (auto& r : readers) got += r->poll(1024).size();  // 8192 a poll over 8 partitions
       if (got == 0) break;
       total += got;
     }
@@ -380,41 +375,25 @@ void consume_view_vs_copy(oda::bench::JsonReport& report, bool smoke) {
     return r;
   };
 
-  (void)drain(true);  // warmup (allocators, page cache)
-  DrainResult copy, view;
-  auto take_best = [](DrainResult& best, const DrainResult& t) {
+  (void)drain();  // warmup (allocators, page cache)
+  DrainResult best;
+  for (int r = 0; r < kRuns; ++r) {
+    const DrainResult t = drain();
     best.rate = std::max(best.rate, t.rate);
     best.allocs_per_record = std::min(best.allocs_per_record, t.allocs_per_record);
     best.heap_bytes_per_record = std::min(best.heap_bytes_per_record, t.heap_bytes_per_record);
-  };
-  for (int r = 0; r < kRuns; ++r) {
-    // Alternate order so drift biases neither mode.
-    const bool view_first = (r % 2) == 0;
-    take_best(view_first ? view : copy, drain(view_first));
-    take_best(view_first ? copy : view, drain(!view_first));
   }
 
-  std::printf("\nmulti-consumer drain (%zu groups x %zu records):\n", kGroups, kRecords);
-  std::printf("  copy poll():      %9.0fk rec/s, %6.3f allocs/rec, %7.1f heap B/rec\n",
-              copy.rate / 1e3, copy.allocs_per_record, copy.heap_bytes_per_record);
-  std::printf("  zero-copy views:  %9.0fk rec/s, %6.3f allocs/rec, %7.1f heap B/rec\n",
-              view.rate / 1e3, view.allocs_per_record, view.heap_bytes_per_record);
-  std::printf("  speedup %.2fx, allocation reduction %.1fx\n", view.rate / copy.rate,
-              copy.allocs_per_record / view.allocs_per_record);
+  std::printf("\nmulti-consumer drain (%zu groups x %zu records): %.0fk rec/s, "
+              "%.3f allocs/rec, %.1f heap B/rec\n",
+              kGroups, kRecords, best.rate / 1e3, best.allocs_per_record,
+              best.heap_bytes_per_record);
 
-  report.metric("broker.consume.copy.rate", copy.rate, "records/s");
-  report.metric("broker.consume.view.rate", view.rate, "records/s");
-  report.metric("broker.consume.view_speedup", view.rate / copy.rate, "x");
-  report.metric("broker.consume.copy.allocs_per_record", copy.allocs_per_record,
+  report.metric("broker.consume.view.rate", best.rate, "records/s");
+  report.metric("broker.consume.view.allocs_per_record", best.allocs_per_record,
                 "allocs/record");
-  report.metric("broker.consume.view.allocs_per_record", view.allocs_per_record,
-                "allocs/record");
-  report.metric("broker.consume.copy.heap_bytes_per_record", copy.heap_bytes_per_record,
+  report.metric("broker.consume.view.heap_bytes_per_record", best.heap_bytes_per_record,
                 "bytes/record");
-  report.metric("broker.consume.view.heap_bytes_per_record", view.heap_bytes_per_record,
-                "bytes/record");
-  report.metric("broker.consume.alloc_reduction",
-                copy.allocs_per_record / view.allocs_per_record, "x");
 }
 
 }  // namespace
@@ -447,7 +426,7 @@ int main(int argc, char** argv) {
   report_system(telemetry::compass_spec(), 0.01, sim_span, report);
   const double batch_speedup = broker_throughput(report, smoke);
   scraper_overhead(report, smoke);
-  consume_view_vs_copy(report, smoke);
+  consume_fanout(report, smoke);
   report.write();
   // Regression gate: a write path whose batched flush falls back below the
   // one-record-per-flush rate fails perf.fig4a_smoke (`ctest -L perf`), not

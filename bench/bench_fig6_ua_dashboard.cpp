@@ -25,13 +25,13 @@ int main() {
   fw.advance(40 * common::kMinute);
 
   // Materialize the context tables the dashboard uses.
-  stream::Consumer log_reader(fw.broker(), "ua-bench", rig.sys->topics().syslog);
+  stream::GroupMember log_reader(fw.broker(), "ua-bench", rig.sys->topics().syslog);
   const auto log_table = telemetry::log_events_to_table(log_reader.poll(1000000));
   apps::UaDashboard dashboard(fw.lake(), rig.sys->scheduler().allocation_log(),
                               rig.sys->scheduler().node_allocation_log(), log_table);
 
   // The "manual" path must scan the raw Bronze stream each time.
-  stream::Consumer bronze_reader(fw.broker(), "ua-bench-bronze", rig.sys->topics().power);
+  stream::GroupMember bronze_reader(fw.broker(), "ua-bench-bronze", rig.sys->topics().power);
   sql::Table bronze;
   for (;;) {
     const auto recs = bronze_reader.poll(65536);

@@ -89,34 +89,17 @@ void fill_consume_topic(stream::Broker& broker) {
   producer.produce_staged(staged);
 }
 
-void BM_BrokerConsume(benchmark::State& state) {
-  stream::Broker broker;
-  fill_consume_topic(broker);
-  for (auto _ : state) {
-    stream::Consumer c(broker, "g" + std::to_string(state.iterations()), "t");
-    std::size_t total = 0;
-    while (total < 100000) {
-      const auto batch = c.fetch_copy(8192);
-      if (batch.empty()) break;
-      total += batch.size();
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100000);
-}
-BENCHMARK(BM_BrokerConsume);
-
 void BM_BrokerConsumeView(benchmark::State& state) {
-  // Same drain as BM_BrokerConsume through the zero-copy poll():
-  // string_views pinned to the immutable segments instead of one owned
-  // Record copy per record.
+  // Drain the pre-filled topic through the zero-copy poll(): string_views
+  // pinned to the immutable segments, a fresh single-member group per
+  // iteration.
   stream::Broker broker;
   fill_consume_topic(broker);
   for (auto _ : state) {
-    stream::Consumer c(broker, "gv" + std::to_string(state.iterations()), "t");
+    stream::GroupMember c(broker, "gv" + std::to_string(state.iterations()), "t");
     std::size_t total = 0;
     while (total < 100000) {
-      const stream::FetchView batch = c.poll(8192);
+      const stream::FetchView batch = c.poll(1024);  // 8192 a poll over 8 partitions
       if (batch.empty()) break;
       total += batch.size();
     }

@@ -30,15 +30,15 @@ int main() {
   fw.register_query(fw.make_ost_to_lake("Mountain"));
   fw.register_query(fw.make_fabric_to_lake("Mountain"));
 
-  // Copacetic subscribes to the raw syslog feed through its own
-  // consumer group — the "reliable feed of real-time events" the paper
-  // says batch SIEM tools can't give.
+  // Copacetic subscribes to the raw syslog feed as the one member of its
+  // own consumer group — the "reliable feed of real-time events" the
+  // paper says batch SIEM tools can't give.
   apps::Copacetic copacetic;
   copacetic.add_rule({"gpu-xid-storm", telemetry::Severity::kError, "gpu-xid", 4,
                       10 * common::kMinute, /*require_active_job=*/true});
   copacetic.add_rule({"node-error-burst", telemetry::Severity::kError, "", 12, 5 * common::kMinute,
                       false});
-  stream::Consumer syslog_feed(fw.broker(), "copacetic", sys.topics().syslog);
+  stream::GroupMember syslog_feed(fw.broker(), "copacetic", sys.topics().syslog);
 
   std::printf("=== running 45 facility-minutes ===\n");
   std::size_t total_alerts = 0;
@@ -75,7 +75,7 @@ int main() {
   }
 
   // Gather the log events from the broker for the dashboard's context.
-  stream::Consumer log_reader(fw.broker(), "ua-dashboard", sys.topics().syslog);
+  stream::GroupMember log_reader(fw.broker(), "ua-dashboard", sys.topics().syslog);
   log_reader.seek_to_time(0);
   const auto log_records = log_reader.poll(1000000);
   const auto log_table = telemetry::log_events_to_table(log_records);

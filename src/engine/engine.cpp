@@ -13,10 +13,14 @@ namespace oda::engine {
 
 using common::Stopwatch;
 
+namespace {
+/// Micro-batches one query may run per scheduling round before the engine
+/// re-checks the other queries (keeps a deep topic from starving
+/// downstream queries in a chain).
+constexpr std::size_t kMaxBatchesPerRound = 64;
+}  // namespace
+
 void EngineConfig::validate() const {
-  if (max_batches_per_round == 0) {
-    throw std::invalid_argument("EngineConfig: max_batches_per_round must be >= 1");
-  }
   // Oversubscription is only an error when the caller DECLARED the scale:
   // an explicit worker count above an explicit partition count means every
   // extra worker owns nothing. workers == 0 (auto) still clamps per query.
@@ -809,7 +813,7 @@ std::uint64_t Engine::run_until_caught_up(std::size_t max_rounds) {
       const std::uint64_t rows0 = m.rows_ingested;
       const std::uint64_t batches0 = m.batches;
       const std::uint64_t skipped0 = m.batches_skipped;
-      for (std::size_t b = 0; b < config_.max_batches_per_round; ++b) {
+      for (std::size_t b = 0; b < kMaxBatchesPerRound; ++b) {
         const std::size_t n = q->run_once();
         if (n == 0 && q->lag() == 0) break;  // caught up
         // n == 0 with lag left (pull failed) burns round budget; a

@@ -89,10 +89,6 @@ struct EngineConfig {
   /// clamped to [1, num_partitions] per query — an extra member would own
   /// no partitions and just churn the group.
   std::size_t workers = 0;
-  /// Micro-batches one query may run per scheduling round before the
-  /// engine re-checks the other queries (keeps a deep topic from
-  /// starving downstream queries in a chain).
-  std::size_t max_batches_per_round = 64;
   OwnershipConfig ownership;
   /// Per-ring capacity of the flight recorder (events). The engine keeps
   /// one ring per worker plus a driver ring; 0 disables recording.
@@ -107,10 +103,6 @@ struct EngineConfig {
     workers = n;
     return *this;
   }
-  EngineConfig& with_max_batches_per_round(std::size_t n) {
-    max_batches_per_round = n;
-    return *this;
-  }
   EngineConfig& with_ownership(OwnershipConfig o) {
     ownership = o;
     return *this;
@@ -120,11 +112,10 @@ struct EngineConfig {
     return *this;
   }
 
-  /// Throws std::invalid_argument on nonsense: 0 batches per round, or —
-  /// when an ownership partition count is declared — more workers than
-  /// partitions (oversubscribed workers would own nothing; declaring the
-  /// scale means you want that caught, not clamped). Called by the
-  /// Engine constructor.
+  /// Throws std::invalid_argument when an ownership partition count is
+  /// declared and there are more workers than partitions (oversubscribed
+  /// workers would own nothing; declaring the scale means you want that
+  /// caught, not clamped). Called by the Engine constructor.
   void validate() const;
 };
 
@@ -436,7 +427,8 @@ class Engine {
   /// Run scheduling rounds until every query is caught up (a full round
   /// makes no progress and all members report zero lag). Returns total
   /// rows processed. Rounds visit queries in add order; each query runs
-  /// up to max_batches_per_round generations per round.
+  /// up to 64 generations per round before the engine moves on to the
+  /// next, so a deep topic cannot starve downstream queries in a chain.
   std::uint64_t run_until_caught_up(std::size_t max_rounds = SIZE_MAX);
 
   EngineStats stats() const;

@@ -63,7 +63,7 @@ bool decode_alert_event(std::string_view payload, AlertEvent* out);
 
 /// Produce seam: one scrape's whole batch is handed over as a staging
 /// buffer (maps onto Producer::produce_staged — bytes flow from the
-/// staging arena straight into segment arenas, no Record ever exists),
+/// staging arena straight into segment arenas, no owned record exists),
 /// returns records actually produced. May throw; the callback must leave
 /// the builder intact when it throws (produce_staged does), so the
 /// caller's retry (pipeline::make_scraper, under the chaos policy)

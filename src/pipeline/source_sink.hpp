@@ -18,8 +18,9 @@ namespace oda::pipeline {
 
 /// Decodes a batch of raw broker records into a Table. Decoders read
 /// straight from RecordViews (string_views pinned by the pull's
-/// FetchView) — no owned Record is materialized between the log and the
-/// sql::Table. Code holding owned records adapts with stream::as_views().
+/// FetchView) — no owned record is materialized between the log and the
+/// sql::Table. Code that holds its own bytes (tests, tools) builds
+/// RecordViews over them.
 using RecordDecoder = std::function<sql::Table(std::span<const stream::RecordView>)>;
 
 /// Sinks participate in the micro-batch transaction protocol:

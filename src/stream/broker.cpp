@@ -150,11 +150,6 @@ void Broker::set_retention_all(const RetentionPolicy& policy) {
   for (auto& [_, t] : topics_) t->set_retention(policy);
 }
 
-void Broker::commit(const std::string& group, const TopicPartition& tp, std::int64_t offset) {
-  std::lock_guard lk(mu_);
-  offsets_[{group, tp}] = offset;
-}
-
 bool Broker::commit_fenced(const std::string& group, const TopicPartition& tp, std::int64_t offset,
                            std::uint64_t generation) {
   std::lock_guard lk(mu_);
@@ -297,20 +292,6 @@ void GroupMember::refresh_assignments() {
   }
 }
 
-FetchView GroupMember::poll(std::size_t max_records) {
-  refresh_assignments();
-  Topic& t = broker_.topic(topic_);
-  FetchView out;
-  for (std::size_t p : assigned_) {
-    if (out.size() >= max_records) break;
-    // Historical budget accounting (remaining vs total) preserved exactly:
-    // batch composition must not change with the view migration.
-    positions_[p] = t.partition(p).fetch_view(positions_[p], max_records - out.size(), out);
-  }
-  t.count_fetched(out);
-  return out;
-}
-
 std::vector<PartitionBatchView> GroupMember::poll_by_partition(std::size_t max_per_partition) {
   refresh_assignments();
   Topic& t = broker_.topic(topic_);
@@ -323,6 +304,16 @@ std::vector<PartitionBatchView> GroupMember::poll_by_partition(std::size_t max_p
     t.count_fetched(pb.records);
     if (!pb.records.empty()) out.push_back(std::move(pb));
   }
+  return out;
+}
+
+FetchView GroupMember::poll(std::size_t max_per_partition) {
+  std::vector<PartitionBatchView> batches = poll_by_partition(max_per_partition);
+  std::size_t total = 0;
+  for (const PartitionBatchView& pb : batches) total += pb.records.size();
+  FetchView out;
+  out.reserve(total);  // one allocation for the splice, not one per doubling
+  for (PartitionBatchView& pb : batches) out.append(std::move(pb.records));
   return out;
 }
 
@@ -344,6 +335,12 @@ void GroupMember::seek_to_committed() {
   }
 }
 
+void GroupMember::seek_to_time(common::TimePoint time) {
+  refresh_assignments();
+  Topic& t = broker_.topic(topic_);
+  for (std::size_t p : assigned_) positions_[p] = t.partition(p).offset_for_time(time);
+}
+
 std::int64_t GroupMember::lag() const {
   const Topic* t = broker_.find_topic(topic_);
   if (!t) return 0;
@@ -353,58 +350,6 @@ std::int64_t GroupMember::lag() const {
     if (it == positions_.end()) continue;
     total += t->partition(p).end_offset() - it->second;
   }
-  return total;
-}
-
-Consumer::Consumer(Broker& broker, std::string group, std::string topic)
-    : broker_(broker), group_(std::move(group)), topic_(std::move(topic)) {
-  Topic& t = broker_.topic(topic_);
-  positions_.resize(t.num_partitions());
-  seek_to_committed();
-}
-
-FetchView Consumer::poll(std::size_t max_records) {
-  Topic& t = broker_.topic(topic_);
-  FetchView out;
-  for (std::size_t i = 0; i < positions_.size() && out.size() < max_records; ++i) {
-    const std::size_t p = (next_partition_ + i) % positions_.size();
-    // Historical budget accounting (remaining vs total) preserved exactly:
-    // batch composition must not change with the view migration.
-    positions_[p] = t.partition(p).fetch_view(positions_[p], max_records - out.size(), out);
-  }
-  next_partition_ = (next_partition_ + 1) % positions_.size();
-  t.count_fetched(out);
-  return out;
-}
-
-void Consumer::commit() {
-  for (std::size_t p = 0; p < positions_.size(); ++p) {
-    broker_.commit(group_, TopicPartition{topic_, p}, positions_[p]);
-  }
-  committed_next_partition_ = next_partition_;
-}
-
-void Consumer::seek_to_committed() {
-  Topic& t = broker_.topic(topic_);
-  for (std::size_t p = 0; p < positions_.size(); ++p) {
-    positions_[p] =
-        broker_.committed(group_, TopicPartition{topic_, p}).value_or(t.partition(p).start_offset());
-  }
-  // Restore the poll cursor too: a replayed poll must interleave
-  // partitions exactly as the failed attempt did, or the re-pulled batch
-  // would contain a different record subset than the one rolled back.
-  next_partition_ = committed_next_partition_;
-}
-
-void Consumer::seek_to_time(common::TimePoint time) {
-  Topic& t = broker_.topic(topic_);
-  for (std::size_t p = 0; p < positions_.size(); ++p) positions_[p] = t.partition(p).offset_for_time(time);
-}
-
-std::int64_t Consumer::lag() const {
-  Topic& t = broker_.topic(topic_);
-  std::int64_t total = 0;
-  for (std::size_t p = 0; p < positions_.size(); ++p) total += t.partition(p).end_offset() - positions_[p];
   return total;
 }
 

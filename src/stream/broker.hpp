@@ -1,7 +1,9 @@
 // The STREAM tier: a multi-topic, multi-partition in-process broker with
 // consumer groups and committed offsets. Plays the role Apache Kafka
 // plays at OLCF — "FIFO buffers for in-flight data in distributed
-// multi-project pipelines" (Sec V-B).
+// multi-project pipelines" (Sec V-B). Producer is the one writer and
+// GroupMember the one reader; a reader that wants the whole topic is a
+// member alone in its group.
 #pragma once
 
 #include <atomic>
@@ -90,8 +92,8 @@ class Topic {
   TopicStats stats() const;
 
  private:
-  /// Fetch accounting shared by every reader (Consumer polls and the
-  /// engine's GroupMember polls alike); empty polls touch no counter.
+  /// Fetch accounting for every GroupMember fetch, one partition's
+  /// batch at a time; empty fetches touch no counter.
   void count_fetched(const FetchView& out);
 
   std::string name_;
@@ -119,7 +121,6 @@ class Topic {
   std::atomic<std::uint64_t> evicted_bytes_{0};
 
   friend class Broker;
-  friend class Consumer;
   friend class GroupMember;
 };
 
@@ -179,15 +180,14 @@ class Broker {
   /// Apply one retention policy to every topic (tier-level override).
   void set_retention_all(const RetentionPolicy& policy);
 
-  /// Committed-offset store (consumer-group coordination).
-  void commit(const std::string& group, const TopicPartition& tp, std::int64_t offset);
-  /// Generation-fenced commit: stores the offset only while `generation`
-  /// is still the group's current generation (check and store are one
-  /// critical section). A member whose poll predates a rebalance cannot
-  /// regress the committed offset past the new owner's progress; the
-  /// fenced member re-delivers those records after its next
-  /// refresh — at-least-once, never lost. Returns whether the commit was
-  /// accepted.
+  /// Committed-offset store (consumer-group coordination). The one
+  /// commit is generation-fenced: it stores the offset only while
+  /// `generation` is still the group's current generation (check and
+  /// store are one critical section). A member whose poll predates a
+  /// rebalance cannot regress the committed offset past the new owner's
+  /// progress; the fenced member re-delivers those records after its
+  /// next refresh — at-least-once, never lost. Returns whether the commit
+  /// was accepted.
   bool commit_fenced(const std::string& group, const TopicPartition& tp, std::int64_t offset,
                      std::uint64_t generation);
   std::optional<std::int64_t> committed(const std::string& group, const TopicPartition& tp) const;
@@ -237,57 +237,6 @@ class Broker {
   std::map<std::pair<std::string, std::string>, GroupState> groups_;  ///< (group, topic)
 };
 
-/// Broker readers. Polling is view-based, full stop: poll() returns
-/// pinned views into the broker's refcounted segments. Code that
-/// genuinely needs owned records (audit maps, replay snapshots held
-/// across polls) uses Consumer::fetch_copy() and pays its one deep copy
-/// explicitly.
-///
-/// A consumer-group member subscribed to every partition of one topic.
-/// poll() round-robins across partitions; commit() persists progress so
-/// a restarted consumer resumes where the group left off (the paper's
-/// "failure and recovery mechanisms that can be difficult to re-engineer
-/// from scratch").
-class Consumer {
- public:
-  Consumer(Broker& broker, std::string group, std::string topic);
-
-  /// Zero-copy fetch of up to max_records across partitions (round-robin
-  /// interleave), pinned for the FetchView's lifetime. Advances in-memory
-  /// positions only; call commit() to persist.
-  FetchView poll(std::size_t max_records);
-  /// Copying escape hatch over poll(): owned records that outlive any
-  /// segment pin. One deep copy per record — hot paths use poll().
-  std::vector<StoredRecord> fetch_copy(std::size_t max_records) {
-    return poll(max_records).to_records();
-  }
-
-  /// Persist current positions to the broker's offset store. Also
-  /// snapshots the round-robin cursor, so a later seek_to_committed()
-  /// replays polls with the exact partition interleave of the original
-  /// run.
-  void commit();
-
-  /// Reset positions (and poll cursor) to the last committed snapshot
-  /// (crash/restart). A poll after seek_to_committed() replays the exact
-  /// record sequence of the rolled-back one.
-  void seek_to_committed();
-  /// Jump every partition position to the first record with ts >= t.
-  void seek_to_time(common::TimePoint t);
-
-  /// Records between this consumer's positions and the log end.
-  std::int64_t lag() const;
-  const std::string& group() const { return group_; }
-
- private:
-  Broker& broker_;
-  std::string group_;
-  std::string topic_;
-  std::vector<std::int64_t> positions_;
-  std::size_t next_partition_ = 0;
-  std::size_t committed_next_partition_ = 0;
-};
-
 /// One partition's slice of a poll, kept separate so the engine can merge
 /// worker results deterministically by (partition, offset) regardless of
 /// which worker owns which partition. Views and segment pins move into
@@ -297,11 +246,20 @@ struct PartitionBatchView {
   FetchView records;
 };
 
-/// A rebalancing consumer-group member: partitions are split round-robin
-/// across live members and reassigned when members join or leave. Poll
-/// rechecks the group generation, so scaling the consumer fleet up or
-/// down mid-stream is safe — progress is preserved through the shared
-/// committed-offset store.
+/// The broker's reader: a consumer-group member. Partitions are split
+/// round-robin across live members and reassigned when members join or
+/// leave; a member alone in its group owns every partition. Poll rechecks
+/// the group generation, so scaling the consumer fleet up or down
+/// mid-stream is safe — progress is preserved through the shared
+/// committed-offset store, and commit() persists it so a restarted member
+/// resumes where the group left off (the paper's "failure and recovery
+/// mechanisms that can be difficult to re-engineer from scratch").
+///
+/// Polling is view-based: every fetch returns pinned views into the
+/// broker's refcounted segments. The budget is per partition, so what a
+/// poll returns is a pure function of the committed offsets and the
+/// member's assignment — a replay after seek_to_committed() returns the
+/// same records in the same order.
 class GroupMember {
  public:
   GroupMember(Broker& broker, std::string group, std::string topic);
@@ -310,16 +268,16 @@ class GroupMember {
   GroupMember(const GroupMember&) = delete;
   GroupMember& operator=(const GroupMember&) = delete;
 
-  /// Zero-copy fetch of up to max_records from this member's assigned
-  /// partitions, resuming each partition from the group's committed
-  /// offset.
-  FetchView poll(std::size_t max_records);
-  /// Like poll(), but capped per partition and keeping each partition's
-  /// records in their own PartitionBatchView. The engine's merge step
-  /// orders these by partition index, making batch contents a pure
+  /// The one fetch loop: up to max_per_partition records from each
+  /// assigned partition, each partition's records in their own
+  /// PartitionBatchView, in ascending partition order. The engine's merge
+  /// step orders these by partition index, making batch contents a pure
   /// function of committed offsets — independent of worker count or
   /// fetch order.
   std::vector<PartitionBatchView> poll_by_partition(std::size_t max_per_partition);
+  /// poll_by_partition(max_per_partition) spliced into one FetchView, in
+  /// ascending partition order.
+  FetchView poll(std::size_t max_per_partition);
   /// Commit progress on the assigned partitions. Fenced by group
   /// generation: if another member joined or left since this member's
   /// last poll, the broker drops the commit and the records are
@@ -329,6 +287,9 @@ class GroupMember {
   /// Drop in-memory positions back to the group's committed offsets for
   /// every assigned partition (replay after a failed batch).
   void seek_to_committed();
+  /// Move every assigned partition's position to its first record with
+  /// ts >= t (the end offset if there is none).
+  void seek_to_time(common::TimePoint t);
   /// Sum of (end offset - position) over this member's assigned partitions.
   std::int64_t lag() const;
   /// Leave the group explicitly (also done by the destructor).

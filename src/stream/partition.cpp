@@ -147,18 +147,6 @@ std::int64_t Partition::append_encoded_batch(std::span<const EncodedRecord> batc
   return first;
 }
 
-std::int64_t Partition::fetch_copy(std::int64_t offset, std::size_t max_records,
-                                   std::vector<StoredRecord>& out) const {
-  // Copying escape hatch: same budget accounting as always (max_records
-  // counts against out.size(), which may be non-empty across partitions).
-  const std::size_t budget = max_records > out.size() ? max_records - out.size() : 0;
-  FetchView fv;
-  const std::int64_t next = fetch_view(offset, budget, fv);
-  out.reserve(out.size() + fv.size());
-  for (const RecordView& v : fv) out.push_back(v.to_stored());
-  return next;
-}
-
 std::int64_t Partition::fetch_view(std::int64_t offset, std::size_t max_records,
                                    FetchView& out) const {
   // Empty-fetch fast paths: a zero budget or an offset at/past the end
@@ -185,6 +173,10 @@ std::int64_t Partition::fetch_view(std::int64_t offset, std::size_t max_records,
   const std::int64_t start = segments_.front()->base_offset;
   if (offset < start) offset = start;  // evicted range: snap forward
   if (offset > end) offset = end;      // past end: clamp back
+  // Every record in [offset, end) is still held, so this is exactly what
+  // the loop below appends: one allocation instead of one per doubling.
+  out.reserve(out.size() +
+              std::min(max_records - out.size(), static_cast<std::size_t>(end - offset)));
   std::int64_t cur = offset;
   for (const auto& seg_ptr : segments_) {
     const Segment& seg = *seg_ptr;

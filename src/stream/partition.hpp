@@ -49,20 +49,13 @@ class Partition {
   /// batches. Records get consecutive offsets; returns the first.
   std::int64_t append_encoded_batch(std::span<const EncodedRecord> batch);
 
-  /// Copying escape hatch: copy up to `max_records` records starting at
-  /// `offset` into `out`. Returns the next offset to poll from. Offsets
-  /// below the log start (evicted by retention) snap forward to the log
-  /// start. Shim over fetch_view() — one deep copy per record — for the
-  /// few call sites that need records outliving any view pin.
-  std::int64_t fetch_copy(std::int64_t offset, std::size_t max_records,
-                          std::vector<StoredRecord>& out) const;
-
-  /// Zero-copy fetch: append up to `max_records` (counted against
-  /// out.size(), like fetch) RecordViews into `out`, pinning each touched
+  /// Zero-copy fetch: append RecordViews starting at `offset` into `out`
+  /// until out.size() reaches `max_records`, pinning each touched
   /// segment so the views outlive retention. Returns the next offset to
-  /// poll from. No locks are held after it returns. Empty fetches
-  /// (max_records already satisfied, or offset at/past the end) return
-  /// without the fault seam or the partition lock.
+  /// poll from. Offsets below the log start (evicted by retention) snap
+  /// forward to the log start. No locks are held after it returns. Empty
+  /// fetches (max_records already satisfied, or offset at/past the end)
+  /// return without the fault seam or the partition lock.
   std::int64_t fetch_view(std::int64_t offset, std::size_t max_records, FetchView& out) const;
 
   /// Earliest offset whose record timestamp is >= t (or end offset).

@@ -4,7 +4,9 @@
 // pins the backing segments alive — retention can drop a segment from the
 // partition while in-flight readers keep reading it, with no locks held
 // after the fetch returns (the ALICE Run-3 pattern: analysis reads views
-// into refcounted buffers instead of owned copies).
+// into refcounted buffers instead of owned copies). This is the only read
+// path; code that keeps bytes past a view's life copies the fields it
+// needs.
 #pragma once
 
 #include <cstdint>
@@ -29,21 +31,8 @@ struct RecordView {
   std::string_view key;
   std::string_view payload;
 
-  /// Same accounting as Record::wire_size().
+  /// Same accounting as EncodedRecord::wire_size().
   std::size_t wire_size() const { return key.size() + payload.size() + 24; }
-
-  /// Deep copy at an ownership boundary (sink retry buffers, replay
-  /// snapshots); byte-identical to the Record that was produced.
-  Record to_record() const {
-    Record r;
-    r.timestamp = timestamp;
-    r.key.assign(key);
-    r.payload.assign(payload);
-    r.trace_id = trace_id;
-    r.span_id = span_id;
-    return r;
-  }
-  StoredRecord to_stored() const { return StoredRecord{offset, to_record()}; }
 };
 
 /// The result of a view fetch: a flat run of RecordViews plus the
@@ -72,8 +61,8 @@ class FetchView {
   void pin(std::shared_ptr<const void> owner) { pins_.push_back(std::move(owner)); }
   std::size_t pin_count() const { return pins_.size(); }
 
-  /// Splice another fetch's views and pins onto this one (the engine's
-  /// deterministic partition merge).
+  /// Splice another fetch's views and pins onto this one (how
+  /// GroupMember::poll joins its per-partition fetches).
   void append(FetchView&& other) {
     views_.insert(views_.end(), other.views_.begin(), other.views_.end());
     pins_.insert(pins_.end(), std::make_move_iterator(other.pins_.begin()),
@@ -87,32 +76,9 @@ class FetchView {
     pins_.clear();
   }
 
-  /// Deep copy at an ownership boundary — the implementation behind
-  /// Consumer::fetch_copy, the one named escape hatch from the
-  /// view-based polling contract.
-  std::vector<StoredRecord> to_records() const {
-    std::vector<StoredRecord> out;
-    out.reserve(views_.size());
-    for (const RecordView& v : views_) out.push_back(v.to_stored());
-    return out;
-  }
-
  private:
   std::vector<RecordView> views_;
   std::vector<std::shared_ptr<const void>> pins_;
 };
-
-/// Borrowed views over records the caller owns and keeps alive (test and
-/// tool code that already holds a std::vector<StoredRecord> and wants to
-/// call a view-based decoder).
-inline std::vector<RecordView> as_views(std::span<const StoredRecord> records) {
-  std::vector<RecordView> out;
-  out.reserve(records.size());
-  for (const StoredRecord& sr : records) {
-    out.push_back(RecordView{sr.offset, sr.record.timestamp, sr.record.trace_id,
-                             sr.record.span_id, sr.record.key, sr.record.payload});
-  }
-  return out;
-}
 
 }  // namespace oda::stream

@@ -18,7 +18,7 @@
 namespace oda::telemetry {
 
 /// Serialize a packet straight into a staging buffer (key = "n<node id>"
-/// for stable partitioning; payload = compact binary). No Record or any
+/// for stable partitioning; payload = compact binary). No owned record or
 /// intermediate buffer is materialized.
 void encode_packet_into(const TelemetryPacket& pkt, stream::BatchBuilder& staged);
 TelemetryPacket decode_packet(std::string_view payload);

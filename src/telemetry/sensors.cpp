@@ -45,6 +45,10 @@ void NodeSensorModel::sample_all(TimePoint now, Duration dt, const JobScheduler&
   double total_power = 0.0;
 
   const std::size_t n_nodes = spec_.total_nodes();
+  // A packet carries at most one power and one temperature reading per
+  // component instance plus the node's two, so one reservation per packet
+  // covers every push_back below.
+  const std::size_t max_readings = spec_.sensors_per_node();
   out.reserve(out.size() + n_nodes);
   for (std::uint32_t node = 0; node < n_nodes; ++node) {
     const Job* job = sched.job_on_node(node, now);
@@ -63,6 +67,7 @@ void NodeSensorModel::sample_all(TimePoint now, Duration dt, const JobScheduler&
     TelemetryPacket pkt;
     pkt.timestamp = now;
     pkt.node_id = node;
+    pkt.readings.reserve(max_readings);
 
     double node_power = spec_.node_overhead_w;
     std::size_t inst = 0;

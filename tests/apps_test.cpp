@@ -253,12 +253,12 @@ TEST_F(AppsIntegration, LvaPushdownSkipsObjects) {
 
 TEST_F(AppsIntegration, DashboardDiagnosisMatchesManual) {
   // Materialize context tables.
-  stream::Consumer log_reader(fw_.broker(), "t", sys_->topics().syslog);
+  stream::GroupMember log_reader(fw_.broker(), "t", sys_->topics().syslog);
   const auto logs = telemetry::log_events_to_table(log_reader.poll(100000));
   UaDashboard dash(fw_.lake(), sys_->scheduler().allocation_log(),
                    sys_->scheduler().node_allocation_log(), logs);
 
-  stream::Consumer bronze_reader(fw_.broker(), "t2", sys_->topics().power);
+  stream::GroupMember bronze_reader(fw_.broker(), "t2", sys_->topics().power);
   Table bronze;
   for (;;) {
     const auto recs = bronze_reader.poll(65536);

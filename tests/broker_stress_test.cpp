@@ -1,4 +1,5 @@
-// Stress tier: concurrent producers, a committing consumer group, group
+// Stress tier: concurrent producers, committing readers (GroupMembers,
+// each alone in its group unless the test says otherwise), group
 // membership churn and retention enforcement all racing on one broker.
 // Invariants: no record lost or reordered within a partition (offsets
 // strictly monotonic), and topic stats stay consistent. Run under
@@ -89,7 +90,7 @@ TEST(BrokerStressTest, ProducersConsumerChurnAndRetentionRace) {
 
   // --- gap-tolerant reader on the evicting topic -------------------------
   std::thread churny_reader([&] {
-    Consumer c(broker, "churny-reader", "churny");
+    GroupMember c(broker, "churny-reader", "churny");
     std::map<std::string, std::int64_t> last_offset;  // key = partition key
     while (!stop_aux.load(std::memory_order_acquire)) {
       const auto got = c.poll(128);
@@ -107,7 +108,7 @@ TEST(BrokerStressTest, ProducersConsumerChurnAndRetentionRace) {
   });
 
   // --- the accounting consumer: must see every stress record once -------
-  Consumer consumer(broker, "accounting", "stress");
+  GroupMember consumer(broker, "accounting", "stress");
   std::vector<std::vector<std::uint8_t>> seen(kProducers,
                                               std::vector<std::uint8_t>(kPerProducer, 0));
   std::size_t received = 0;
@@ -279,7 +280,7 @@ TEST(BrokerStressTest, ProduceBatchRacesRetentionAndReaders) {
   std::thread reader([&] {
     // Races fetch against concurrent batch appends and eviction; the
     // per-partition order invariant is verified after quiescence below.
-    Consumer consumer(broker, "batch-reader", "batched");
+    GroupMember consumer(broker, "batch-reader", "batched");
     while (!producers_done.load(std::memory_order_acquire)) {
       consumer.poll(256);
       consumer.commit();
@@ -296,8 +297,8 @@ TEST(BrokerStressTest, ProduceBatchRacesRetentionAndReaders) {
   // offset (batch appends reserve contiguous ranges under the lock).
   auto& topic = broker.topic("batched");
   for (std::size_t p = 0; p < topic.num_partitions(); ++p) {
-    std::vector<StoredRecord> got;
-    topic.partition(p).fetch_copy(topic.partition(p).start_offset(), 1 << 20, got);
+    FetchView got;
+    topic.partition(p).fetch_view(topic.partition(p).start_offset(), 1 << 20, got);
     for (std::size_t i = 1; i < got.size(); ++i) {
       if (got[i].offset != got[i - 1].offset + 1) monotonicity_violations.fetch_add(1);
     }
@@ -312,8 +313,8 @@ TEST(BrokerStressTest, ProduceBatchRacesRetentionAndReaders) {
 }
 
 // Property: a pinned RecordView survives concurrent enforce_retention
-// evicting its backing segment, and round-trips byte-identical to the
-// Record that was produced. Every payload encodes its sequence number, so
+// evicting its backing segment, and reads byte-identical to the record
+// that was produced. Every payload encodes its sequence number, so
 // each held view can be checked against the exact bytes its producer
 // wrote — after aggressive retention has swept the topic many times.
 // Run under -DODA_SANITIZE=address / thread to prove the lifetime story.
@@ -354,7 +355,7 @@ TEST(BrokerStressTest, PinnedViewsSurviveConcurrentRetention) {
   // views' segments are evicted out from under them by the sweeps above.
   std::vector<FetchView> held;
   {
-    Consumer consumer(broker, "g", "evict");
+    GroupMember consumer(broker, "g", "evict");
     for (;;) {
       FetchView v = consumer.poll(97);
       if (!v.empty()) {
@@ -377,9 +378,6 @@ TEST(BrokerStressTest, PinnedViewsSurviveConcurrentRetention) {
       const std::size_t j = std::stoull(payload.substr(8));
       EXPECT_EQ(v.key, "host" + std::to_string(j % 7));
       EXPECT_EQ(v.timestamp, static_cast<common::TimePoint>(j) * common::kSecond);
-      const Record round = v.to_record();  // owned round-trip
-      EXPECT_EQ(round.key, v.key);
-      EXPECT_EQ(round.payload, payload);
       ++checked;
     }
   }
@@ -456,7 +454,7 @@ TEST(BrokerStressTest, StagedProducersRaceConsumersAndRetention) {
   std::atomic<std::uint64_t> torn{0};
   std::vector<FetchView> held;
   std::thread pinning_reader([&] {
-    Consumer consumer(broker, "pin", "staged");
+    GroupMember consumer(broker, "pin", "staged");
     while (!producers_done.load(std::memory_order_acquire) || consumer.lag() > 0) {
       FetchView v = consumer.poll(128);
       if (v.empty()) {
@@ -481,7 +479,7 @@ TEST(BrokerStressTest, StagedProducersRaceConsumersAndRetention) {
     }
   });
   std::thread churn_reader([&] {
-    Consumer consumer(broker, "churn", "staged-churn");
+    GroupMember consumer(broker, "churn", "staged-churn");
     while (!producers_done.load(std::memory_order_acquire)) {
       consumer.poll(64);  // races eviction; gaps are fine here
       std::this_thread::yield();
@@ -501,13 +499,13 @@ TEST(BrokerStressTest, StagedProducersRaceConsumersAndRetention) {
   std::vector<std::vector<bool>> seen(kStagedProducers, std::vector<bool>(kPerProd, false));
   std::uint64_t total = 0, duplicates = 0;
   for (std::size_t p = 0; p < topic.num_partitions(); ++p) {
-    std::vector<StoredRecord> got;
-    topic.partition(p).fetch_copy(topic.partition(p).start_offset(), 1 << 20, got);
+    FetchView got;
+    topic.partition(p).fetch_view(topic.partition(p).start_offset(), 1 << 20, got);
     for (std::size_t i = 0; i < got.size(); ++i) {
       if (i > 0) {
         EXPECT_EQ(got[i].offset, got[i - 1].offset + 1);
       }
-      const std::string& payload = got[i].record.payload;
+      const std::string payload(got[i].payload);
       const std::size_t colon = payload.find(':');
       ASSERT_NE(colon, std::string::npos) << payload;
       const std::size_t prod = std::stoull(payload.substr(0, colon));
@@ -521,8 +519,8 @@ TEST(BrokerStressTest, StagedProducersRaceConsumersAndRetention) {
         ++total;
       }
       // Keyed records carry their producer's key; keyless carry none.
-      if (!got[i].record.key.empty()) {
-        EXPECT_EQ(got[i].record.key, "p" + std::to_string(prod));
+      if (!got[i].key.empty()) {
+        EXPECT_EQ(got[i].key, "p" + std::to_string(prod));
       }
     }
   }

@@ -34,9 +34,9 @@ SimulatorConfig config_with_seed(std::uint64_t seed) {
   return cfg;
 }
 
-std::vector<stream::StoredRecord> drain_partition(const stream::Partition& p) {
-  std::vector<stream::StoredRecord> out;
-  p.fetch_copy(p.start_offset(), p.record_count(), out);
+stream::FetchView drain_partition(const stream::Partition& p) {
+  stream::FetchView out;
+  p.fetch_view(p.start_offset(), p.record_count(), out);
   return out;
 }
 
@@ -58,9 +58,9 @@ void expect_brokers_identical(const stream::Broker& a, const stream::Broker& b) 
       for (std::size_t i = 0; i < ra.size(); ++i) {
         SCOPED_TRACE(name + "/" + std::to_string(p) + " record " + std::to_string(i));
         EXPECT_EQ(ra[i].offset, rb[i].offset);
-        EXPECT_EQ(ra[i].record.timestamp, rb[i].record.timestamp);
-        EXPECT_EQ(ra[i].record.key, rb[i].record.key);
-        EXPECT_EQ(ra[i].record.payload, rb[i].record.payload);
+        EXPECT_EQ(ra[i].timestamp, rb[i].timestamp);
+        EXPECT_EQ(ra[i].key, rb[i].key);
+        EXPECT_EQ(ra[i].payload, rb[i].payload);
       }
     }
   }
@@ -140,7 +140,7 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
         break;
       }
       for (std::size_t i = 0; i < ra.size(); ++i) {
-        if (ra[i].record.payload != rb[i].record.payload) {
+        if (ra[i].payload != rb[i].payload) {
           any_difference = true;
           break;
         }

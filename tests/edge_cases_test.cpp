@@ -197,7 +197,7 @@ TEST(EdgeTest, BrokerSinglePartitionSingleRecord) {
   stream::BatchBuilder staged;
   staged.add(5, "", "x");
   b.producer("t").produce_staged(staged);
-  stream::Consumer c(b, "g", "t");
+  stream::GroupMember c(b, "g", "t");
   const auto batch = c.poll(10);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].offset, 0);

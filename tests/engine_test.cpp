@@ -430,7 +430,6 @@ TEST(EngineTest, TeamClampsToPartitionCount) {
 }
 
 TEST(EngineTest, ConfigValidateRejectsNonsense) {
-  EXPECT_THROW(Engine(EngineConfig{}.with_max_batches_per_round(0)), std::invalid_argument);
   EXPECT_NO_THROW(Engine(EngineConfig{}.with_workers(2)));
   // Declared ownership makes oversubscription a configuration error
   // instead of a silent clamp.

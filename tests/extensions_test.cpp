@@ -335,7 +335,7 @@ TEST(ReliabilityTest, EndToEndWithInjectedFailures) {
   telemetry::FacilitySimulator sim(telemetry::compass_spec(0.005), broker, cfg);
   sim.run_until(2 * kHour);
 
-  stream::Consumer logs(broker, "rel", sim.topics().syslog);
+  stream::GroupMember logs(broker, "rel", sim.topics().syslog);
   const auto table = telemetry::log_events_to_table(logs.poll(2000000));
   apps::ReliabilityReport report(table);
 

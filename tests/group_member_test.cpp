@@ -2,7 +2,13 @@
 // and CSV export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <ostream>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "sql/table.hpp"
 #include "stream/broker.hpp"
@@ -14,6 +20,33 @@ using sql::DataType;
 using sql::Schema;
 using sql::Table;
 using sql::Value;
+
+/// One fetched record, owned, so polls can be compared after their views
+/// are gone.
+struct Fetched {
+  std::int64_t offset = 0;
+  common::TimePoint timestamp = 0;
+  std::string key;
+  std::string payload;
+  bool operator==(const Fetched&) const = default;
+};
+
+void PrintTo(const Fetched& f, std::ostream* os) {
+  *os << "{offset " << f.offset << ", ts " << f.timestamp << ", key " << f.key << ", payload "
+      << f.payload << "}";
+}
+
+void append_owned(std::span<const stream::RecordView> views, std::vector<Fetched>& out) {
+  for (const stream::RecordView& v : views) {
+    out.push_back({v.offset, v.timestamp, std::string(v.key), std::string(v.payload)});
+  }
+}
+
+std::vector<Fetched> owned(std::span<const stream::RecordView> views) {
+  std::vector<Fetched> out;
+  append_owned(views, out);
+  return out;
+}
 
 class GroupMemberTest : public ::testing::Test {
  protected:
@@ -149,6 +182,52 @@ TEST_F(GroupMemberTest, MoreMembersThanPartitionsLeavesSomeIdle) {
   }
   EXPECT_EQ(total, 100u);
   EXPECT_EQ(with_assignment, 4u);  // one partition each; two members idle
+}
+
+TEST_F(GroupMemberTest, PollIsThePerPartitionFetchSplicedInPartitionOrder) {
+  // One budget rule: poll(k) takes up to k records from EACH assigned
+  // partition — exactly what poll_by_partition(k) returns to a member of
+  // another group reading from the same offsets, spliced byte for byte in
+  // ascending partition order. The backlog, about 25 records on each of
+  // the 4 partitions, is several times the budget.
+  constexpr std::size_t kBudget = 4;
+  stream::GroupMember spliced(broker_, "spliced", "t");
+  stream::GroupMember by_partition(broker_, "by-partition", "t");
+  std::size_t polls = 0;
+  std::size_t total = 0;
+  for (;; ++polls) {
+    const stream::FetchView got = spliced.poll(kBudget);
+    std::vector<Fetched> want;
+    std::vector<std::size_t> order;
+    for (const stream::PartitionBatchView& pb : by_partition.poll_by_partition(kBudget)) {
+      EXPECT_LE(pb.records.size(), kBudget);
+      order.push_back(pb.partition);
+      append_owned(pb.records, want);
+    }
+    EXPECT_EQ(std::adjacent_find(order.begin(), order.end(), std::greater_equal<>()),
+              order.end());  // strictly ascending partitions
+    ASSERT_EQ(owned(got), want) << "poll " << polls;
+    if (polls == 0) {
+      EXPECT_EQ(got.size(), 4 * kBudget);  // every partition fills its budget
+    }
+    if (got.empty()) break;
+    total += got.size();
+  }
+  EXPECT_EQ(total, 100u);
+  EXPECT_GT(polls, 100u / (4 * kBudget));  // the backlog took several polls
+
+  // Replay: after a commit, seek_to_committed() and the same polls return
+  // the same sequence, batch for batch, with no cursor state beyond the
+  // committed offsets.
+  stream::GroupMember replayer(broker_, "replay", "t");
+  (void)replayer.poll(kBudget);
+  replayer.commit();
+  std::vector<std::vector<Fetched>> first_pass, second_pass;
+  for (int i = 0; i < 3; ++i) first_pass.push_back(owned(replayer.poll(kBudget)));
+  replayer.seek_to_committed();
+  for (int i = 0; i < 3; ++i) second_pass.push_back(owned(replayer.poll(kBudget)));
+  EXPECT_EQ(first_pass, second_pass);
+  EXPECT_EQ(first_pass.back().size(), 4 * kBudget);  // still inside the backlog
 }
 
 TEST(CsvTest, HeaderRowsNullsAndQuoting) {

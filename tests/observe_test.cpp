@@ -264,11 +264,11 @@ TEST(TraceTest, TraceContinuesAcrossBrokerHopIntoPipeline) {
   ASSERT_EQ(q.run_once(), 10u);
 
   // Records must carry the ingest span's context.
-  std::vector<stream::StoredRecord> raw;
-  broker.topic("t").partition(0).fetch_copy(0, 100, raw);
+  stream::FetchView raw;
+  broker.topic("t").partition(0).fetch_view(0, 100, raw);
   ASSERT_FALSE(raw.empty());
-  EXPECT_EQ(raw.front().record.trace_id, ingest_ctx.trace_id);
-  EXPECT_EQ(raw.front().record.span_id, ingest_ctx.span_id);
+  EXPECT_EQ(raw.front().trace_id, ingest_ctx.trace_id);
+  EXPECT_EQ(raw.front().span_id, ingest_ctx.span_id);
 
   // Span forest: batch re-homed under the producer, operator and sink
   // spans are children of the batch.
@@ -298,8 +298,8 @@ TEST(LagTrackerTest, AgreesWithBrokerOffsets) {
   stream::BatchBuilder staged;
   for (int i = 0; i < 1000; ++i) staged.add(i * kSecond, std::to_string(i), "p");
   broker.producer("lag").produce_staged(staged);
-  stream::Consumer consumer(broker, "grp", "lag");
-  const auto consumed = static_cast<std::int64_t>(consumer.poll(300).size());
+  stream::GroupMember consumer(broker, "grp", "lag");
+  const auto consumed = static_cast<std::int64_t>(consumer.poll(75).size());  // 75 per partition
   consumer.commit();
   const std::int64_t expected_lag = 1000 - consumed;
   ASSERT_GT(expected_lag, 0);
@@ -481,8 +481,8 @@ TEST(OdaMonitorTest, TicksAndReports) {
   stream::BatchBuilder staged;
   for (int i = 0; i < 100; ++i) staged.add(i * kSecond, "", "x");
   broker.producer("t").produce_staged(staged);
-  stream::Consumer consumer(broker, "g", "t");
-  (void)consumer.poll(40);
+  stream::GroupMember consumer(broker, "g", "t");
+  (void)consumer.poll(20);  // 20 from each of the 2 partitions
   consumer.commit();
 
   apps::MonitorThresholds th;

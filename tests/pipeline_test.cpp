@@ -391,7 +391,7 @@ TEST(SinkTest, TopicSinkRoundTripsThroughDecoder) {
   TopicSink sink(broker, "out");
   Table t = rows_at({{5 * kSecond, 1.5}, {6 * kSecond, 2.5}});
   sink.write(t);
-  stream::Consumer c(broker, "g", "out");
+  stream::GroupMember c(broker, "g", "out");
   const auto records = c.poll(10);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].timestamp, 6 * kSecond);  // batch max event time

@@ -163,19 +163,26 @@ TEST(SelfObsCodecTest, EncodersMatchRecordedDigests) {
 
 // --- the scraper ---------------------------------------------------------
 
+/// A staged record's bytes, owned so they outlive the builder.
+struct OwnedRecord {
+  TimePoint timestamp = 0;
+  std::string key;
+  std::string payload;
+};
+
 /// Owned copies of the records staged in `staged`, appended to `out`.
-void copy_staged(const stream::BatchBuilder& staged, std::vector<stream::Record>* out) {
+void copy_staged(const stream::BatchBuilder& staged, std::vector<OwnedRecord>* out) {
   std::vector<stream::EncodedRecord> got;
   staged.snapshot(got);
   for (const auto& r : got) {
-    out->push_back(stream::Record{r.timestamp, std::string(r.key), std::string(r.payload)});
+    out->push_back(OwnedRecord{r.timestamp, std::string(r.key), std::string(r.payload)});
   }
 }
 
 // Capture obeying the StagedProduceFn contract: drain the builder on
-// success, materializing owned Records for comparison.
+// success, materializing owned records for comparison.
 struct CapturedRecords {
-  std::vector<stream::Record> all;
+  std::vector<OwnedRecord> all;
   StagedProduceFn fn() {
     return [this](stream::BatchBuilder& staged) {
       const std::size_t n = staged.pending();
@@ -186,8 +193,8 @@ struct CapturedRecords {
   }
 };
 
-void expect_same_records(const std::vector<stream::Record>& got,
-                         const std::vector<stream::Record>& want) {
+void expect_same_records(const std::vector<OwnedRecord>& got,
+                         const std::vector<OwnedRecord>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].timestamp, want[i].timestamp) << "record " << i;
@@ -232,7 +239,7 @@ TEST(ScraperTest, StagedScraperMatchesLegacyByteForByte) {
     }
     scraper.scrape(t);
   }
-  std::vector<stream::Record> want;
+  std::vector<OwnedRecord> want;
   copy_staged(want_metrics, &want);
   expect_same_records(metrics.all, want);
   EXPECT_LT(want.size(), 10u);  // round 2 really suppressed the gauge

@@ -41,7 +41,7 @@ TEST(SoakTest, BrokerSustainsProducersConsumersAndRetention) {
   // until the producers have demonstrably made progress (robust to
   // arbitrary thread scheduling under a loaded test runner).
   std::uint64_t consumed = 0;
-  stream::Consumer consumer(broker, "soak-group", "soak");
+  stream::GroupMember consumer(broker, "soak-group", "soak");
   int round = 0;
   while (produced.load(std::memory_order_relaxed) < 5000 || consumed < 1000) {
     consumed += consumer.poll(512).size();

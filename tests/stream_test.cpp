@@ -13,6 +13,15 @@
 namespace oda::stream {
 namespace {
 
+/// An owned record: what a test stages and later compares with the views
+/// the broker hands back.
+struct Record {
+  common::TimePoint timestamp = 0;
+  std::string key;
+  std::string payload;
+  std::size_t wire_size() const { return key.size() + payload.size() + 24; }
+};
+
 Record make_record(common::TimePoint t, const std::string& key = "", std::size_t payload = 16) {
   Record r;
   r.timestamp = t;
@@ -49,19 +58,19 @@ TEST(PartitionTest, AppendAssignsSequentialOffsets) {
 TEST(PartitionTest, FetchFromOffsetAndLimit) {
   Partition p;
   for (int i = 0; i < 10; ++i) append_one(p, make_record(i));
-  std::vector<StoredRecord> out;
-  const std::int64_t next = p.fetch_copy(3, 4, out);
+  FetchView out;
+  const std::int64_t next = p.fetch_view(3, 4, out);
   EXPECT_EQ(next, 7);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0].offset, 3);
-  EXPECT_EQ(out[0].record.timestamp, 3);
+  EXPECT_EQ(out[0].timestamp, 3);
 }
 
 TEST(PartitionTest, FetchPastEndReturnsNothing) {
   Partition p;
   append_one(p, make_record(1));
-  std::vector<StoredRecord> out;
-  EXPECT_EQ(p.fetch_copy(5, 10, out), 1);
+  FetchView out;
+  EXPECT_EQ(p.fetch_view(5, 10, out), 1);
   EXPECT_TRUE(out.empty());
 }
 
@@ -81,8 +90,8 @@ TEST(PartitionTest, RetentionByAgeDropsWholeSegmentsOnly) {
   EXPECT_GT(evicted, 0u);
   EXPECT_GT(p.start_offset(), 0);
   // Everything older than cutoff minus at most one segment is gone.
-  std::vector<StoredRecord> out;
-  p.fetch_copy(0, 100, out);
+  FetchView out;
+  p.fetch_view(0, 100, out);
   ASSERT_FALSE(out.empty());
   EXPECT_GE(out.front().offset, p.start_offset());
 }
@@ -99,8 +108,8 @@ TEST(PartitionTest, FetchSnapsForwardAfterEviction) {
   Partition p(200);
   for (int i = 0; i < 50; ++i) append_one(p, make_record(i * common::kSecond));
   p.enforce_retention({5 * common::kSecond, -1}, 100 * common::kSecond);
-  std::vector<StoredRecord> out;
-  p.fetch_copy(0, 5, out);  // offset 0 evicted
+  FetchView out;
+  p.fetch_view(0, 5, out);  // offset 0 evicted
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out.front().offset, p.start_offset());
 }
@@ -108,24 +117,25 @@ TEST(PartitionTest, FetchSnapsForwardAfterEviction) {
 // ---- zero-copy view fetches -------------------------------------------
 
 TEST(PartitionViewTest, FetchViewMatchesFetchByteForByte) {
+  // The views hand back byte for byte what was staged.
   Partition p(256);  // several segments
-  for (int i = 0; i < 40; ++i) append_one(p, make_record(i, "key" + std::to_string(i % 3), 24));
-  std::vector<StoredRecord> owned;
-  const std::int64_t next_owned = p.fetch_copy(5, 20, owned);
+  std::vector<Record> staged;
+  for (int i = 0; i < 40; ++i) {
+    Record r = make_record(i, "key" + std::to_string(i % 3), 24);
+    r.payload = "payload-" + std::to_string(i) + r.payload;
+    staged.push_back(r);
+    append_one(p, r);
+  }
   FetchView views;
-  const std::int64_t next_view = p.fetch_view(5, 20, views);
-  EXPECT_EQ(next_owned, next_view);
-  ASSERT_EQ(owned.size(), views.size());
-  for (std::size_t i = 0; i < owned.size(); ++i) {
-    EXPECT_EQ(views[i].offset, owned[i].offset);
-    EXPECT_EQ(views[i].timestamp, owned[i].record.timestamp);
-    EXPECT_EQ(views[i].key, owned[i].record.key);
-    EXPECT_EQ(views[i].payload, owned[i].record.payload);
-    EXPECT_EQ(views[i].wire_size(), owned[i].record.wire_size());
-    const Record round = views[i].to_record();
-    EXPECT_EQ(round.key, owned[i].record.key);
-    EXPECT_EQ(round.payload, owned[i].record.payload);
-    EXPECT_EQ(round.timestamp, owned[i].record.timestamp);
+  EXPECT_EQ(p.fetch_view(5, 20, views), 25);
+  ASSERT_EQ(views.size(), 20u);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const Record& want = staged[5 + i];
+    EXPECT_EQ(views[i].offset, static_cast<std::int64_t>(5 + i));
+    EXPECT_EQ(views[i].timestamp, want.timestamp);
+    EXPECT_EQ(views[i].key, want.key);
+    EXPECT_EQ(views[i].payload, want.payload);
+    EXPECT_EQ(views[i].wire_size(), want.wire_size());
   }
   EXPECT_GT(views.pin_count(), 1u);  // the range spans segment boundaries
 }
@@ -184,7 +194,7 @@ TEST(PartitionViewTest, KeyDictionaryCapsAndInlinesOverflowKeys) {
   }
   EXPECT_EQ(p.key_dict_size(), Partition::kMaxDictKeys);
   // Past the cap: new keys are not interned (no unbounded dictionary
-  // growth) but still round-trip byte-identically via both read paths.
+  // growth) but still round-trip byte-identically.
   const std::int64_t first_overflow = p.end_offset();
   for (int i = 0; i < 10; ++i) {
     Record r = make_record(1000000 + i, "overflow-key-" + std::to_string(i));
@@ -196,15 +206,10 @@ TEST(PartitionViewTest, KeyDictionaryCapsAndInlinesOverflowKeys) {
 
   FetchView v;
   p.fetch_view(first_overflow, 10, v);
-  std::vector<StoredRecord> owned;
-  p.fetch_copy(first_overflow, 10, owned);
   ASSERT_EQ(v.size(), 10u);
-  ASSERT_EQ(owned.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(v[i].key, "overflow-key-" + std::to_string(i));
     EXPECT_EQ(v[i].payload, "overflow-payload-" + std::to_string(i));
-    EXPECT_EQ(owned[i].record.key, v[i].key);
-    EXPECT_EQ(owned[i].record.payload, v[i].payload);
   }
   // An already-interned key still resolves through the dictionary.
   FetchView interned;
@@ -240,18 +245,12 @@ TEST(PartitionViewTest, ZeroBudgetAndAtEndFetchesAreFree) {
   // Past the end: snaps back to the end offset.
   EXPECT_EQ(p.fetch_view(99, 100, v), 5);
   EXPECT_TRUE(v.empty());
-  // The copying shim shares the fast paths.
-  std::vector<StoredRecord> out;
-  EXPECT_EQ(p.fetch_copy(2, 0, out), 2);
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(p.fetch_copy(5, 10, out), 5);
-  EXPECT_TRUE(out.empty());
 }
 
 TEST(TopicTest, EmptyPollLeavesFetchCountersUntouched) {
   Broker b;
   b.create_topic("t", TopicConfig{}.with_partitions(2));
-  Consumer c(b, "g", "t");
+  GroupMember c(b, "g", "t");
   EXPECT_TRUE(c.poll(10).empty());  // nothing produced yet
   EXPECT_TRUE(c.poll(10).empty());
   const TopicStats s0 = b.topic("t").stats();
@@ -312,12 +311,15 @@ TEST(BrokerTest, CreateTopicIdempotent) {
   EXPECT_THROW(b.topic("nope"), std::out_of_range);
 }
 
-TEST(ConsumerTest, PollsAllRecordsAcrossPartitions) {
+// The broker's one reader is a GroupMember; a member alone in its group
+// reads every partition of the topic.
+
+TEST(ReaderTest, PollsAllRecordsAcrossPartitions) {
   Broker b;
   b.create_topic("t", {4, 1 << 20, {}});
   auto producer = b.producer("t");
   for (int i = 0; i < 100; ++i) produce_one(producer, make_record(i, "k" + std::to_string(i)));
-  Consumer c(b, "g", "t");
+  GroupMember c(b, "g", "t");
   std::size_t total = 0;
   for (;;) {
     const auto batch = c.poll(7);
@@ -328,45 +330,50 @@ TEST(ConsumerTest, PollsAllRecordsAcrossPartitions) {
   EXPECT_EQ(c.lag(), 0);
 }
 
-TEST(ConsumerTest, CommitAndResumeFromCommitted) {
+TEST(ReaderTest, CommitAndResumeFromCommitted) {
   Broker b;
   b.create_topic("t", {2, 1 << 20, {}});
   auto producer = b.producer("t");
   for (int i = 0; i < 20; ++i) produce_one(producer, make_record(i, "k" + std::to_string(i)));
 
-  Consumer c1(b, "g", "t");
-  const auto first = c1.poll(10);
-  EXPECT_EQ(first.size(), 10u);
-  c1.commit();
-  (void)c1.poll(5);  // uncommitted reads
+  std::size_t committed = 0;
+  {
+    GroupMember c1(b, "g", "t");
+    const auto first = c1.poll(3);  // at most 3 from each partition
+    committed = first.size();
+    EXPECT_GT(committed, 0u);
+    EXPECT_LE(committed, 6u);
+    c1.commit();
+    (void)c1.poll(2);  // uncommitted reads
+  }  // the reader dies: it leaves the group before its successor joins
 
-  // A "restarted" consumer resumes from the commit, not the last read.
-  Consumer c2(b, "g", "t");
+  // A "restarted" reader resumes from the commit, not the last read.
+  GroupMember c2(b, "g", "t");
   std::size_t total = 0;
   for (;;) {
     const auto batch = c2.poll(64);
     if (batch.empty()) break;
     total += batch.size();
   }
-  EXPECT_EQ(total, 10u);  // 20 produced - 10 committed
+  EXPECT_EQ(total, 20u - committed);  // produced - committed
 }
 
-TEST(ConsumerTest, IndependentGroupsSeeFullStream) {
+TEST(ReaderTest, IndependentGroupsSeeFullStream) {
   Broker b;
   b.create_topic("t", {2, 1 << 20, {}});
   auto producer = b.producer("t");
   for (int i = 0; i < 30; ++i) produce_one(producer, make_record(i));
-  Consumer a(b, "groupA", "t"), c(b, "groupB", "t");
+  GroupMember a(b, "groupA", "t"), c(b, "groupB", "t");
   EXPECT_EQ(a.poll(100).size(), 30u);
   EXPECT_EQ(c.poll(100).size(), 30u);  // fan-out: each group gets everything
 }
 
-TEST(ConsumerTest, SeekToTime) {
+TEST(ReaderTest, SeekToTime) {
   Broker b;
   b.create_topic("t", {1, 1 << 20, {}});
   auto producer = b.producer("t");
   for (int i = 0; i < 10; ++i) produce_one(producer, make_record(i * common::kMinute));
-  Consumer c(b, "g", "t");
+  GroupMember c(b, "g", "t");
   c.seek_to_time(5 * common::kMinute);
   const auto batch = c.poll(100);
   ASSERT_EQ(batch.size(), 5u);
@@ -379,8 +386,8 @@ TEST(BrokerTest, LagAccountsCommittedOffsets) {
   auto producer = b.producer("t");
   for (int i = 0; i < 10; ++i) produce_one(producer, make_record(i));
   EXPECT_EQ(b.lag("g", "t"), 10);
-  Consumer c(b, "g", "t");
-  (void)c.poll(4);
+  GroupMember c(b, "g", "t");
+  (void)c.poll(2);  // 2 from each of the 2 partitions
   c.commit();
   EXPECT_EQ(b.lag("g", "t"), 6);
 }
@@ -415,7 +422,7 @@ TEST(BrokerTest, ConcurrentProducersAndConsumer) {
   }
   for (auto& t : producers) t.join();
 
-  Consumer c(b, "g", "t");
+  GroupMember c(b, "g", "t");
   std::size_t total = 0;
   for (;;) {
     const auto batch = c.poll(1024);
@@ -460,15 +467,15 @@ TEST(TopicTest, ProduceBatchMatchesSequentialProduce) {
   EXPECT_EQ(seq_topic.stats().produced_records, batch_topic.stats().produced_records);
   EXPECT_EQ(seq_topic.stats().produced_bytes, batch_topic.stats().produced_bytes);
   for (std::size_t p = 0; p < 4; ++p) {
-    std::vector<StoredRecord> a, b;
-    seq_topic.partition(p).fetch_copy(0, 1000, a);
-    batch_topic.partition(p).fetch_copy(0, 1000, b);
+    FetchView a, b;
+    seq_topic.partition(p).fetch_view(0, 1000, a);
+    batch_topic.partition(p).fetch_view(0, 1000, b);
     ASSERT_EQ(a.size(), b.size()) << "partition " << p;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].offset, b[i].offset);
-      EXPECT_EQ(a[i].record.timestamp, b[i].record.timestamp);
-      EXPECT_EQ(a[i].record.key, b[i].record.key);
-      EXPECT_EQ(a[i].record.payload, b[i].record.payload);
+      EXPECT_EQ(a[i].timestamp, b[i].timestamp);
+      EXPECT_EQ(a[i].key, b[i].key);
+      EXPECT_EQ(a[i].payload, b[i].payload);
     }
   }
 }
@@ -683,31 +690,25 @@ TEST(StagedProduceTest, BuilderCapacityIsReusedAcrossFlushes) {
   EXPECT_EQ(b.topic("t").stats().produced_records, 300u);
 }
 
-TEST(SubscriptionTest, ConsumerAndGroupMemberShareTheInterface) {
+TEST(ReaderTest, CommittedDrainReplaysNothing) {
   Broker b;
   b.create_topic("t", TopicConfig{}.with_partitions(2));
   auto producer = b.producer("t");
   for (std::size_t i = 0; i < 10; ++i) produce_one(producer, make_record(1, "k" + std::to_string(i)));
 
-  // Both concrete readers drain the topic through the same polling API.
-  const auto drain = [](auto& sub) {
-    EXPECT_EQ(sub.lag(), 10);
-    std::size_t total = 0;
-    for (;;) {
-      const auto polled = sub.poll(4);
-      if (polled.empty()) break;
-      total += polled.size();
-    }
-    EXPECT_EQ(total, 10u);
-    EXPECT_EQ(sub.lag(), 0);
-    sub.commit();
-    sub.seek_to_committed();
-    EXPECT_TRUE(sub.poll(4).empty());  // committed at end: nothing replays
-  };
-  Consumer consumer(b, "g_consumer", "t");
-  drain(consumer);
-  GroupMember member(b, "g_member", "t");
-  drain(member);
+  GroupMember member(b, "g", "t");
+  EXPECT_EQ(member.lag(), 10);
+  std::size_t total = 0;
+  for (;;) {
+    const auto polled = member.poll(4);
+    if (polled.empty()) break;
+    total += polled.size();
+  }
+  EXPECT_EQ(total, 10u);
+  EXPECT_EQ(member.lag(), 0);
+  member.commit();
+  member.seek_to_committed();
+  EXPECT_TRUE(member.poll(4).empty());  // committed at end: nothing replays
 }
 
 }  // namespace

@@ -26,13 +26,14 @@ std::vector<stream::EncodedRecord> staged_records(const stream::BatchBuilder& st
   return out;
 }
 
-/// Owned copies of the staged records, numbered from offset 0 — the
-/// input packets_to_bronze sees through as_views.
-std::vector<stream::StoredRecord> stored_records(const stream::BatchBuilder& staged) {
-  std::vector<stream::StoredRecord> out;
+/// The staged records as the views a fetch would hand packets_to_bronze,
+/// numbered from offset 0. They borrow the builder's bytes, so `staged`
+/// must outlive them.
+std::vector<stream::RecordView> record_views(const stream::BatchBuilder& staged) {
+  std::vector<stream::RecordView> out;
   for (const stream::EncodedRecord& r : staged_records(staged)) {
-    out.push_back({static_cast<std::int64_t>(out.size()),
-                   stream::Record{r.timestamp, std::string(r.key), std::string(r.payload)}});
+    out.push_back({static_cast<std::int64_t>(out.size()), r.timestamp, r.trace_id, r.span_id,
+                   r.key, r.payload});
   }
   return out;
 }
@@ -290,8 +291,7 @@ TEST(CodecTest, PacketsToBronzeLongFormat) {
   pkt.readings = {{SensorId{ComponentKind::kCpu, 0, SensorKind::kPowerW}.encode(), 150.0}};
   stream::BatchBuilder staged;
   encode_packet_into(pkt, staged);
-  const auto records = stored_records(staged);
-  const auto bronze = packets_to_bronze(stream::as_views(records));
+  const auto bronze = packets_to_bronze(record_views(staged));
   ASSERT_EQ(bronze.num_rows(), 1u);
   EXPECT_EQ(bronze.column("sensor").str_at(0), "cpu0.power_w");
   EXPECT_EQ(bronze.column("node_id").int_at(0), 3);
@@ -321,9 +321,8 @@ TEST(CodecTest, BronzeBuilderSameTableFromPacketsAndPayloads) {
     builder.add(pkt);
     encode_packet_into(pkt, staged);
   }
-  const auto records = stored_records(staged);
   const sql::Table from_packets = builder.finish();
-  const sql::Table from_payloads = packets_to_bronze(stream::as_views(records));
+  const sql::Table from_payloads = packets_to_bronze(record_views(staged));
   EXPECT_EQ(from_packets.schema(), bronze_schema());
   ASSERT_GT(from_packets.num_rows(), 0u);
   EXPECT_EQ(sql::to_csv(from_payloads), sql::to_csv(from_packets));
