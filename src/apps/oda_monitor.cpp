@@ -130,7 +130,7 @@ std::string OdaMonitor::render() const {
       std::snprintf(buf, sizeof(buf),
                     "  engine%zu  workers=%zu queries=%zu rounds=%" PRIu64 " batches=%" PRIu64
                     " rows=%" PRIu64 " wall=%.3fs\n",
-                    i, e->workers(), e->num_queries(), s.rounds, s.batches, s.rows,
+                    i, e->workers(), e->queries().size(), s.rounds, s.batches, s.rows,
                     s.wall_seconds);
       out += buf;
       // Ownership view: which worker owns how many partitions, how many
@@ -172,7 +172,7 @@ std::string OdaMonitor::to_json() const {
     first = false;
     const engine::EngineStats s = e->stats();
     out += "{\"workers\":" + std::to_string(e->workers()) +
-           ",\"queries\":" + std::to_string(e->num_queries()) +
+           ",\"queries\":" + std::to_string(e->queries().size()) +
            ",\"rounds\":" + std::to_string(s.rounds) +
            ",\"batches\":" + std::to_string(s.batches) + ",\"rows\":" + std::to_string(s.rows) +
            ",\"worker_info\":[";
@@ -248,7 +248,7 @@ std::string scan_string(const std::string& s, const std::string& key, std::size_
 
 observe::FlightEventType scan_event_type(const std::string& name) {
   using observe::FlightEventType;
-  for (int t = 0; t <= static_cast<int>(FlightEventType::kMark); ++t) {
+  for (int t = 0; t <= static_cast<int>(FlightEventType::kSpanEnd); ++t) {
     const auto et = static_cast<FlightEventType>(t);
     if (name == observe::flight_event_type_name(et)) return et;
   }
@@ -305,6 +305,9 @@ observe::FlightDump parse_flight_json(const std::string& text) {
     e.vt = static_cast<common::TimePoint>(scan_number(line, "vt", 0));
     e.wall_ns = static_cast<std::uint64_t>(scan_number(line, "wall_us", 0) * 1e3);
     e.arg = static_cast<std::uint64_t>(scan_number(line, "arg", 0));
+    e.ids.span = static_cast<std::uint64_t>(scan_number(line, "span", 0));
+    e.ids.parent = static_cast<std::uint64_t>(scan_number(line, "parent", 0));
+    e.ids.trace = static_cast<std::uint64_t>(scan_number(line, "trace", 0));
     const std::string label = scan_string(line, "label", 0);
     if (!label.empty()) {
       std::size_t id = 0;
@@ -332,27 +335,21 @@ std::string render_flight(const observe::FlightDump& d, std::size_t tail) {
                 d.ring_names.size(), d.capacity);
   out += buf;
 
-  // Per-ring wall time per phase: pair begin/end in timeline order (the
-  // dump is already ordered, and pairs never interleave within one ring).
+  // Per-ring wall time per phase, from the dump's begin/end pairs.
   const std::size_t rings = d.ring_names.size();
   std::vector<std::array<double, observe::kFlightPhases>> phase_ms(rings);
-  std::vector<std::array<std::uint64_t, observe::kFlightPhases>> open_ns(rings);
   std::vector<std::uint64_t> faults(rings, 0), retries(rings, 0), rebalances(rings, 0);
   std::vector<std::uint64_t> counts(rings, 0);
   for (auto& a : phase_ms) a.fill(0.0);
-  for (auto& a : open_ns) a.fill(UINT64_MAX);
+  for (const observe::FlightSpan& s : d.spans()) {
+    if (!s.is_phase() || s.ring >= rings || s.wall_end_ns < s.wall_begin_ns) continue;
+    phase_ms[s.ring][static_cast<std::size_t>(s.phase)] +=
+        static_cast<double>(s.wall_end_ns - s.wall_begin_ns) / 1e6;
+  }
   for (const observe::FlightEvent& e : d.events) {
     if (e.ring >= rings) continue;
     ++counts[e.ring];
-    const auto p = static_cast<std::size_t>(e.phase);
     switch (e.type) {
-      case FlightEventType::kPhaseBegin: open_ns[e.ring][p] = e.wall_ns; break;
-      case FlightEventType::kPhaseEnd:
-        if (open_ns[e.ring][p] != UINT64_MAX && e.wall_ns >= open_ns[e.ring][p]) {
-          phase_ms[e.ring][p] += static_cast<double>(e.wall_ns - open_ns[e.ring][p]) / 1e6;
-        }
-        open_ns[e.ring][p] = UINT64_MAX;
-        break;
       case FlightEventType::kFault: ++faults[e.ring]; break;
       case FlightEventType::kRetry: ++retries[e.ring]; break;
       case FlightEventType::kRebalance: ++rebalances[e.ring]; break;

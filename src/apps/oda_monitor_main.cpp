@@ -1,10 +1,11 @@
 // oda_monitor — the self-observability health app as an executable.
 //
 // Runs a small instrumented facility simulation (collection → broker →
-// Bronze→Silver refinement → LAKE) with tracing and the self-telemetry
-// loop enabled, then reports the framework's own health: SLO states,
-// consumer lag, watermark freshness, tier backlogs, retained metric
-// history, and the trace anatomy of the run.
+// Bronze→Silver refinement → LAKE) with the self-telemetry loop enabled
+// and the framework engine's flight recorder taking spans, then reports
+// the framework's own health: SLO states, consumer lag, watermark
+// freshness, tier backlogs, retained metric history, and the trace
+// anatomy of the run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,7 +21,6 @@
 #include "core/framework.hpp"
 #include "engine/engine.hpp"
 #include "observe/export.hpp"
-#include "observe/trace.hpp"
 #include "telemetry/codec.hpp"
 
 namespace {
@@ -29,21 +29,23 @@ constexpr const char* kUsage = R"(usage: oda_monitor [options]
 
 Self-observability health app: runs an instrumented demo facility
 (collection -> broker -> Bronze->Silver -> LAKE, plus a 2-worker engine
-mirror) with tracing and the self-telemetry loop on, then reports the
-framework's own health.
+mirror) with the flight recorder and the self-telemetry loop on, then
+reports the framework's own health.
 
 options:
   --help                 print this usage to stdout and exit 0
   --one-line             single-line metrics digest (build-log hook)
   --json                 machine-readable report
-  --spans                include the span forest (trace anatomy)
+  --spans                include the span forest (trace anatomy) from the
+                         framework engine's flight recorder
   --watch [N]            periodic mode: N frames (default 4) of 30s of
                          facility time each, redrawing SLO state and
                          HistoryStore sparklines per frame
   --history <prefix>     tabular range dump (raw + 1m rollups) of every
                          retained series whose name starts with <prefix>
-  --chrome-trace <file>  write the run's spans as Chrome trace-event JSON
-                         (load in chrome://tracing or Perfetto)
+  --chrome-trace <file>  write the framework engine's flight dump (spans
+                         and phases) as Chrome trace-event JSON (load in
+                         chrome://tracing or Perfetto)
   --flight <dump.json>   standalone viewer: render a flight dump written
                          by --flight-dump (or Engine::dump_flight) as a
                          per-worker phase timeline; with --json, re-emit
@@ -159,6 +161,13 @@ double e2e_quantile(double q) {
   return oda::observe::quantile_from_buckets(merged, total, q);
 }
 
+// Closed trace spans in a dump (engine phases not counted).
+std::size_t span_count(const oda::observe::FlightDump& d) {
+  std::size_t n = 0;
+  for (const auto& s : d.spans()) n += s.is_phase() ? 0 : 1;
+  return n;
+}
+
 void print_frame(const oda::apps::OdaMonitor& monitor, const oda::core::OdaFramework& fw,
                  const oda::observe::HistoryStore& history, int frame,
                  const std::vector<double>& e2e_p50, const std::vector<double>& e2e_p99) {
@@ -247,9 +256,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  oda::observe::Tracer tracer;
-  oda::observe::ScopedTracer scoped(tracer);
-
   oda::core::OdaFramework fw;
   auto& sys = fw.add_system(oda::telemetry::compass_spec(0.004));
   auto& silver = fw.register_query(fw.make_bronze_to_silver_power(sys.spec().name));
@@ -324,7 +330,8 @@ int main(int argc, char** argv) {
   }
 
   if (!chrome_path.empty()) {
-    const std::string trace = oda::observe::spans_to_chrome_json(tracer.store().snapshot());
+    const oda::observe::FlightDump dump = fw.engine().dump_flight();
+    const std::string trace = oda::observe::flight_to_chrome_json(dump);
     std::ofstream f(chrome_path, std::ios::binary);
     if (!f) {
       std::cerr << "oda_monitor: cannot write " << chrome_path << "\n";
@@ -332,7 +339,7 @@ int main(int argc, char** argv) {
     }
     f << trace;
     f.close();
-    std::printf("wrote %zu spans (%zu bytes) to %s\n", tracer.store().size(), trace.size(),
+    std::printf("wrote %zu spans (%zu bytes) to %s\n", span_count(dump), trace.size(),
                 chrome_path.c_str());
     if (!history_mode && !one_line && !json) return 0;
   }
@@ -368,8 +375,9 @@ int main(int argc, char** argv) {
   }
   std::cout << oda::apps::OdaMonitor::one_line() << "\n";
   if (spans) {
-    std::cout << "\n-- trace anatomy (last " << tracer.store().size() << " spans) --\n";
-    std::cout << oda::observe::spans_to_text(tracer.store().snapshot());
+    const oda::observe::FlightDump dump = fw.engine().dump_flight();
+    std::cout << "\n-- trace anatomy (last " << span_count(dump) << " spans) --\n";
+    std::cout << oda::observe::span_forest_to_text(dump);
   }
   return monitor.overall() == oda::observe::SloState::kBreached ? 1 : 0;
 }

@@ -18,8 +18,9 @@ using sql::Value;
 
 namespace {
 
-// Every framework pipeline runs on a team of one: advance() drains the
-// queries one after another on the caller's thread.
+// Every framework pipeline runs on a team of one, and so does the
+// framework's engine: advance() drains the queries one after another on
+// the caller's thread.
 constexpr std::size_t kWorkers = 1;
 
 std::unique_ptr<Query> make_query(pipeline::QueryConfig qc, stream::Broker& broker,
@@ -34,7 +35,9 @@ std::unique_ptr<Query> make_query(pipeline::QueryConfig qc, stream::Broker& brok
 }  // namespace
 
 OdaFramework::OdaFramework(FrameworkConfig config)
-    : config_(config), tiers_(broker_, lake_, ocean_, glacier_, config.retention) {}
+    : config_(config),
+      tiers_(broker_, lake_, ocean_, glacier_, config.retention),
+      engine_(engine::EngineConfig{}.with_workers(kWorkers)) {}
 
 telemetry::FacilitySimulator& OdaFramework::add_system(telemetry::SystemSpec spec,
                                                        telemetry::SimulatorConfig config) {
@@ -175,8 +178,7 @@ std::unique_ptr<Query> OdaFramework::make_fabric_to_lake(const std::string& syst
 }
 
 Query& OdaFramework::register_query(std::unique_ptr<Query> q) {
-  queries_.push_back(std::move(q));
-  return *queries_.back();
+  return engine_.adopt(std::move(q));
 }
 
 void OdaFramework::enable_self_telemetry(observe::ScraperConfig config) {
@@ -209,7 +211,7 @@ void OdaFramework::advance(Duration dt, Duration step) {
     // Self-telemetry scrapes before queries drain, so the _oda.history
     // query folds this step's samples into the store in the same step.
     if (scraper_) scraper_->poll(now_);
-    for (auto& q : queries_) q->run_until_caught_up();
+    engine_.run_until_caught_up();
     if (now_ - last_retention_ >= config_.retention_sweep_period) {
       tiers_.enforce(now_);
       last_retention_ = now_;

@@ -95,12 +95,17 @@ class OdaFramework {
   /// Fabric switch telemetry → LAKE metric "switch_stall_pct".
   std::unique_ptr<engine::Query> make_fabric_to_lake(const std::string& system_name);
 
-  /// Register a query with the framework's run loop. Every canonical
-  /// pipeline (and the `_oda.history` query) is an engine::Query with a
-  /// team of one: advance() drains them in registration order on the
-  /// caller's thread.
+  /// Hand a query to the framework's engine (Engine::adopt). Every
+  /// canonical pipeline (and the `_oda.history` query) is an
+  /// engine::Query with a team of one; advance() drains them through one
+  /// Engine::run_until_caught_up() on the caller's thread, visiting them
+  /// in registration order, and they record to the engine's flight
+  /// recorder.
   engine::Query& register_query(std::unique_ptr<engine::Query> q);
-  const std::vector<std::unique_ptr<engine::Query>>& queries() const { return queries_; }
+  const std::vector<std::unique_ptr<engine::Query>>& queries() const { return engine_.queries(); }
+  /// The engine that runs every registered query; its recorder is the
+  /// run's flight timeline (spans included).
+  engine::Engine& engine() { return engine_; }
 
   // --- self-telemetry loop (DESIGN.md §9) --------------------------------
   /// Turn on the loop: a Scraper snapshotting the process registry onto
@@ -149,12 +154,15 @@ class OdaFramework {
   ml::ExperimentTracker experiments_;
   AllocationManager allocations_;
   std::vector<std::unique_ptr<telemetry::FacilitySimulator>> systems_;
-  std::vector<std::unique_ptr<engine::Query>> queries_;
   std::unique_ptr<observe::Scraper> scraper_;
   std::unique_ptr<observe::HistoryStore> history_;
-  engine::Query* history_query_ = nullptr;  ///< owned by queries_
+  engine::Query* history_query_ = nullptr;  ///< owned by engine_
   common::TimePoint now_ = 0;
   common::TimePoint last_retention_ = 0;
+  // Declared last on purpose: the engine's queries read the broker and
+  // write the stores and the history store above, so it must be
+  // destroyed before them.
+  engine::Engine engine_;
 };
 
 }  // namespace oda::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 
 #include "common/bytes.hpp"
@@ -35,14 +34,12 @@ void EngineConfig::validate() const {
 // Query: construction and stage registration
 // ---------------------------------------------------------------------------
 
-Query::Query(pipeline::QueryConfig config, const SourceSpec& spec, std::size_t workers,
-             observe::FlightRecorder* flight)
+Query::Query(pipeline::QueryConfig config, const SourceSpec& spec, std::size_t workers)
     : config_(std::move(config)),
       broker_(spec.broker),
       topic_(spec.topic),
       decoder_(spec.decoder),
-      retrier_(spec.retry, /*seed=*/0xe2619eull),
-      flight_(flight) {
+      retrier_(spec.retry, /*seed=*/0xe2619eull) {
   config_.validate();
   if (!broker_) throw std::invalid_argument("SourceSpec: broker must be set");
   if (!decoder_) throw std::invalid_argument("SourceSpec: decoder must be set");
@@ -76,12 +73,10 @@ Query::Query(pipeline::QueryConfig config, const SourceSpec& spec, std::size_t w
       reg.gauge("engine.phase.merge_pct", labels);
   obs_phase_pct_[static_cast<std::size_t>(FlightPhase::kCommit)] =
       reg.gauge("engine.phase.commit_pct", labels);
-  if (flight_ != nullptr) {
-    label_query_ = flight_->intern(config_.name);
-    label_generation_ = flight_->intern("generation");
-    label_dead_letter_ = flight_->intern("dead-letter");
-  }
-  batch_span_name_ = "query." + config_.name + ".batch";
+  label_query_ = observe::intern_label(config_.name);
+  label_batch_ = observe::intern_label("query." + config_.name + ".batch");
+  label_sink_write_ = observe::intern_label("sink.write");
+  label_dead_letter_ = observe::intern_label("dead-letter");
 
   const std::size_t team = std::clamp<std::size_t>(workers, 1, num_partitions);
   workers_.reserve(team);
@@ -123,6 +118,7 @@ Query& Query::add_operator(const OperatorFactory& factory) {
   pipeline::StageMetrics sm;
   sm.name = lanes_.front().ops.back()->name();
   sm.output_class = lanes_.front().ops.back()->output_class();
+  op_labels_.push_back(observe::intern_label(sm.name));
   metrics_.stages.push_back(std::move(sm));
   return *this;
 }
@@ -140,11 +136,6 @@ Query& Query::add_sink(std::unique_ptr<pipeline::Sink> sink) {
   return *this;
 }
 
-Query& Query::add_sink_ref(pipeline::Sink& sink) {
-  sinks_.push_back(&sink);
-  return *this;
-}
-
 // ---------------------------------------------------------------------------
 // Query: generation barriers
 // ---------------------------------------------------------------------------
@@ -159,7 +150,9 @@ void Query::worker_loop(std::size_t w) {
     // The wait below is the worker's stall: barrier skew while teammates
     // finish a phase, plus idle time between generations. The flight
     // recorder brackets it as a kBarrier phase so the timeline shows
-    // where a generation's wall time actually went.
+    // where a generation's wall time actually went. It spans two
+    // generations, so it hangs under no batch span (and batch_ctx_ may
+    // already be the driver's next one).
     flight_emit(flight_ring(w), FlightEventType::kPhaseBegin, FlightPhase::kBarrier);
     Stopwatch idle_sw;
     {
@@ -195,14 +188,14 @@ void Query::run_phase(Phase p) {
   // Driver-side barrier: wait for the straggling workers to drain. With
   // a team of one (live_threads_ == 0) the predicate is already true and
   // the bracket collapses to ~0.
-  flight_emit(0, FlightEventType::kPhaseBegin, FlightPhase::kBarrier);
+  flight_emit(0, FlightEventType::kPhaseBegin, FlightPhase::kBarrier, 0, 0, batch_ctx_);
   Stopwatch wait_sw;
   {
     std::unique_lock lk(phase_mu_);
     done_cv_.wait(lk, [&] { return remaining_ == 0; });
   }
   driver_wall_[static_cast<std::size_t>(FlightPhase::kBarrier)] += wait_sw.elapsed_seconds();
-  flight_emit(0, FlightEventType::kPhaseEnd, FlightPhase::kBarrier);
+  flight_emit(0, FlightEventType::kPhaseEnd, FlightPhase::kBarrier, 0, 0, batch_ctx_);
 }
 
 namespace {
@@ -222,9 +215,11 @@ void Query::run_phase_on(std::size_t w, Phase p) {
   using observe::FlightEventType;
   Worker& wk = *workers_[w];
   if (!wk.alive) return;
+  // This worker's spans go to its ring, worker 0's on the driver thread too.
+  const observe::ScopedFlightRing ring(flight_ring(w));
   const observe::FlightPhase fp = to_flight_phase(static_cast<std::uint8_t>(p));
   wk.last_phase_rows = 0;
-  flight_emit(flight_ring(w), FlightEventType::kPhaseBegin, fp);
+  flight_emit(flight_ring(w), FlightEventType::kPhaseBegin, fp, 0, 0, batch_ctx_);
   Stopwatch sw;
   try {
     switch (p) {
@@ -238,8 +233,8 @@ void Query::run_phase_on(std::size_t w, Phase p) {
     // before the driver's retry path reseeks the members. The fault
     // instant still lands on this worker's timeline (interning is a
     // mutex, but faults are the cold path by definition).
-    if (flight_ != nullptr) {
-      flight_->emit(flight_ring(w), FlightEventType::kFault, fp, 0, flight_->intern(e.what()));
+    if (flight_.load(std::memory_order_relaxed) != nullptr) {
+      flight_emit(flight_ring(w), FlightEventType::kFault, fp, 0, observe::intern_label(e.what()));
     }
     wk.error = std::current_exception();
   } catch (...) {
@@ -247,7 +242,7 @@ void Query::run_phase_on(std::size_t w, Phase p) {
     wk.error = std::current_exception();
   }
   wk.phase_wall[static_cast<std::size_t>(fp)] += sw.elapsed_seconds();
-  flight_emit(flight_ring(w), FlightEventType::kPhaseEnd, fp, wk.last_phase_rows);
+  flight_emit(flight_ring(w), FlightEventType::kPhaseEnd, fp, wk.last_phase_rows, 0, batch_ctx_);
 }
 
 void Query::check_worker_errors() {
@@ -265,15 +260,6 @@ void Query::check_worker_errors() {
 
 void Query::fetch_lanes(std::size_t w) {
   Worker& wk = *workers_[w];
-  // Worker 0 runs on the driver thread, so its span parents naturally
-  // under the open batch span; thread workers carry the batch context
-  // over explicitly.
-  std::optional<observe::Span> span;
-  if (w == 0) {
-    span.emplace("engine.fetch");
-  } else {
-    span.emplace("engine.fetch", batch_ctx_);
-  }
   auto batches = wk.member->poll_by_partition(budget_);
   std::size_t rows = 0;
   for (auto& pb : batches) {
@@ -339,7 +325,7 @@ void Query::operate_lanes(std::size_t w) {
       Stopwatch sw;
       // Parents under the batch span: locally on the driver thread, via
       // the batch context on a thread worker.
-      observe::Span op_span(lane.ops[i]->name(), batch_ctx_);
+      observe::Span op_span(op_labels_[i], batch_ctx_);
       const std::uint64_t in_rows = b.table.num_rows();
       b = lane.ops[i]->process(std::move(b));
       lane.stage_wall[i] += sw.elapsed_seconds();
@@ -427,16 +413,17 @@ std::size_t Query::run_once() {
   using observe::FlightEventType;
   using observe::FlightPhase;
   Stopwatch batch_sw;
-  observe::Span batch_span(batch_span_name_);
+  // The generation's span: its phases, operators and sink writes hang
+  // under it in the flight dump.
+  observe::Span batch_span(label_batch_);
+  batch_ctx_ = batch_span.context();
   for (pipeline::Sink* s : sinks_) s->begin_batch();
 
   std::size_t pulled = 0;
   bool pull_ok = false;
   bool ops_began = false;
   watermark_snapshot_ = watermark_;
-  flight_emit(0, FlightEventType::kMark, FlightPhase::kNone, metrics_.batches, label_generation_);
   try {
-    batch_ctx_ = observe::current_context();
     // Fetch phase, retried whole under the "engine.pull" seam: a faulted
     // fetch may have advanced some members partway, so every retry first
     // restores all members to the group's committed offsets.
@@ -489,7 +476,7 @@ std::size_t Query::run_once() {
 
     // Merge the lanes' stage accounting (one RunningStats sample per
     // generation, summed across lanes).
-    flight_emit(0, FlightEventType::kPhaseBegin, FlightPhase::kMerge);
+    flight_emit(0, FlightEventType::kPhaseBegin, FlightPhase::kMerge, 0, 0, batch_ctx_);
     Stopwatch merge_sw;
     for (std::size_t i = 0; i < metrics_.stages.size(); ++i) {
       double wall = 0.0;
@@ -517,24 +504,24 @@ std::size_t Query::run_once() {
     const std::uint64_t out_rows = out.num_rows();
     if (out.num_rows() > 0) {
       for (pipeline::Sink* s : sinks_) {
-        observe::Span sink_span("sink.write");
+        observe::Span sink_span(label_sink_write_);
         s->write(out);
       }
     }
     driver_wall_[static_cast<std::size_t>(FlightPhase::kMerge)] += merge_sw.elapsed_seconds();
-    flight_emit(0, FlightEventType::kPhaseEnd, FlightPhase::kMerge, out_rows);
+    flight_emit(0, FlightEventType::kPhaseEnd, FlightPhase::kMerge, out_rows, 0, batch_ctx_);
 
     // Commit order: sinks first (infallible in-memory bookkeeping), then
     // lane operator state, then the members' offsets. Nothing after the
     // sink writes can throw, so a generation fully lands or fully rolls
     // back.
-    flight_emit(0, FlightEventType::kPhaseBegin, FlightPhase::kCommit);
+    flight_emit(0, FlightEventType::kPhaseBegin, FlightPhase::kCommit, 0, 0, batch_ctx_);
     Stopwatch commit_sw;
     for (pipeline::Sink* s : sinks_) s->commit_batch();
     commit_all_lanes();
     commit_all_members();
     driver_wall_[static_cast<std::size_t>(FlightPhase::kCommit)] += commit_sw.elapsed_seconds();
-    flight_emit(0, FlightEventType::kPhaseEnd, FlightPhase::kCommit, pulled);
+    flight_emit(0, FlightEventType::kPhaseEnd, FlightPhase::kCommit, pulled, 0, batch_ctx_);
     metrics_.rows_ingested += pulled;
     ++metrics_.batches;
     consecutive_failures_ = 0;
@@ -558,10 +545,10 @@ std::size_t Query::run_once() {
     // The fault instant lands on the driver ring, and the black box is
     // flagged for export: a chaos-injected generation failure is exactly
     // the "seconds before the crash" a flight recorder exists for.
-    if (flight_ != nullptr) {
-      flight_->emit(0, FlightEventType::kFault, FlightPhase::kNone, consecutive_failures_,
-                    flight_->intern(e.what()));
-      flight_->request_dump(std::string("query.error:") + config_.name);
+    if (observe::FlightRecorder* fr = flight_.load(std::memory_order_acquire)) {
+      flight_emit(0, FlightEventType::kFault, FlightPhase::kNone, consecutive_failures_,
+                  observe::intern_label(e.what()));
+      fr->request_dump(std::string("query.error:") + config_.name);
     }
     if (ops_began) rollback_all_lanes();
     watermark_ = watermark_snapshot_;
@@ -780,18 +767,22 @@ Engine::~Engine() {
   if (flight_) observe::uninstall_flight_recorder(flight_.get());
 }
 
-Query& Engine::add_query(pipeline::QueryConfig config, SourceSpec spec) {
-  if (!spec.broker) throw std::invalid_argument("SourceSpec: broker must be set");
-  const std::size_t num_partitions = spec.broker->topic(spec.topic).num_partitions();
-  if (config_.ownership.partitions != 0 && config_.ownership.partitions != num_partitions) {
-    throw std::invalid_argument("Engine: topic '" + spec.topic + "' has " +
-                                std::to_string(num_partitions) +
+Query& Engine::adopt(std::unique_ptr<Query> query) {
+  if (config_.ownership.partitions != 0 &&
+      config_.ownership.partitions != query->num_partitions()) {
+    throw std::invalid_argument("Engine: topic '" + query->topic_ + "' has " +
+                                std::to_string(query->num_partitions()) +
                                 " partitions but the ownership config declares " +
                                 std::to_string(config_.ownership.partitions));
   }
-  queries_.push_back(std::make_unique<Query>(std::move(config), spec, workers_, flight_.get()));
+  query->flight_.store(flight_.get(), std::memory_order_release);
+  queries_.push_back(std::move(query));
   obs_queries_->set(static_cast<double>(queries_.size()));
   return *queries_.back();
+}
+
+Query& Engine::add_query(pipeline::QueryConfig config, SourceSpec spec) {
+  return adopt(std::make_unique<Query>(std::move(config), spec, workers_));
 }
 
 std::uint64_t Engine::run_until_caught_up(std::size_t max_rounds) {

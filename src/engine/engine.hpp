@@ -179,8 +179,10 @@ struct WorkerStats {
 /// One sharded pipeline — the repo's one executor: a worker team owning
 /// a topic's partitions end-to-end, per-partition operator chains, and a
 /// deterministic merge point feeding the sinks. Engine::add_query()
-/// builds one for the multi-query scheduler; OdaFramework constructs its
-/// pipelines directly with a team of one. Stages chain fluently.
+/// builds one inside an engine; a query built outside (OdaFramework's
+/// make_* pipelines, make_history_query) joins one through
+/// Engine::adopt(), which also hands it the engine's flight recorder.
+/// Stages chain fluently.
 ///
 /// Per-lane operator contract: every stage runs once per partition lane
 /// on that lane's rows only. A stage whose grouping key is (or implies)
@@ -200,8 +202,7 @@ struct WorkerStats {
 /// calls too.
 class Query {
  public:
-  Query(pipeline::QueryConfig config, const SourceSpec& spec, std::size_t workers,
-        observe::FlightRecorder* flight = nullptr);
+  Query(pipeline::QueryConfig config, const SourceSpec& spec, std::size_t workers);
   ~Query();
 
   Query(const Query&) = delete;
@@ -213,8 +214,6 @@ class Query {
   Query& add_transform(std::string name, storage::DataClass out_class,
                        std::function<sql::Table(const sql::Table&)> fn);
   Query& add_sink(std::unique_ptr<pipeline::Sink> sink);
-  /// Keep a non-owning sink (owned by caller, e.g. a LAKE shared sink).
-  Query& add_sink_ref(pipeline::Sink& sink);
 
   /// Process one generation (micro-batch). Returns rows pulled (0 =
   /// caught up, or the pull failed after retries). See class comment for
@@ -330,11 +329,16 @@ class Query {
   /// Worker w's ring (ring 0 is the driver's). Teams share the engine's
   /// recorder; queries run one generation at a time, so ring 1+w is only
   /// ever written by the thread currently running worker w.
-  std::size_t flight_ring(std::size_t w) const { return 1 + w; }
+  static std::uint32_t flight_ring(std::size_t w) { return static_cast<std::uint32_t>(1 + w); }
+  /// `batch` is the generation's batch span: phase events hang under it
+  /// in the dump's span forest.
   void flight_emit(std::size_t ring, observe::FlightEventType type,
                    observe::FlightPhase phase = observe::FlightPhase::kNone,
-                   std::uint64_t arg = 0, std::uint32_t label = 0) {
-    if (flight_ != nullptr) flight_->emit(ring, type, phase, arg, label);
+                   std::uint64_t arg = 0, std::uint32_t label = 0,
+                   observe::TraceContext batch = {}) {
+    if (observe::FlightRecorder* fr = flight_.load(std::memory_order_acquire)) {
+      fr->emit(ring, type, phase, arg, label, {0, batch.span_id, batch.trace_id});
+    }
   }
   void publish_phase_gauges();
 
@@ -361,7 +365,7 @@ class Query {
   Phase phase_ = Phase::kIdle;
   std::size_t remaining_ = 0;
   std::size_t live_threads_ = 0;  ///< worker threads participating in barriers
-  observe::TraceContext batch_ctx_;     ///< driver → workers, set before a phase
+  observe::TraceContext batch_ctx_;     ///< the batch span; driver → workers, set before a phase
   common::TimePoint op_watermark_ = 0;  ///< driver → workers, set before operate
 
   pipeline::QueryMetrics metrics_;
@@ -370,12 +374,18 @@ class Query {
   std::size_t consecutive_failures_ = 0;
 
   // Flight recorder (nullable = recording off) + driver-side phase
-  // accounting (barrier wait for stragglers, merge, commit).
-  observe::FlightRecorder* flight_ = nullptr;
+  // accounting (barrier wait for stragglers, merge, commit). Atomic
+  // because Engine::adopt sets it after the worker threads started
+  // emitting barrier events.
+  std::atomic<observe::FlightRecorder*> flight_{nullptr};
   std::array<double, observe::kFlightPhases> driver_wall_{};
-  std::uint32_t label_query_ = 0;       ///< interned query name
-  std::uint32_t label_generation_ = 0;  ///< interned "generation"
-  std::uint32_t label_dead_letter_ = 0; ///< interned "dead-letter"
+  // Labels interned once at construction, so spans and marks build no
+  // strings per generation.
+  std::uint32_t label_query_ = 0;        ///< the query name
+  std::uint32_t label_batch_ = 0;        ///< "query.<name>.batch", the batch span
+  std::uint32_t label_sink_write_ = 0;   ///< "sink.write"
+  std::uint32_t label_dead_letter_ = 0;  ///< "dead-letter"
+  std::vector<std::uint32_t> op_labels_;  ///< operator span names, by stage
 
   observe::Counter* obs_batches_ = nullptr;
   observe::Counter* obs_failures_ = nullptr;
@@ -393,7 +403,6 @@ class Query {
   /// Per-worker fetched-row accounting on the hot path: each worker bumps
   /// its own cache-line slot; scrapes merge (observe::ShardedCounter).
   observe::ShardedCounter* obs_worker_rows_ = nullptr;
-  std::string batch_span_name_;
 
   friend class Engine;
 };
@@ -414,15 +423,20 @@ class Engine {
   /// teams clamp to each query's partition count.
   std::size_t workers() const { return workers_; }
 
-  /// Construct a sharded query owned by the engine; returns it for stage
-  /// chaining. The spec's broker must outlive the engine (members
-  /// deregister on destruction). Throws std::invalid_argument when the
-  /// ownership config declares a partition count and the topic's real
-  /// count differs.
+  /// Take ownership of a built query and hand it the engine's flight
+  /// recorder: the one way into an engine. Its broker, sinks and
+  /// whatever they write to must outlive the engine (members deregister
+  /// on destruction). Throws std::invalid_argument when the ownership
+  /// config declares a partition count and the query's topic has
+  /// another.
+  Query& adopt(std::unique_ptr<Query> query);
+
+  /// Construct a sharded query with the engine's team size and adopt it;
+  /// returns it for stage chaining.
   Query& add_query(pipeline::QueryConfig config, SourceSpec spec);
 
-  std::size_t num_queries() const { return queries_.size(); }
-  Query& query(std::size_t i) { return *queries_.at(i); }
+  /// The adopted queries, in the order rounds visit them.
+  const std::vector<std::unique_ptr<Query>>& queries() const { return queries_; }
 
   /// Run scheduling rounds until every query is caught up (a full round
   /// makes no progress and all members report zero lag). Returns total
@@ -437,9 +451,11 @@ class Engine {
   /// monitor's watch_engine view. Driver-thread call.
   std::vector<std::pair<std::string, WorkerStats>> worker_info() const;
 
-  /// The engine's flight recorder (nullptr when flight_capacity == 0).
-  /// Ring 0 is the driver; ring 1+w is worker w of whichever query's
-  /// team is currently running a generation (queries run sequentially).
+  /// The engine's flight recorder (nullptr when flight_capacity == 0),
+  /// installed process-wide while the engine lives, so spans land on it
+  /// too. Ring 0 is the driver; ring 1+w is worker w of whichever
+  /// query's team is currently running a generation (queries run
+  /// sequentially).
   observe::FlightRecorder* flight() { return flight_.get(); }
   const observe::FlightRecorder* flight() const { return flight_.get(); }
 
@@ -475,9 +491,10 @@ class Engine {
 /// The self-telemetry loop's history half (DESIGN.md §9): a query with a
 /// team of one subscribed to `_oda.metrics` (consumer group
 /// "_oda.history") decoding samples into `store` through a
-/// pipeline::HistorySink. Runs anywhere a query runs: the framework's
-/// advance loop or a standalone run_until_caught_up(). `config.name`
-/// defaults to "_oda.history" when left at QueryConfig's default.
+/// pipeline::HistorySink. Runs anywhere a query runs: adopted by the
+/// framework's engine or standalone via run_until_caught_up().
+/// `config.name` defaults to "_oda.history" when left at QueryConfig's
+/// default.
 std::unique_ptr<Query> make_history_query(stream::Broker& broker, observe::HistoryStore& store,
                                           pipeline::QueryConfig config = {},
                                           chaos::RetryPolicy retry = {});

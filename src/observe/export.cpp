@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -159,22 +158,24 @@ std::string one_line_summary(const MetricsSnapshot& snap) {
   return buf;
 }
 
-std::string spans_to_text(const std::vector<SpanRecord>& spans) {
-  // Group by trace, index parents, then emit each trace's forest with
-  // parents before children. Spans arrive in completion order (children
-  // finish first), so child lists are built by a reverse scan per parent.
+std::string span_forest_to_text(const FlightDump& d) {
+  // Index spans by id, hang spans and phases under their parents, then
+  // emit each trace's forest with parents before children. The intervals
+  // arrive in completion order, so child lists are too.
+  const std::vector<FlightSpan> spans = d.spans();
   std::unordered_set<std::uint64_t> present;
   present.reserve(spans.size());
-  for (const auto& s : spans) present.insert(s.span_id);
-
+  for (const auto& s : spans) {
+    if (!s.is_phase()) present.insert(s.ids.span);
+  }
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> children;
   std::map<std::uint64_t, std::vector<std::size_t>> trace_roots;  // ordered traces
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const auto& s = spans[i];
-    if (s.parent_id != 0 && present.count(s.parent_id) != 0) {
-      children[s.parent_id].push_back(i);
-    } else {
-      trace_roots[s.trace_id].push_back(i);  // root, or orphan promoted to root
+    if (s.ids.parent != 0 && present.count(s.ids.parent) != 0) {
+      children[s.ids.parent].push_back(i);
+    } else if (!s.is_phase()) {
+      trace_roots[s.ids.trace].push_back(i);  // root, or orphan promoted to root
     }
   }
 
@@ -183,17 +184,18 @@ std::string spans_to_text(const std::vector<SpanRecord>& spans) {
   auto emit = [&](auto&& self, std::size_t idx, int depth) -> void {
     const auto& s = spans[idx];
     out.append(static_cast<std::size_t>(depth) * 2, ' ');
-    std::snprintf(buf, sizeof(buf), "%s  vt=[%" PRId64 "..%" PRId64 "] wall=%.1fus", s.name.c_str(),
-                  s.virtual_start, s.virtual_end, s.wall_us);
+    out += s.name(d);
+    std::snprintf(buf, sizeof(buf), "  vt=[%" PRId64 "..%" PRId64 "] wall=%.1fus", s.vt_begin,
+                  s.vt_end,
+                  (static_cast<double>(s.wall_end_ns) - static_cast<double>(s.wall_begin_ns)) / 1e3);
     out += buf;
-    for (const auto& [k, v] : s.tags) {
-      out += ' ';
-      out += k;
-      out += '=';
-      out += v;
+    if (s.is_phase() && s.rows != 0) {
+      std::snprintf(buf, sizeof(buf), " rows=%" PRIu64, s.rows);
+      out += buf;
     }
     out += '\n';
-    auto it = children.find(s.span_id);
+    if (s.is_phase()) return;
+    auto it = children.find(s.ids.span);
     if (it != children.end()) {
       for (std::size_t c : it->second) self(self, c, depth + 1);
     }
@@ -206,91 +208,9 @@ std::string spans_to_text(const std::vector<SpanRecord>& spans) {
   return out;
 }
 
-std::string spans_to_json(const std::vector<SpanRecord>& spans) {
-  std::string out = "[";
-  char buf[256];
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const auto& s = spans[i];
-    if (i != 0) out += ',';
-    std::snprintf(buf, sizeof(buf),
-                  "\n  {\"trace\":%" PRIu64 ",\"span\":%" PRIu64 ",\"parent\":%" PRIu64
-                  ",\"name\":\"",
-                  s.trace_id, s.span_id, s.parent_id);
-    out += buf;
-    out += json_escape(s.name);
-    std::snprintf(buf, sizeof(buf),
-                  "\",\"vt_start\":%" PRId64 ",\"vt_end\":%" PRId64 ",\"wall_us\":%.3f",
-                  s.virtual_start, s.virtual_end, s.wall_us);
-    out += buf;
-    if (!s.tags.empty()) {
-      out += ",\"tags\":{";
-      for (std::size_t j = 0; j < s.tags.size(); ++j) {
-        if (j != 0) out += ',';
-        out += '"' + json_escape(s.tags[j].first) + "\":\"" + json_escape(s.tags[j].second) + '"';
-      }
-      out += '}';
-    }
-    out += '}';
-  }
-  out += "\n]\n";
-  return out;
-}
-
-namespace {
-
-// Full-string numeric tag parse; false leaves *out untouched.
-bool parse_tag_u64(const std::vector<std::pair<std::string, std::string>>& tags,
-                   const char* key, std::uint64_t* out) {
-  for (const auto& [k, v] : tags) {
-    if (k != key || v.empty()) continue;
-    char* end = nullptr;
-    const std::uint64_t parsed = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() + v.size()) {
-      *out = parsed;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-std::string spans_to_chrome_json(const std::vector<SpanRecord>& spans) {
-  // TimePoint is already microseconds — the trace-event `ts` unit — so
-  // virtual timestamps pass through untouched and stay deterministic.
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  char buf[256];
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const auto& s = spans[i];
-    if (i != 0) out += ',';
-    std::uint64_t pid = 1;
-    std::uint64_t tid = s.trace_id;
-    parse_tag_u64(s.tags, "pid", &pid);
-    parse_tag_u64(s.tags, "tid", &tid);
-    const std::int64_t dur = s.virtual_end >= s.virtual_start ? s.virtual_end - s.virtual_start : 0;
-    out += "\n  {\"name\":\"" + json_escape(s.name) + "\",\"cat\":\"oda\",\"ph\":\"X\"";
-    std::snprintf(buf, sizeof(buf),
-                  ",\"ts\":%" PRId64 ",\"dur\":%" PRId64 ",\"pid\":%" PRIu64 ",\"tid\":%" PRIu64,
-                  s.virtual_start, dur, pid, tid);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  ",\"args\":{\"trace\":\"%" PRIu64 "\",\"span\":\"%" PRIu64
-                  "\",\"parent\":\"%" PRIu64 "\",\"wall_us\":%.3f",
-                  s.trace_id, s.span_id, s.parent_id, s.wall_us);
-    out += buf;
-    for (const auto& [k, v] : s.tags) {
-      if (k == "pid" || k == "tid") continue;  // already on the event itself
-      out += ",\"" + json_escape(k) + "\":\"" + json_escape(v) + '"';
-    }
-    out += "}}";
-  }
-  out += "\n]}\n";
-  return out;
-}
-
 std::string flight_to_json(const FlightDump& d) {
   std::string out = "{\"flight\":{\"trigger\":\"" + json_escape(d.trigger) + "\"";
-  char buf[256];
+  char buf[384];
   std::snprintf(buf, sizeof(buf), ",\"vt\":%" PRId64 ",\"capacity\":%zu,\"emitted\":%" PRIu64
                 ",\"dropped\":%" PRIu64,
                 d.vt, d.capacity, d.emitted, d.dropped);
@@ -306,9 +226,11 @@ std::string flight_to_json(const FlightDump& d) {
     if (i != 0) out += ',';
     std::snprintf(buf, sizeof(buf),
                   "\n{\"ring\":%u,\"seq\":%" PRIu64 ",\"type\":\"%s\",\"phase\":\"%s\",\"vt\":%" PRId64
-                  ",\"wall_us\":%.3f,\"arg\":%" PRIu64 ",\"label\":\"",
+                  ",\"wall_us\":%.3f,\"arg\":%" PRIu64 ",\"span\":%" PRIu64 ",\"parent\":%" PRIu64
+                  ",\"trace\":%" PRIu64 ",\"label\":\"",
                   e.ring, e.seq, flight_event_type_name(e.type), flight_phase_name(e.phase), e.vt,
-                  static_cast<double>(e.wall_ns) / 1e3, e.arg);
+                  static_cast<double>(e.wall_ns) / 1e3, e.arg, e.ids.span, e.ids.parent,
+                  e.ids.trace);
     out += buf;
     out += json_escape(d.label_text(e.label));
     out += "\"}";
@@ -319,13 +241,13 @@ std::string flight_to_json(const FlightDump& d) {
 
 std::string flight_to_chrome_json(const FlightDump& d) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  char buf[256];
+  char buf[384];
   bool first = true;
   auto sep = [&] {
     if (!first) out += ',';
     first = false;
   };
-  // One named tid row per ring, spans_to_chrome_json-style (pid 1).
+  // One named tid row per ring (pid 1).
   for (std::size_t r = 0; r < d.ring_names.size(); ++r) {
     sep();
     out += "\n  {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1";
@@ -334,34 +256,35 @@ std::string flight_to_chrome_json(const FlightDump& d) {
     out += json_escape(d.ring_names[r]);
     out += "\"}}";
   }
-  // Last open begin per (ring, phase); events arrive timeline-ordered,
-  // so per-ring begin/end pairs match in order.
-  std::unordered_map<std::uint64_t, const FlightEvent*> open;
-  auto key_of = [](const FlightEvent& e) {
-    return (static_cast<std::uint64_t>(e.ring) << 8) | static_cast<std::uint64_t>(e.phase);
-  };
+  for (const FlightSpan& s : d.spans()) {
+    const double begin_us = static_cast<double>(s.wall_begin_ns) / 1e3;
+    const double dur_us = std::max(0.0, static_cast<double>(s.wall_end_ns) / 1e3 - begin_us);
+    sep();
+    out += "\n  {\"name\":\"" + json_escape(s.name(d)) + "\",\"cat\":\"";
+    out += s.is_phase() ? "flight" : "span";
+    out += "\",\"ph\":\"X\"";
+    std::snprintf(buf, sizeof(buf),
+                  ",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u,\"args\":{\"vt\":%" PRId64,
+                  begin_us, dur_us, s.ring, s.vt_begin);
+    out += buf;
+    if (s.is_phase()) {
+      std::snprintf(buf, sizeof(buf), ",\"rows\":%" PRIu64 ",\"parent\":\"%" PRIu64 "\"}}", s.rows,
+                    s.ids.parent);
+    } else {
+      std::snprintf(buf, sizeof(buf),
+                    ",\"vt_dur\":%" PRId64 ",\"span\":\"%" PRIu64 "\",\"parent\":\"%" PRIu64
+                    "\",\"trace\":\"%" PRIu64 "\"}}",
+                    std::max<common::TimePoint>(0, s.vt_end - s.vt_begin), s.ids.span,
+                    s.ids.parent, s.ids.trace);
+    }
+    out += buf;
+  }
   for (const FlightEvent& e : d.events) {
-    const double ts_us = static_cast<double>(e.wall_ns) / 1e3;
     switch (e.type) {
-      case FlightEventType::kPhaseBegin: open[key_of(e)] = &e; break;
-      case FlightEventType::kPhaseEnd: {
-        auto it = open.find(key_of(e));
-        const double begin_us = it != open.end() && it->second != nullptr
-                                    ? static_cast<double>(it->second->wall_ns) / 1e3
-                                    : ts_us;
-        const common::TimePoint begin_vt =
-            it != open.end() && it->second != nullptr ? it->second->vt : e.vt;
-        if (it != open.end()) it->second = nullptr;
-        sep();
-        out += "\n  {\"name\":\"" + json_escape(flight_phase_name(e.phase)) +
-               "\",\"cat\":\"flight\",\"ph\":\"X\"";
-        std::snprintf(buf, sizeof(buf),
-                      ",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u,\"args\":{\"vt\":%" PRId64
-                      ",\"rows\":%" PRIu64 "}}",
-                      begin_us, std::max(0.0, ts_us - begin_us), e.ring, begin_vt, e.arg);
-        out += buf;
-        break;
-      }
+      case FlightEventType::kPhaseBegin:
+      case FlightEventType::kPhaseEnd:
+      case FlightEventType::kSpanBegin:
+      case FlightEventType::kSpanEnd: break;
       default: {
         // Faults, retries, rebalances, SLO transitions, marks: thread-
         // scoped instant events so they pin the exact moment on the row.
@@ -372,7 +295,8 @@ std::string flight_to_chrome_json(const FlightDump& d) {
         std::snprintf(buf, sizeof(buf),
                       ",\"ts\":%.3f,\"pid\":1,\"tid\":%u,\"args\":{\"type\":\"%s\",\"vt\":%" PRId64
                       ",\"arg\":%" PRIu64 "}}",
-                      ts_us, e.ring, flight_event_type_name(e.type), e.vt, e.arg);
+                      static_cast<double>(e.wall_ns) / 1e3, e.ring, flight_event_type_name(e.type),
+                      e.vt, e.arg);
         out += buf;
         break;
       }

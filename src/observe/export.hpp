@@ -1,8 +1,8 @@
-// Exporters: render metrics snapshots and span stores as plain text (for
+// Exporters: render metrics snapshots and flight dumps as plain text (for
 // terminals / ctest logs) or JSON (for tooling). Everything is string-in/
 // string-out and deterministic given a deterministic snapshot — ordering
-// comes from MetricsRegistry::snapshot()'s (name, labels) sort and
-// SpanStore's completion order.
+// comes from MetricsRegistry::snapshot()'s (name, labels) sort and the
+// dump's (wall_ns, ring, seq) timeline.
 #pragma once
 
 #include <string>
@@ -12,7 +12,6 @@
 #include "observe/history.hpp"
 #include "observe/metrics.hpp"
 #include "observe/slo.hpp"
-#include "observe/trace.hpp"
 
 namespace oda::observe {
 
@@ -29,36 +28,26 @@ std::string metrics_to_json(const MetricsSnapshot& snap);
 ///  faults=12 retries=9`. Missing series contribute 0.
 std::string one_line_summary(const MetricsSnapshot& snap);
 
-/// Indented forest grouped by trace: parents before children, siblings in
-/// completion order. Orphans (parent span evicted from the ring) are
-/// promoted to roots.
-std::string spans_to_text(const std::vector<SpanRecord>& spans);
-
-/// JSON array of span objects.
-std::string spans_to_json(const std::vector<SpanRecord>& spans);
-
-/// Chrome trace-event format (the chrome://tracing / Perfetto "JSON
-/// object" flavor): one `ph:"X"` complete event per span, `ts`/`dur` in
-/// microseconds of *virtual* facility time (deterministic across reruns).
-/// pid/tid come from the span's "pid"/"tid" tags when numeric; otherwise
-/// pid defaults to 1 and tid to the span's trace id, so each trace lands
-/// on its own track. Remaining tags (and the wall-clock duration) are
-/// carried in `args`.
-std::string spans_to_chrome_json(const std::vector<SpanRecord>& spans);
+/// The dump's span forest, indented and grouped by trace: parents
+/// before children, siblings in completion order, engine phases as
+/// leaves under their batch span. Orphans (parent evicted from its ring
+/// or still open) are promoted to roots.
+std::string span_forest_to_text(const FlightDump& d);
 
 /// Flight dump as JSON: a `{"flight":{...,"events":[...]}}` document
 /// with one event object per line (fixed key order — the oda_monitor
 /// `--flight` renderer parses it line-by-line). Label ids are resolved
-/// to strings; wall time is exported in fractional microseconds.
+/// to strings; wall time is exported in fractional microseconds; each
+/// event carries its span, parent and trace ids.
 std::string flight_to_json(const FlightDump& d);
 
-/// Flight dump as Chrome trace-event JSON, reusing spans_to_chrome_json
-/// conventions: pid 1, one `tid` row per ring/worker (named via
-/// `thread_name` metadata events), one `ph:"X"` complete event per
-/// begin/end phase pair with `ts`/`dur` in wall microseconds, and
-/// `ph:"i"` thread-scoped instant events for faults, retries,
-/// rebalances, SLO transitions and marks. Virtual time and row counts
-/// ride in `args`.
+/// Flight dump as Chrome trace-event JSON: pid 1, one `tid` row per
+/// ring (named via `thread_name` metadata events), one `ph:"X"` complete
+/// event per closed span and per phase pair with `ts`/`dur` in wall
+/// microseconds (`dur` clamped at 0), and `ph:"i"` thread-scoped instant
+/// events for faults, retries, rebalances, SLO transitions and marks.
+/// Virtual start and duration, span ids and phase row counts ride in
+/// `args`.
 std::string flight_to_chrome_json(const FlightDump& d);
 
 /// SLO table: `state name value/crit unit (transitions)`.

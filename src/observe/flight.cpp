@@ -1,12 +1,26 @@
 #include "observe/flight.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <unordered_map>
 
 namespace oda::observe {
 
 namespace detail {
 std::atomic<FlightRecorder*> g_flight{nullptr};
 }
+
+namespace {
+thread_local std::uint32_t t_flight_ring = 0;
+}  // namespace
+
+std::uint32_t thread_flight_ring() { return t_flight_ring; }
+
+ScopedFlightRing::ScopedFlightRing(std::uint32_t ring) : prev_(t_flight_ring) {
+  t_flight_ring = ring;
+}
+
+ScopedFlightRing::~ScopedFlightRing() { t_flight_ring = prev_; }
 
 const char* flight_event_type_name(FlightEventType t) {
   switch (t) {
@@ -17,6 +31,8 @@ const char* flight_event_type_name(FlightEventType t) {
     case FlightEventType::kRebalance: return "rebalance";
     case FlightEventType::kSlo: return "slo";
     case FlightEventType::kMark: return "mark";
+    case FlightEventType::kSpanBegin: return "span_begin";
+    case FlightEventType::kSpanEnd: return "span_end";
   }
   return "?";
 }
@@ -32,6 +48,40 @@ const char* flight_phase_name(FlightPhase p) {
     case FlightPhase::kCommit: return "commit";
   }
   return "?";
+}
+
+// ---------------------------------------------------------------------------
+// The process-wide label table
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct LabelTable {
+  std::mutex mu;
+  std::deque<std::string> texts{std::string{}};  ///< id -> text; deque keeps views stable
+  std::unordered_map<std::string_view, std::uint32_t> ids{{std::string_view{}, 0}};
+};
+
+LabelTable& label_table() {
+  static LabelTable table;
+  return table;
+}
+
+std::vector<std::string> label_snapshot() {
+  LabelTable& t = label_table();
+  std::lock_guard lk(t.mu);
+  return {t.texts.begin(), t.texts.end()};
+}
+
+}  // namespace
+
+std::uint32_t intern_label(std::string_view text) {
+  LabelTable& t = label_table();
+  std::lock_guard lk(t.mu);
+  if (auto it = t.ids.find(text); it != t.ids.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(t.texts.size());
+  t.ids.emplace(t.texts.emplace_back(text), id);
+  return id;
 }
 
 // ---------------------------------------------------------------------------
@@ -59,17 +109,24 @@ FlightRing::FlightRing(std::size_t capacity)
 }
 
 void FlightRing::emit(FlightEventType type, FlightPhase phase, std::uint32_t label,
-                      std::uint64_t arg, common::TimePoint vt, std::uint64_t wall_ns) {
+                      std::uint64_t arg, common::TimePoint vt, std::uint64_t wall_ns,
+                      const FlightIds& ids) {
   const std::uint64_t ticket = tickets_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& s = slots_[(ticket - 1) & mask_];
-  // Odd state marks the slot in-progress so a concurrent snapshot skips
-  // it; the even publish store releases the payload words.
+  // Odd state marks the slot in-progress. Release payload stores order
+  // that mark before them, so a reader whose acquire load sees a new
+  // payload word also sees the odd state on its re-check; the even
+  // publish store releases the whole payload.
+  constexpr auto rel = std::memory_order_release;
   s.state.store(ticket * 2 + 1, std::memory_order_relaxed);
-  s.vt.store(static_cast<std::uint64_t>(vt), std::memory_order_relaxed);
-  s.wall_ns.store(wall_ns, std::memory_order_relaxed);
-  s.meta.store(pack_meta(type, phase, label), std::memory_order_relaxed);
-  s.arg.store(arg, std::memory_order_relaxed);
-  s.state.store(ticket * 2, std::memory_order_release);
+  s.vt.store(static_cast<std::uint64_t>(vt), rel);
+  s.wall_ns.store(wall_ns, rel);
+  s.meta.store(pack_meta(type, phase, label), rel);
+  s.arg.store(arg, rel);
+  s.span.store(ids.span, rel);
+  s.parent.store(ids.parent, rel);
+  s.trace.store(ids.trace, rel);
+  s.state.store(ticket * 2, rel);
 }
 
 std::vector<FlightEvent> FlightRing::snapshot() const {
@@ -79,14 +136,16 @@ std::vector<FlightEvent> FlightRing::snapshot() const {
     const Slot& s = slots_[i];
     const std::uint64_t st = s.state.load(std::memory_order_acquire);
     if (st == 0 || (st & 1) != 0) continue;  // empty or mid-write
+    // Acquire payload loads keep the state re-check below after them: a
+    // writer lapping this slot mid-read leaves the words inconsistent,
+    // and the changed state word drops the slot.
+    constexpr auto acq = std::memory_order_acquire;
     FlightEvent e;
-    e.vt = static_cast<common::TimePoint>(s.vt.load(std::memory_order_relaxed));
-    e.wall_ns = s.wall_ns.load(std::memory_order_relaxed);
-    const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
-    e.arg = s.arg.load(std::memory_order_relaxed);
-    // Re-check after the payload reads: a writer lapping this slot
-    // mid-read leaves the words inconsistent — drop the slot.
-    std::atomic_thread_fence(std::memory_order_acquire);
+    e.vt = static_cast<common::TimePoint>(s.vt.load(acq));
+    e.wall_ns = s.wall_ns.load(acq);
+    const std::uint64_t meta = s.meta.load(acq);
+    e.arg = s.arg.load(acq);
+    e.ids = {s.span.load(acq), s.parent.load(acq), s.trace.load(acq)};
     if (s.state.load(std::memory_order_relaxed) != st) continue;
     e.seq = st / 2;
     e.type = static_cast<FlightEventType>(meta & 0xff);
@@ -120,6 +179,49 @@ const std::string& FlightDump::label_text(std::uint32_t id) const {
   return id < labels.size() ? labels[id] : kEmpty;
 }
 
+std::string FlightSpan::name(const FlightDump& d) const {
+  return is_phase() ? flight_phase_name(phase) : d.label_text(label);
+}
+
+std::vector<FlightSpan> FlightDump::spans() const {
+  std::vector<FlightSpan> out;
+  // Open begins: spans by id, phases by (ring, phase) — phase pairs never
+  // interleave within one ring.
+  std::unordered_map<std::uint64_t, const FlightEvent*> open_spans;
+  std::unordered_map<std::uint64_t, const FlightEvent*> open_phases;
+  auto phase_key = [](const FlightEvent& e) {
+    return (static_cast<std::uint64_t>(e.ring) << 8) | static_cast<std::uint64_t>(e.phase);
+  };
+  for (const FlightEvent& e : events) {
+    switch (e.type) {
+      case FlightEventType::kSpanBegin: open_spans[e.ids.span] = &e; break;
+      case FlightEventType::kPhaseBegin: open_phases[phase_key(e)] = &e; break;
+      case FlightEventType::kSpanEnd:
+      case FlightEventType::kPhaseEnd: {
+        const bool phase = e.type == FlightEventType::kPhaseEnd;
+        auto& open = phase ? open_phases : open_spans;
+        const auto it = open.find(phase ? phase_key(e) : e.ids.span);
+        const FlightEvent* begin = it != open.end() ? it->second : &e;
+        if (it != open.end()) open.erase(it);
+        FlightSpan s;
+        s.ids = e.ids;
+        s.ring = e.ring;
+        s.label = phase ? 0 : e.label;
+        s.phase = phase ? e.phase : FlightPhase::kNone;
+        s.vt_begin = begin->vt;
+        s.vt_end = e.vt;
+        s.wall_begin_ns = begin->wall_ns;
+        s.wall_end_ns = e.wall_ns;
+        s.rows = phase ? e.arg : 0;
+        out.push_back(s);
+        break;
+      }
+      default: break;
+    }
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // FlightRecorder
 // ---------------------------------------------------------------------------
@@ -130,30 +232,15 @@ FlightRecorder::FlightRecorder(std::size_t rings, std::size_t capacity_per_ring)
   for (std::size_t i = 0; i < std::max<std::size_t>(rings, 1); ++i) {
     rings_.push_back(std::make_unique<FlightRing>(capacity_per_ring));
   }
-  labels_.emplace_back();  // id 0 = no label
 }
 
 void FlightRecorder::emit(std::size_t ring, FlightEventType type, FlightPhase phase,
-                          std::uint64_t arg, std::uint32_t label) {
+                          std::uint64_t arg, std::uint32_t label, const FlightIds& ids) {
   const std::uint64_t wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
                                                            epoch_)
           .count());
-  rings_[ring % rings_.size()]->emit(type, phase, label, arg, virtual_now(), wall_ns);
-}
-
-std::uint32_t FlightRecorder::intern(std::string_view label) {
-  std::lock_guard lk(intern_mu_);
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (labels_[i] == label) return static_cast<std::uint32_t>(i);
-  }
-  labels_.emplace_back(label);
-  return static_cast<std::uint32_t>(labels_.size() - 1);
-}
-
-std::string FlightRecorder::label_text(std::uint32_t id) const {
-  std::lock_guard lk(intern_mu_);
-  return id < labels_.size() ? labels_[id] : std::string{};
+  rings_[ring % rings_.size()]->emit(type, phase, label, arg, virtual_now(), wall_ns, ids);
 }
 
 std::uint64_t FlightRecorder::emitted() const {
@@ -214,11 +301,10 @@ FlightDump FlightRecorder::dump(std::string trigger, std::vector<std::string> ri
   } else {
     for (std::size_t i = 0; i < rings_.size(); ++i) d.ring_names.push_back("ring" + std::to_string(i));
   }
-  {
-    std::lock_guard lk(intern_mu_);
-    d.labels = labels_;
-  }
+  // Events first: every label they reference was interned before they
+  // were emitted, so the table snapshot taken after resolves them all.
   d.events = snapshot();
+  d.labels = label_snapshot();
   return d;
 }
 
@@ -227,11 +313,18 @@ void uninstall_flight_recorder(FlightRecorder* r) {
   detail::g_flight.compare_exchange_strong(expected, nullptr, std::memory_order_acq_rel);
 }
 
+void flight_mark(std::uint32_t label, std::uint64_t arg) {
+  if (FlightRecorder* fr = installed_flight_recorder()) {
+    fr->emit(thread_flight_ring(), FlightEventType::kMark, FlightPhase::kNone, arg, label);
+  }
+}
+
 void flight_note_slo(const std::string& name, std::uint8_t from, std::uint8_t to) {
   FlightRecorder* fr = installed_flight_recorder();
   if (fr == nullptr) return;
   const std::uint64_t arg = (static_cast<std::uint64_t>(from) << 8) | to;
-  fr->emit(0, FlightEventType::kSlo, FlightPhase::kNone, arg, fr->intern(name));
+  fr->emit(thread_flight_ring(), FlightEventType::kSlo, FlightPhase::kNone, arg,
+           intern_label(name));
   if (to == 2) fr->request_dump("slo.breach:" + name);  // SloState::kBreached
 }
 

@@ -98,7 +98,8 @@ class HistoryStore {
   void clear();
 
  private:
-  // Fixed-capacity ring in completion order (same layout as SpanStore).
+  // Fixed-capacity ring in append order: the oldest point is overwritten
+  // once the ring is full.
   struct Ring {
     std::vector<HistoryPoint> buf;
     std::size_t next = 0;

@@ -1,106 +1,56 @@
 #include "observe/trace.hpp"
 
+#include <atomic>
+
 namespace oda::observe {
 
-namespace detail {
-std::atomic<Tracer*> g_tracer{nullptr};
-}
-
 namespace {
-// The per-thread stack of open spans. Plain contexts (not Span*): a Span
-// only needs its own ids to pop itself, and readers only need the top.
-thread_local std::vector<TraceContext> t_span_stack;
+std::atomic<std::uint64_t> g_next_span_id{1};
+// The thread's innermost open span; each span links to the one it
+// nested in, so the stack lives in the spans themselves.
+thread_local Span* t_innermost = nullptr;
 }  // namespace
 
-void SpanStore::add(SpanRecord rec) {
-  std::lock_guard lk(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(rec));
-    return;
-  }
-  full_ = true;
-  ring_[next_] = std::move(rec);
-  next_ = (next_ + 1) % capacity_;
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<SpanRecord> SpanStore::snapshot() const {
-  std::lock_guard lk(mu_);
-  if (!full_) return ring_;
-  std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::size_t SpanStore::size() const {
-  std::lock_guard lk(mu_);
-  return ring_.size();
-}
-
-void SpanStore::clear() {
-  std::lock_guard lk(mu_);
-  ring_.clear();
-  next_ = 0;
-  full_ = false;
-  dropped_.store(0, std::memory_order_relaxed);
-}
-
 TraceContext current_context() {
-  if (installed_tracer() == nullptr) return {};
-  return t_span_stack.empty() ? TraceContext{} : t_span_stack.back();
+  return t_innermost != nullptr ? t_innermost->context() : TraceContext{};
 }
 
-Span::Span(std::string_view name) { open(name, {}); }
-
-Span::Span(std::string_view name, TraceContext remote) { open(name, remote); }
-
-void Span::open(std::string_view name, TraceContext remote) {
-  tracer_ = installed_tracer();
-  if (tracer_ == nullptr) return;
-  rec_.name.assign(name);
-  rec_.span_id = tracer_->next_id();
-  rec_.virtual_start = virtual_now();
-  if (!t_span_stack.empty()) {
+Span::Span(std::uint32_t label, TraceContext remote)
+    : recorder_(installed_flight_recorder()), label_(label) {
+  if (recorder_ == nullptr) return;
+  span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+  outer_ = t_innermost;
+  if (outer_ != nullptr) {
     // Local parent wins: the remote context, if any, is redundant within
     // an already-open trace on this thread.
-    rec_.trace_id = t_span_stack.back().trace_id;
-    rec_.parent_id = t_span_stack.back().span_id;
+    trace_id_ = outer_->trace_id_;
+    parent_id_ = outer_->span_id_;
   } else if (remote.valid()) {
-    rec_.trace_id = remote.trace_id;
-    rec_.parent_id = remote.span_id;
+    trace_id_ = remote.trace_id;
+    parent_id_ = remote.span_id;
   } else {
-    rec_.trace_id = rec_.span_id;  // fresh trace, rooted here
+    trace_id_ = span_id_;  // fresh trace, rooted here
   }
-  t_span_stack.push_back({rec_.trace_id, rec_.span_id});
-  wall_.reset();
+  t_innermost = this;
+  ring_ = thread_flight_ring();
+  emit(FlightEventType::kSpanBegin);
 }
 
 void Span::link(TraceContext remote) {
-  if (tracer_ == nullptr || rec_.parent_id != 0 || !remote.valid()) return;
-  rec_.trace_id = remote.trace_id;
-  rec_.parent_id = remote.span_id;
-  // Children opened after this point inherit the adopted trace id.
-  if (!t_span_stack.empty() && t_span_stack.back().span_id == rec_.span_id) {
-    t_span_stack.back().trace_id = rec_.trace_id;
-  }
-}
-
-void Span::tag(std::string key, std::string value) {
-  if (tracer_ == nullptr) return;
-  rec_.tags.emplace_back(std::move(key), std::move(value));
+  // Children opened after this point read the adopted trace id from here.
+  if (recorder_ == nullptr || parent_id_ != 0 || !remote.valid()) return;
+  trace_id_ = remote.trace_id;
+  parent_id_ = remote.span_id;
 }
 
 Span::~Span() {
-  if (tracer_ == nullptr) return;
-  rec_.virtual_end = virtual_now();
-  rec_.wall_us = wall_.elapsed_us();
-  if (!t_span_stack.empty() && t_span_stack.back().span_id == rec_.span_id) {
-    t_span_stack.pop_back();
-  }
-  tracer_->store().add(std::move(rec_));
+  if (recorder_ == nullptr) return;
+  emit(FlightEventType::kSpanEnd);
+  if (t_innermost == this) t_innermost = outer_;
+}
+
+void Span::emit(FlightEventType type) const {
+  recorder_->emit(ring_, type, FlightPhase::kNone, 0, label_, {span_id_, parent_id_, trace_id_});
 }
 
 }  // namespace oda::observe

@@ -7,31 +7,26 @@
 //   ingest (root)
 //     └─ stream.produce ... record carries {trace_id, span_id} ...
 //          └─ query.<name>.batch        (continued via Span::link)
+//               ├─ fetch / decode / operate / merge / commit (phases)
 //               ├─ window_agg_15s
 //               ├─ sink.write
 //               │    └─ ocean.put
 //               └─ sink.write
 //
-// Spans record both wall time (perf analysis) and virtual facility time
-// (deterministic; the only fields golden-run comparisons may look at).
-// Completed spans land in a bounded in-memory SpanStore; exporters in
-// observe/export.hpp render text trees and JSON.
-//
-// Tracing is off unless a Tracer is installed (install_tracer / RAII
-// ScopedTracer) — an uninstrumented run pays one atomic load per
-// would-be span.
+// A span is a begin/end event pair on the installed flight recorder
+// (observe/flight.hpp), on the opening thread's ring, labelled with an
+// id from the process-wide label table: call sites intern their name
+// once and opening a span takes no lock and builds no string. The
+// events carry the span's id, its parent and its trace, so a dump
+// rebuilds the span forest (FlightDump::spans) with wall and virtual
+// facility time (deterministic; the only fields golden-run comparisons
+// may look at) for both ends. With no recorder installed a span costs
+// one atomic load.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
-#include "common/time.hpp"
-#include "observe/metrics.hpp"
+#include "observe/flight.hpp"
 
 namespace oda::observe {
 
@@ -43,86 +38,19 @@ struct TraceContext {
   bool valid() const { return trace_id != 0; }
 };
 
-/// A completed span as stored/exported.
-struct SpanRecord {
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_id = 0;  ///< 0 = root of its trace
-  std::string name;
-  common::TimePoint virtual_start = 0;  ///< facility time (deterministic)
-  common::TimePoint virtual_end = 0;
-  double wall_us = 0.0;  ///< wall-clock duration (never compared across runs)
-  std::vector<std::pair<std::string, std::string>> tags;
-};
-
-/// Bounded ring of completed spans. Oldest spans are overwritten once
-/// `capacity` is exceeded; `dropped()` counts the overwrites so exports
-/// can say "showing last N of M".
-class SpanStore {
- public:
-  explicit SpanStore(std::size_t capacity = 65536) : capacity_(capacity ? capacity : 1) {}
-
-  void add(SpanRecord rec);
-  /// Spans in completion order (oldest retained first).
-  std::vector<SpanRecord> snapshot() const;
-  std::size_t size() const;
-  std::uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
-  std::size_t capacity() const { return capacity_; }
-  void clear();
-
- private:
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::vector<SpanRecord> ring_;
-  std::size_t next_ = 0;  ///< ring write cursor once full
-  bool full_ = false;
-  std::atomic<std::uint64_t> dropped_{0};
-};
-
-/// Allocates trace/span ids and owns the span store. Install one
-/// process-wide to turn tracing on.
-class Tracer {
- public:
-  explicit Tracer(std::size_t capacity = 65536) : store_(capacity) {}
-
-  std::uint64_t next_id() { return next_id_.fetch_add(1, std::memory_order_relaxed); }
-  SpanStore& store() { return store_; }
-  const SpanStore& store() const { return store_; }
-
- private:
-  std::atomic<std::uint64_t> next_id_{1};
-  SpanStore store_;
-};
-
-namespace detail {
-extern std::atomic<Tracer*> g_tracer;
-}
-
-inline void install_tracer(Tracer* t) { detail::g_tracer.store(t, std::memory_order_release); }
-inline Tracer* installed_tracer() { return detail::g_tracer.load(std::memory_order_acquire); }
-
-/// RAII tracer installation for tests and the monitor app.
-class ScopedTracer {
- public:
-  explicit ScopedTracer(Tracer& t) { install_tracer(&t); }
-  ~ScopedTracer() { install_tracer(nullptr); }
-  ScopedTracer(const ScopedTracer&) = delete;
-  ScopedTracer& operator=(const ScopedTracer&) = delete;
-};
-
-/// The current thread's innermost open span ({} when none / tracing off).
-/// This is what Topic::produce stamps onto records.
+/// The current thread's innermost open span ({} when none / recording
+/// off). This is what Topic::produce_staged stamps onto records.
 TraceContext current_context();
 
-/// RAII span. No-op (single pointer load) when no tracer is installed at
-/// construction. While alive it is the thread's current context; on
-/// destruction it records into the tracer's store.
+/// RAII span. Inert when no recorder is installed at construction.
+/// While alive it is the thread's current context; construction and
+/// destruction each emit one event.
 class Span {
  public:
-  explicit Span(std::string_view name);
-  /// Continue a remote trace (e.g. a consumed record's context) instead
-  /// of starting a new one — only applies when there is no local parent.
-  Span(std::string_view name, TraceContext remote);
+  /// `label` comes from intern_label(). A valid `remote` context (e.g.
+  /// a consumed record's) is continued instead of starting a new trace —
+  /// only when there is no local parent.
+  explicit Span(std::uint32_t label, TraceContext remote = {});
   ~Span();
 
   Span(const Span&) = delete;
@@ -131,20 +59,22 @@ class Span {
   /// Late remote adoption: if this span started a fresh trace (no local
   /// parent) and `remote` is valid, re-home it under the remote span.
   /// Used by engine::Query::run_once, which only learns the incoming
-  /// context after the fetch phase.
+  /// context after the fetch phase. The end event carries the result.
   void link(TraceContext remote);
 
-  void tag(std::string key, std::string value);
-
-  bool active() const { return tracer_ != nullptr; }
-  TraceContext context() const { return {rec_.trace_id, rec_.span_id}; }
+  bool active() const { return recorder_ != nullptr; }
+  TraceContext context() const { return {trace_id_, span_id_}; }
 
  private:
-  void open(std::string_view name, TraceContext remote);
+  void emit(FlightEventType type) const;
 
-  Tracer* tracer_ = nullptr;
-  SpanRecord rec_;
-  common::Stopwatch wall_;
+  FlightRecorder* recorder_ = nullptr;
+  Span* outer_ = nullptr;  ///< the thread's enclosing open span
+  std::uint32_t ring_ = 0;
+  std::uint32_t label_ = 0;
+  std::uint64_t trace_id_ = 0;
+  std::uint64_t span_id_ = 0;
+  std::uint64_t parent_id_ = 0;  ///< 0 = root of its trace
 };
 
 }  // namespace oda::observe

@@ -64,23 +64,6 @@ LakeServer::LakeServer(const storage::TimeSeriesDb& db, ServeConfig config,
 
 LakeServer::~LakeServer() = default;
 
-void LakeServer::mark(const char* label, std::uint64_t arg) {
-  observe::FlightRecorder* fr = observe::installed_flight_recorder();
-  if (fr == nullptr) return;
-  std::uint32_t id = 0;
-  {
-    std::lock_guard lk(flight_mu_);
-    if (fr != flight_rec_) {  // recorder swapped (tests) — re-intern
-      flight_labels_.clear();
-      flight_rec_ = fr;
-    }
-    auto it = flight_labels_.find(label);
-    if (it == flight_labels_.end()) it = flight_labels_.emplace(label, fr->intern(label)).first;
-    id = it->second;
-  }
-  fr->emit(0, observe::FlightEventType::kMark, observe::FlightPhase::kNone, arg, id);
-}
-
 Admission LakeServer::admit(const std::string& project, QueryPriority priority) {
   // Gate 1: hard backpressure on in-flight depth.
   std::size_t depth = depth_.load(std::memory_order_relaxed);
@@ -88,7 +71,8 @@ Admission LakeServer::admit(const std::string& project, QueryPriority priority) 
     if (depth >= config_.max_queue) {
       queue_rejected_.fetch_add(1, std::memory_order_relaxed);
       m_queue_rejected_->inc();
-      mark("serve.reject.queue", depth);
+      static const std::uint32_t kLabel = observe::intern_label("serve.reject.queue");
+      observe::flight_mark(kLabel, depth);
       return Admission::kQueueFull;
     }
     if (depth_.compare_exchange_weak(depth, depth + 1, std::memory_order_relaxed)) break;
@@ -109,7 +93,8 @@ Admission LakeServer::admit(const std::string& project, QueryPriority priority) 
     depth_.fetch_sub(1, std::memory_order_relaxed);
     shed_.fetch_add(1, std::memory_order_relaxed);
     m_shed_->inc();
-    mark("serve.shed", static_cast<std::uint64_t>(state));
+    static const std::uint32_t kLabel = observe::intern_label("serve.shed");
+    observe::flight_mark(kLabel, static_cast<std::uint64_t>(state));
     return Admission::kShed;
   }
 
@@ -121,7 +106,8 @@ Admission LakeServer::admit(const std::string& project, QueryPriority priority) 
       depth_.fetch_sub(1, std::memory_order_relaxed);
       quota_rejected_.fetch_add(1, std::memory_order_relaxed);
       m_quota_rejected_->inc();
-      mark("serve.reject.quota", 0);
+      static const std::uint32_t kLabel = observe::intern_label("serve.reject.quota");
+      observe::flight_mark(kLabel, 0);
       {
         std::lock_guard lk(proj_mu_);
         ++projects_[project].quota_rejected;
@@ -161,7 +147,8 @@ ServeResult LakeServer::run_admitted(const storage::TsQuery& q) {
     r.cache_hit = true;
     m_cache_hits_->inc();
     m_latency_->add(sw.elapsed_seconds());
-    mark("serve.cache.hit", r.table.num_rows());
+    static const std::uint32_t kLabel = observe::intern_label("serve.cache.hit");
+    observe::flight_mark(kLabel, r.table.num_rows());
     return r;
   }
   m_cache_misses_->inc();
@@ -181,7 +168,8 @@ ServeResult LakeServer::run_admitted(const storage::TsQuery& q) {
   }
   m_cache_evictions_->inc(cache_.insert(key, q.metric, r.table, std::move(fp)));
   m_latency_->add(sw.elapsed_seconds());
-  mark("serve.query", static_cast<std::uint64_t>(r.plan));
+  static const std::uint32_t kLabel = observe::intern_label("serve.query");
+  observe::flight_mark(kLabel, static_cast<std::uint64_t>(r.plan));
   return r;
 }
 

@@ -16,7 +16,8 @@
 //
 // Everything is observable: serve.* metrics in the default registry and
 // kMark flight events on the installed recorder (admission outcomes,
-// cache hits, plan kinds), so the PR 8 black box sees serving too.
+// cache hits, plan kinds), so the flight timeline sees serving too. Each
+// mark's label is interned once per call site: a mark takes no lock.
 #pragma once
 
 #include <atomic>
@@ -136,7 +137,6 @@ class LakeServer {
   void finish(const std::string& project);
   ServeResult run_admitted(const storage::TsQuery& q);
   sql::Table rollup_query(const storage::TsQuery& q, PlanKind plan) const;
-  void mark(const char* label, std::uint64_t arg);
 
   const storage::TimeSeriesDb& db_;
   ServeConfig config_;
@@ -171,11 +171,6 @@ class LakeServer {
   observe::Counter* m_rollup_served_;
   observe::Gauge* m_depth_;
   observe::Histogram* m_latency_;
-
-  // Flight label ids, interned per installed recorder (cold path).
-  std::mutex flight_mu_;
-  observe::FlightRecorder* flight_rec_ = nullptr;
-  std::map<std::string, std::uint32_t> flight_labels_;
 };
 
 }  // namespace oda::serve

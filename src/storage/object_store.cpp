@@ -18,7 +18,8 @@ void ObjectStore::put(const std::string& key, std::vector<std::uint8_t> data, co
                       DataClass data_class, common::TimePoint now) {
   static observe::Counter* puts = observe::default_registry().counter("ocean.puts");
   static observe::Counter* put_bytes = observe::default_registry().counter("ocean.put.bytes");
-  observe::Span span("ocean.put");
+  static const std::uint32_t kLabel = observe::intern_label("ocean.put");
+  observe::Span span(kLabel);
   // Fault seam: rejected before the write lands. put is idempotent by key
   // (last write wins), so callers may retry freely.
   chaos::fault_point("ocean.put");
@@ -33,7 +34,8 @@ void ObjectStore::put(const std::string& key, std::vector<std::uint8_t> data, co
 
 std::optional<std::vector<std::uint8_t>> ObjectStore::get(const std::string& key) const {
   static observe::Counter* gets = observe::default_registry().counter("ocean.gets");
-  observe::Span span("ocean.get");
+  static const std::uint32_t kLabel = observe::intern_label("ocean.get");
+  observe::Span span(kLabel);
   chaos::fault_point("ocean.get");
   gets->inc();
   std::lock_guard lk(mu_);

@@ -25,7 +25,8 @@ TierManager::RetentionOutcome TierManager::enforce(common::TimePoint now) {
   static observe::Counter* migrated_bytes =
       observe::default_registry().counter("tiers.migrated.bytes");
   static observe::Counter* deferred = observe::default_registry().counter("tiers.migrations.deferred");
-  observe::Span sweep_span("tiers.enforce");
+  static const std::uint32_t kLabel = observe::intern_label("tiers.enforce");
+  observe::Span sweep_span(kLabel);
   sweeps->inc();
 
   RetentionOutcome out;
@@ -41,7 +42,8 @@ TierManager::RetentionOutcome TierManager::enforce(common::TimePoint now) {
   chaos::Retrier retrier(migration_retry_, /*seed=*/0x71e25ull ^ static_cast<std::uint64_t>(now));
   for (const auto& meta : ocean_.list()) {
     if (meta.created < now - retention_.ocean_age) {
-      observe::Span unit_span("tiers.migrate");
+      static const std::uint32_t kLabel = observe::intern_label("tiers.migrate");
+      observe::Span unit_span(kLabel);
       try {
         retrier.run("tiers.migrate", [&] {
           chaos::fault_point("tiers.migrate");

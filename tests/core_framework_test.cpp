@@ -1,13 +1,20 @@
 // End-to-end integration tests of OdaFramework: telemetry → broker →
-// Bronze→Silver pipeline → LAKE/OCEAN → Gold extraction.
+// Bronze→Silver pipeline → LAKE/OCEAN → Gold extraction, and the one
+// flight timeline that run records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "core/framework.hpp"
+#include "observe/export.hpp"
+#include "observe/flight.hpp"
 #include "storage/columnar.hpp"
 #include "telemetry/spec.hpp"
 
@@ -227,6 +234,127 @@ TEST(FrameworkGoldenTest, LiveRigContentsMatchRecordedDigests) {
   EXPECT_EQ(silver.objects, 2u);
   EXPECT_EQ(silver.rows, 125948u);
   EXPECT_EQ(silver.digest, 0x70299e972b8e65ffull) << "silver digest 0x" << std::hex << silver.digest;
+}
+
+
+// ---- one timeline -----------------------------------------------------------
+// The paper's real path records a flight timeline: advance() runs every
+// registered query on the framework's engine, whose recorder is the
+// installed one. The dump is read back through its JSON export, one
+// event object per line.
+
+struct DumpEvent {
+  std::string type;
+  std::string phase;
+  std::string label;
+  std::uint64_t span = 0;
+  std::uint64_t parent = 0;
+};
+
+std::string json_field(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) return "";
+  std::size_t from = at + needle.size();
+  if (line[from] == '"') {
+    ++from;
+    return line.substr(from, line.find('"', from) - from);
+  }
+  return line.substr(from, line.find_first_of(",}", from) - from);
+}
+
+std::vector<DumpEvent> dump_events(const std::string& json) {
+  std::vector<DumpEvent> out;
+  for (std::size_t pos = 0; (pos = json.find("\n{\"ring\":", pos)) != std::string::npos; ++pos) {
+    const std::string line = json.substr(pos + 1, json.find('\n', pos + 1) - pos - 1);
+    DumpEvent e;
+    e.type = json_field(line, "type");
+    e.phase = json_field(line, "phase");
+    e.label = json_field(line, "label");
+    e.span = std::strtoull(json_field(line, "span").c_str(), nullptr, 10);
+    e.parent = std::strtoull(json_field(line, "parent").c_str(), nullptr, 10);
+    out.push_back(e);
+  }
+  return out;
+}
+
+TEST(FrameworkTimelineTest, LiveRigRecordsEveryQueryOnOneTimeline) {
+  core::FrameworkConfig fc;
+  fc.retention.stream_age = 10 * kMinute;
+  fc.retention_sweep_period = kMinute;  // three sweeps in twelve steps
+  core::OdaFramework fw(fc);
+  telemetry::SimulatorConfig sc;
+  sc.seed = 11;
+  sc.scheduler.arrival_rate_per_hour = 240.0;
+  sc.scheduler.mean_duration_hours = 0.25;
+  const std::string sys = fw.add_system(telemetry::compass_spec(0.02), sc).spec().name;
+  fw.register_query(fw.make_bronze_to_silver_power(sys));
+  fw.register_query(fw.make_silver_to_lake(sys, "node.power_w", "node_power_w"));
+  fw.register_query(fw.make_silver_to_lake_max(sys, "gpu", ".temp_c", "gpu_temp_max_c"));
+  fw.register_query(fw.make_bronze_archiver(sys));
+  fw.register_query(fw.make_ost_to_lake(sys));
+  fw.register_query(fw.make_fabric_to_lake(sys));
+  fw.enable_self_telemetry();
+  // Twelve steps: Silver windows close once the watermark, two minutes of
+  // allowed lateness behind, passes them.
+  for (int step = 0; step < 12; ++step) fw.advance(15 * kSecond);
+
+  observe::FlightRecorder* rec = observe::installed_flight_recorder();
+  ASSERT_NE(rec, nullptr) << "advance() recorded no flight timeline";
+  const observe::FlightDump dump = rec->dump();
+  ASSERT_EQ(dump.dropped, 0u) << "the rings lapped; the checks below need every event";
+  const std::vector<DumpEvent> events = dump_events(observe::flight_to_json(dump));
+
+  // Closed spans by id: name and final parent (the end event's).
+  std::map<std::uint64_t, std::string> name_of;
+  std::map<std::uint64_t, std::uint64_t> parent_of;
+  for (const DumpEvent& e : events) {
+    if (e.type != "span_end") continue;
+    name_of[e.span] = e.label;
+    parent_of[e.span] = e.parent;
+  }
+  auto named = [&](std::uint64_t id, const std::string& name) {
+    const auto it = name_of.find(id);
+    return it != name_of.end() && it->second == name;
+  };
+
+  // Every registered query: batch spans, and each engine phase of a
+  // generation hanging under one of them.
+  ASSERT_EQ(fw.queries().size(), 7u);  // six pipelines + _oda.history
+  for (const auto& q : fw.queries()) {
+    const std::string batch = "query." + q->name() + ".batch";
+    std::size_t batches = 0;
+    for (const auto& [id, name] : name_of) batches += name == batch ? 1 : 0;
+    EXPECT_GT(batches, 0u) << batch;
+    std::set<std::string> phases;
+    for (const DumpEvent& e : events) {
+      if (e.type == "phase_end" && named(e.parent, batch)) phases.insert(e.phase);
+    }
+    for (const char* phase : {"fetch", "decode", "operate", "merge", "commit"}) {
+      EXPECT_EQ(phases.count(phase), 1u) << q->name() << " has no " << phase << " phase";
+    }
+  }
+
+  // The storage layers' spans share the timeline.
+  std::size_t ocean_puts = 0;
+  std::size_t sweeps = 0;
+  for (const auto& [id, name] : name_of) {
+    ocean_puts += name == "ocean.put" ? 1 : 0;
+    sweeps += name == "tiers.enforce" ? 1 : 0;
+  }
+  EXPECT_GT(ocean_puts, 0u);
+  EXPECT_EQ(sweeps, 3u);
+
+  // The produce→batch link: a silver_to_lake batch continues the trace of
+  // the Bronze→Silver sink.write that produced its first Silver record.
+  const std::string silver_batch = "query.bronze_to_silver_power." + sys + ".batch";
+  std::size_t linked = 0;
+  for (const auto& [id, name] : name_of) {
+    if (name.rfind("query.silver_to_lake.", 0) != 0) continue;
+    const std::uint64_t sink = parent_of[id];
+    if (named(sink, "sink.write") && named(parent_of[sink], silver_batch)) ++linked;
+  }
+  EXPECT_GT(linked, 0u);
 }
 
 }  // namespace

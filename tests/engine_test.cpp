@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -22,7 +23,6 @@
 #include "observe/history.hpp"
 #include "observe/metrics.hpp"
 #include "observe/scraper.hpp"
-#include "observe/trace.hpp"
 #include "pipeline/operator.hpp"
 #include "pipeline/self_telemetry.hpp"
 #include "pipeline/source_sink.hpp"
@@ -93,8 +93,9 @@ OperatorFactory window_agg_factory() {
 }
 
 // Build broker + engine-driven windowed aggregation, run to quiescence,
-// return the committed sink table serialized to bytes. Tracing and the
-// given chaos plan are active for the whole run.
+// return the committed sink table serialized to bytes. Tracing (the
+// engine's flight recorder takes the spans) and the given chaos plan are
+// active for the whole run.
 std::vector<std::uint8_t> run_with_workers(std::size_t workers, chaos::FaultPlan& plan,
                                            EngineStats* stats_out = nullptr,
                                            bool staged_fill = false,
@@ -107,8 +108,6 @@ std::vector<std::uint8_t> run_with_workers(std::size_t workers, chaos::FaultPlan
     fill_topic(topic);
   }
 
-  observe::Tracer tracer;
-  observe::ScopedTracer scoped_tracer(tracer);
   chaos::ScopedFaultPlan scoped_plan(plan);
 
   Engine engine(EngineConfig{}.with_workers(workers).with_ownership(
@@ -215,8 +214,6 @@ std::vector<std::uint8_t> run_with_history(std::size_t workers, chaos::FaultPlan
   stream::Broker broker;
   auto& topic = broker.create_topic("sensors", stream::TopicConfig{}.with_partitions(kPartitions));
 
-  observe::Tracer tracer;
-  observe::ScopedTracer scoped_tracer(tracer);
   chaos::ScopedFaultPlan scoped_plan(plan);
 
   Engine engine(EngineConfig{}.with_workers(workers));
@@ -529,31 +526,38 @@ TEST(EngineTest, KillWorkerRebalancesOwnershipWithoutLossOrDuplication) {
 }
 
 TEST(EngineTest, WorkerFetchSpansParentUnderBatchSpan) {
-  // A traced engine run must show "engine.fetch" spans tied to the trace
-  // of the batch that scheduled them — that is how an operator reads the
-  // fan-out of one micro-batch off a trace export.
+  // A traced engine run must show the workers' fetch phases tied to the
+  // trace of the batch that scheduled them — that is how an operator
+  // reads the fan-out of one micro-batch off a trace export.
   stream::Broker broker;
   auto& topic = broker.create_topic("traced", stream::TopicConfig{}.with_partitions(4));
   fill_topic(topic);
 
-  observe::Tracer tracer;
-  observe::ScopedTracer scoped(tracer);
   Engine engine(EngineConfig{}.with_workers(4));
   auto& q = engine.add_query(pipeline::QueryConfig{}.with_name("traced.q").with_batch_size(1000),
                              SourceSpec{&broker, "traced", "traced-group", decode});
   q.add_sink(std::make_unique<pipeline::TableSink>());
   engine.run_until_caught_up();
 
-  std::uint64_t batch_trace = 0;
-  for (const auto& span : tracer.store().snapshot()) {
-    if (span.name == "query.traced.q.batch") batch_trace = span.trace_id;
+  // The engine's recorder carries the spans too: batch spans by id, and
+  // the workers' fetch phases hang under them, in their trace.
+  const observe::FlightDump d = engine.dump_flight();
+  std::map<std::uint64_t, std::uint64_t> batch_trace;  // batch span id → trace id
+  for (const auto& span : d.spans()) {
+    if (span.name(d) == "query.traced.q.batch") batch_trace[span.ids.span] = span.ids.trace;
   }
-  ASSERT_NE(batch_trace, 0u);
+  ASSERT_FALSE(batch_trace.empty());
   std::size_t fetch_spans_in_batch_trace = 0;
-  for (const auto& span : tracer.store().snapshot()) {
-    if (span.name == "engine.fetch" && span.trace_id == batch_trace) ++fetch_spans_in_batch_trace;
+  std::size_t on_worker_threads = 0;  // rings 2..4: workers 1..3, off the driver thread
+  for (const auto& span : d.spans()) {
+    if (span.phase != observe::FlightPhase::kFetch) continue;
+    const auto it = batch_trace.find(span.ids.parent);
+    if (it == batch_trace.end() || span.ids.trace != it->second) continue;
+    ++fetch_spans_in_batch_trace;
+    on_worker_threads += span.ring >= 2 ? 1 : 0;
   }
   EXPECT_GT(fetch_spans_in_batch_trace, 0u);
+  EXPECT_GT(on_worker_threads, 0u);
 }
 
 }  // namespace

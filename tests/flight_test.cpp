@@ -27,7 +27,6 @@
 #include "observe/flight.hpp"
 #include "observe/metrics.hpp"
 #include "observe/slo.hpp"
-#include "observe/trace.hpp"
 #include "pipeline/operator.hpp"
 #include "pipeline/query.hpp"
 #include "pipeline/source_sink.hpp"
@@ -160,15 +159,15 @@ TEST(FlightRingTest, SingleWriterConcurrentReaderSeesOnlyConsistentSlots) {
 
 TEST(FlightRecorderTest, InternIsStableAndDumpResolvesLabels) {
   FlightRecorder rec(2, 16);
-  const std::uint32_t a = rec.intern("alpha");
-  const std::uint32_t b = rec.intern("beta");
+  const std::uint32_t a = observe::intern_label("alpha");
+  const std::uint32_t b = observe::intern_label("beta");
   EXPECT_NE(a, 0u);
   EXPECT_NE(b, a);
-  EXPECT_EQ(rec.intern("alpha"), a);
-  EXPECT_EQ(rec.label_text(a), "alpha");
+  EXPECT_EQ(observe::intern_label("alpha"), a);
 
   rec.emit(1, FlightEventType::kMark, FlightPhase::kNone, 7, a);
   const auto d = rec.dump("test", {"driver", "w0"});
+  EXPECT_EQ(d.label_text(a), "alpha");
   ASSERT_EQ(d.events.size(), 1u);
   EXPECT_EQ(d.events[0].ring, 1u);
   EXPECT_EQ(d.label_text(d.events[0].label), "alpha");
@@ -265,8 +264,6 @@ std::vector<std::uint8_t> run_chaos(std::size_t workers, std::size_t flight_capa
   auto& topic = broker.create_topic("sensors", stream::TopicConfig{}.with_partitions(kPartitions));
   fill_topic(topic);
 
-  observe::Tracer tracer;
-  observe::ScopedTracer scoped_tracer(tracer);
   chaos::FaultPlan plan(0xf11657);
   configure_plan(plan);
   chaos::ScopedFaultPlan scoped_plan(plan);

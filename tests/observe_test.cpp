@@ -1,5 +1,6 @@
 // oda::observe coverage: metrics registry snapshot correctness, trace
-// span parent/child structure across a produce → pipeline → sink run,
+// span parent/child structure (rebuilt from flight dumps) across a
+// produce → pipeline → sink run,
 // lag tracker agreement with the broker's own offset store, SLO state
 // transitions under injected faults, exporters, and a mini golden-run
 // determinism check with observation fully enabled.
@@ -18,6 +19,7 @@
 #include "observe/metrics.hpp"
 #include "observe/slo.hpp"
 #include "engine/engine.hpp"
+#include "observe/flight.hpp"
 #include "observe/trace.hpp"
 #include "storage/tiers.hpp"
 #include "stream/broker.hpp"
@@ -161,31 +163,32 @@ TEST(HistogramTest, QuantilesInterpolate) {
 // --- trace spans ---------------------------------------------------------
 
 TEST(TraceTest, NestedSpansFormParentChildChain) {
-  Tracer tracer;
-  ScopedTracer scoped(tracer);
+  FlightRecorder rec(1);
+  ScopedFlightRecorder scoped(rec);
   {
-    Span root("root");
+    Span root(intern_label("root"));
     EXPECT_TRUE(root.context().valid());
     {
-      Span child("child");
+      Span child(intern_label("child"));
       EXPECT_EQ(child.context().trace_id, root.context().trace_id);
-      { Span grand("grand"); }
+      { Span grand(intern_label("grand")); }
     }
   }
-  const auto spans = tracer.store().snapshot();
+  const FlightDump d = rec.dump();
+  const auto spans = d.spans();
   ASSERT_EQ(spans.size(), 3u);  // completion order: grand, child, root
-  EXPECT_EQ(spans[0].name, "grand");
-  EXPECT_EQ(spans[1].name, "child");
-  EXPECT_EQ(spans[2].name, "root");
-  EXPECT_EQ(spans[2].parent_id, 0u);
-  EXPECT_EQ(spans[1].parent_id, spans[2].span_id);
-  EXPECT_EQ(spans[0].parent_id, spans[1].span_id);
-  EXPECT_EQ(spans[0].trace_id, spans[2].trace_id);
+  EXPECT_EQ(spans[0].name(d), "grand");
+  EXPECT_EQ(spans[1].name(d), "child");
+  EXPECT_EQ(spans[2].name(d), "root");
+  EXPECT_EQ(spans[2].ids.parent, 0u);
+  EXPECT_EQ(spans[1].ids.parent, spans[2].ids.span);
+  EXPECT_EQ(spans[0].ids.parent, spans[1].ids.span);
+  EXPECT_EQ(spans[0].ids.trace, spans[2].ids.trace);
 }
 
 TEST(TraceTest, NoTracerMeansInertSpans) {
   {
-    Span s("orphan");
+    Span s(intern_label("orphan"));
     EXPECT_FALSE(s.active());
     EXPECT_FALSE(s.context().valid());
   }
@@ -193,43 +196,43 @@ TEST(TraceTest, NoTracerMeansInertSpans) {
 }
 
 TEST(TraceTest, LinkReHomesFreshTraceUnderRemote) {
-  Tracer tracer;
-  ScopedTracer scoped(tracer);
+  FlightRecorder rec(1);
+  ScopedFlightRecorder scoped(rec);
   TraceContext remote;
   {
-    Span producer("producer");
+    Span producer(intern_label("producer"));
     remote = producer.context();
   }
   {
-    Span continued("continued");
+    Span continued(intern_label("continued"));
     continued.link(remote);
     EXPECT_EQ(continued.context().trace_id, remote.trace_id);
-    { Span inner("inner"); }  // must inherit the adopted trace id
+    { Span inner(intern_label("inner")); }  // must inherit the adopted trace id
   }
   // Completion order: producer, inner, continued.
-  const auto spans = tracer.store().snapshot();
+  const FlightDump d = rec.dump();
+  const auto spans = d.spans();
   ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[2].name, "continued");
-  EXPECT_EQ(spans[2].parent_id, remote.span_id);
-  EXPECT_EQ(spans[1].name, "inner");
-  EXPECT_EQ(spans[1].trace_id, remote.trace_id);
-  EXPECT_EQ(spans[1].parent_id, spans[2].span_id);
+  EXPECT_EQ(spans[2].name(d), "continued");
+  EXPECT_EQ(spans[2].ids.parent, remote.span_id);
+  EXPECT_EQ(spans[1].name(d), "inner");
+  EXPECT_EQ(spans[1].ids.trace, remote.trace_id);
+  EXPECT_EQ(spans[1].ids.parent, spans[2].ids.span);
 }
 
 TEST(TraceTest, SpanStoreRingEvictsOldest) {
-  SpanStore store(4);
+  FlightRecorder rec(1, 8);  // 8 slots: the begin and end events of 4 spans
+  ScopedFlightRecorder scoped(rec);
   for (int i = 0; i < 10; ++i) {
-    SpanRecord r;
-    r.span_id = static_cast<std::uint64_t>(i + 1);
-    r.name = "s" + std::to_string(i);
-    store.add(std::move(r));
+    Span s(intern_label("s" + std::to_string(i)));
   }
-  EXPECT_EQ(store.size(), 4u);
-  EXPECT_EQ(store.dropped(), 6u);
-  const auto spans = store.snapshot();
+  const FlightDump d = rec.dump();
+  EXPECT_EQ(d.events.size(), 8u);
+  EXPECT_EQ(d.dropped, 12u);  // the 6 oldest spans' events
+  const auto spans = d.spans();
   ASSERT_EQ(spans.size(), 4u);
-  EXPECT_EQ(spans.front().name, "s6");  // oldest retained
-  EXPECT_EQ(spans.back().name, "s9");
+  EXPECT_EQ(spans.front().name(d), "s6");  // oldest retained
+  EXPECT_EQ(spans.back().name(d), "s9");
 }
 
 // --- produce → pipeline → sink trace continuity --------------------------
@@ -241,15 +244,15 @@ sql::Table decode_simple(std::span<const stream::RecordView> records) {
 }
 
 TEST(TraceTest, TraceContinuesAcrossBrokerHopIntoPipeline) {
-  Tracer tracer;
-  ScopedTracer scoped(tracer);
+  FlightRecorder rec(2);
+  ScopedFlightRecorder scoped(rec);
 
   stream::Broker broker;
   broker.create_topic("t", stream::TopicConfig{}.with_partitions(2));
   auto producer = broker.producer("t");
   TraceContext ingest_ctx;
   {
-    Span ingest("ingest");
+    Span ingest(intern_label("ingest"));
     ingest_ctx = ingest.context();
     stream::BatchBuilder staged;
     for (int i = 0; i < 10; ++i) staged.add(i * kSecond, "k" + std::to_string(i), "x");
@@ -272,20 +275,21 @@ TEST(TraceTest, TraceContinuesAcrossBrokerHopIntoPipeline) {
 
   // Span forest: batch re-homed under the producer, operator and sink
   // spans are children of the batch.
-  std::map<std::string, SpanRecord> by_name;
-  for (const auto& s : tracer.store().snapshot()) by_name[s.name] = s;
+  const FlightDump d = rec.dump();
+  std::map<std::string, FlightSpan> by_name;
+  for (const auto& s : d.spans()) by_name[s.name(d)] = s;
   ASSERT_TRUE(by_name.count("query.obs.batch"));
   ASSERT_TRUE(by_name.count("ident"));
   ASSERT_TRUE(by_name.count("sink.write"));
-  const SpanRecord& batch = by_name["query.obs.batch"];
-  EXPECT_EQ(batch.trace_id, ingest_ctx.trace_id);
-  EXPECT_EQ(batch.parent_id, ingest_ctx.span_id);
-  EXPECT_EQ(by_name["ident"].parent_id, batch.span_id);
-  EXPECT_EQ(by_name["sink.write"].parent_id, batch.span_id);
-  EXPECT_EQ(by_name["ident"].trace_id, ingest_ctx.trace_id);
+  const FlightSpan& batch = by_name["query.obs.batch"];
+  EXPECT_EQ(batch.ids.trace, ingest_ctx.trace_id);
+  EXPECT_EQ(batch.ids.parent, ingest_ctx.span_id);
+  EXPECT_EQ(by_name["ident"].ids.parent, batch.ids.span);
+  EXPECT_EQ(by_name["sink.write"].ids.parent, batch.ids.span);
+  EXPECT_EQ(by_name["ident"].ids.trace, ingest_ctx.trace_id);
 
   // The text exporter renders the forest with the root first.
-  const std::string text = spans_to_text(tracer.store().snapshot());
+  const std::string text = span_forest_to_text(d);
   EXPECT_NE(text.find("ingest"), std::string::npos);
   EXPECT_NE(text.find("query.obs.batch"), std::string::npos);
 }
@@ -450,20 +454,30 @@ TEST(ExportTest, TextAndJsonAndOneLine) {
   EXPECT_NE(line.find("batches=3"), std::string::npos);
 }
 
+/// One span or phase event as a dump carries it.
+FlightEvent dump_event(FlightEventType type, std::uint32_t ring, std::uint32_t label,
+                       FlightIds ids, std::uint64_t wall_ns) {
+  FlightEvent e;
+  e.type = type;
+  e.ring = ring;
+  e.label = label;
+  e.ids = ids;
+  e.wall_ns = wall_ns;
+  return e;
+}
+
 TEST(ExportTest, SpanTreeIndentsChildren) {
-  std::vector<SpanRecord> spans;
-  SpanRecord root;
-  root.trace_id = 1;
-  root.span_id = 1;
-  root.name = "root";
-  SpanRecord child;
-  child.trace_id = 1;
-  child.span_id = 2;
-  child.parent_id = 1;
-  child.name = "child";
-  spans.push_back(child);  // completion order: child first
-  spans.push_back(root);
-  const std::string text = spans_to_text(spans);
+  FlightDump d;
+  d.labels = {"", "root", "child"};
+  d.ring_names = {"driver"};
+  const FlightIds root{1, 0, 1};
+  const FlightIds child{2, 1, 1};
+  // Completion order: child first.
+  d.events = {dump_event(FlightEventType::kSpanBegin, 0, 1, root, 10),
+              dump_event(FlightEventType::kSpanBegin, 0, 2, child, 20),
+              dump_event(FlightEventType::kSpanEnd, 0, 2, child, 30),
+              dump_event(FlightEventType::kSpanEnd, 0, 1, root, 40)};
+  const std::string text = span_forest_to_text(d);
   EXPECT_NE(text.find("trace 1:\n  root"), std::string::npos);
   EXPECT_NE(text.find("\n    child"), std::string::npos);
 }
@@ -505,8 +519,8 @@ TEST(OdaMonitorTest, TicksAndReports) {
 // --- determinism with observation enabled --------------------------------
 
 std::vector<std::pair<std::string, std::int64_t>> traced_flow_fingerprint(std::uint64_t seed) {
-  Tracer tracer;
-  ScopedTracer scoped(tracer);
+  FlightRecorder rec(1);  // one ring: the dump keeps this thread's program order
+  ScopedFlightRecorder scoped(rec);
   set_virtual_now(0);
 
   stream::Broker broker;
@@ -514,7 +528,7 @@ std::vector<std::pair<std::string, std::int64_t>> traced_flow_fingerprint(std::u
   auto producer = broker.producer("d");
   common::Rng rng(seed);
   {
-    Span ingest("ingest");
+    Span ingest(intern_label("ingest"));
     stream::BatchBuilder staged;
     for (int i = 0; i < 500; ++i) {
       const std::string key = std::to_string(rng.next() % 17);
@@ -537,9 +551,8 @@ std::vector<std::pair<std::string, std::int64_t>> traced_flow_fingerprint(std::u
   // order, plus the row count that landed. Wall times are excluded — they
   // are the one non-deterministic field by design.
   std::vector<std::pair<std::string, std::int64_t>> fp;
-  for (const auto& s : tracer.store().snapshot()) {
-    fp.emplace_back(s.name, s.virtual_end - s.virtual_start);
-  }
+  const FlightDump d = rec.dump();
+  for (const auto& s : d.spans()) fp.emplace_back(s.name(d), s.vt_end - s.vt_begin);
   fp.emplace_back("rows", static_cast<std::int64_t>(table->table().num_rows()));
   return fp;
 }
@@ -629,21 +642,21 @@ TEST(ExportTest, AllJsonExportersEmitStrictlyValidJson) {
   EXPECT_TRUE(oda::testing::json_valid(mj, &err)) << err << "\n" << mj;
   EXPECT_NE(mj.find("\"le\":\"+Inf\""), std::string::npos);
 
-  std::vector<SpanRecord> spans;
-  SpanRecord s;
-  s.trace_id = 7;
-  s.span_id = 1;
-  s.name = "sp\"an\nwith\tcontrol";
-  s.virtual_start = 1000;
-  s.virtual_end = 3500;
-  s.wall_us = 1.5;
-  s.tags = {{"topic", "_oda.metrics"}, {"weird\"tag", "\t\\"}};
-  spans.push_back(s);
-  const std::string sj = spans_to_json(spans);
+  FlightRecorder rec(2, 16);
+  {
+    ScopedFlightRecorder scoped(rec);
+    set_virtual_now(1000);
+    Span s(intern_label("sp\"an\nwith\tcontrol"));
+    set_virtual_now(3500);
+  }
+  set_virtual_now(0);
+  rec.emit(1, FlightEventType::kMark, FlightPhase::kNone, 3, intern_label("weird\"mark\t\\"));
+  const FlightDump d = rec.dump("t\"rig", {"dri\"ver", "w\n0"});
+  const std::string sj = flight_to_json(d);
   EXPECT_TRUE(oda::testing::json_valid(sj, &err)) << err << "\n" << sj;
-  const std::string cj = spans_to_chrome_json(spans);
+  const std::string cj = flight_to_chrome_json(d);
   EXPECT_TRUE(oda::testing::json_valid(cj, &err)) << err << "\n" << cj;
-  EXPECT_TRUE(oda::testing::json_valid(spans_to_chrome_json({}), &err)) << err;
+  EXPECT_TRUE(oda::testing::json_valid(flight_to_chrome_json(FlightDump{}), &err)) << err;
 
   SloBook book;
   book.add({.name = "s\"lo", .subject = "x\ny", .unit = "u", .warn = 1, .crit = 2,
@@ -656,21 +669,22 @@ TEST(ExportTest, AllJsonExportersEmitStrictlyValidJson) {
 // --- Chrome trace-event export -------------------------------------------
 
 TEST(ExportTest, ChromeTraceEmitsOneCompleteEventPerSpan) {
-  Tracer tracer;
-  ScopedTracer scoped(tracer);
+  FlightRecorder rec(1);
+  ScopedFlightRecorder scoped(rec);
   set_virtual_now(10 * kSecond);
   {
-    Span a("alpha");
+    Span a(intern_label("alpha"));
     set_virtual_now(12 * kSecond);
     {
-      Span b("beta");
+      Span b(intern_label("beta"));
       set_virtual_now(13 * kSecond);
     }
     set_virtual_now(15 * kSecond);
   }
-  const auto spans = tracer.store().snapshot();
+  const FlightDump d = rec.dump();
+  const auto spans = d.spans();
   ASSERT_EQ(spans.size(), 2u);
-  const std::string doc = spans_to_chrome_json(spans);
+  const std::string doc = flight_to_chrome_json(d);
   std::string err;
   ASSERT_TRUE(oda::testing::json_valid(doc, &err)) << err << "\n" << doc;
 
@@ -679,44 +693,39 @@ TEST(ExportTest, ChromeTraceEmitsOneCompleteEventPerSpan) {
     ++events;
   }
   EXPECT_EQ(events, spans.size());
-  // ts/dur are virtual microseconds passed straight through: beta opened
-  // at 12 s and closed at 13 s of facility time.
-  EXPECT_NE(doc.find("\"ts\":12000000"), std::string::npos);
-  EXPECT_NE(doc.find("\"dur\":1000000"), std::string::npos);
+  // Virtual start and duration pass straight through in args: beta
+  // opened at 12 s and closed at 13 s of facility time.
+  EXPECT_NE(doc.find("\"vt\":12000000,\"vt_dur\":1000000"), std::string::npos);
   EXPECT_NE(doc.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   set_virtual_now(0);
 }
 
 TEST(ExportTest, ChromeTracePidTidComeFromTags) {
-  std::vector<SpanRecord> spans;
-  SpanRecord tagged;
-  tagged.trace_id = 99;
-  tagged.span_id = 5;
-  tagged.name = "tagged";
-  tagged.virtual_start = 0;
-  tagged.virtual_end = 10;
-  tagged.tags = {{"pid", "3"}, {"tid", "12"}, {"note", "x"}};
-  spans.push_back(tagged);
-  SpanRecord fallback;
-  fallback.trace_id = 42;
-  fallback.span_id = 6;
-  fallback.name = "fallback";
-  fallback.virtual_start = 5;
-  fallback.virtual_end = 2;  // clock went nowhere: dur clamps to 0, not negative
-  spans.push_back(fallback);
+  // Spans sit on the row of the ring that recorded them: one named tid
+  // per ring, pid 1.
+  FlightDump d;
+  d.ring_names = {"driver", "w0", "w1"};
+  d.labels = {"", "worker_span", "driver_span"};
+  const FlightIds worker{5, 0, 5};
+  const FlightIds driver{6, 0, 6};
+  d.events = {dump_event(FlightEventType::kSpanBegin, 2, 1, worker, 1000),
+              dump_event(FlightEventType::kSpanEnd, 2, 1, worker, 11000),
+              // The wall clock went nowhere: dur clamps to 0, not negative.
+              dump_event(FlightEventType::kSpanBegin, 0, 2, driver, 9000),
+              dump_event(FlightEventType::kSpanEnd, 0, 2, driver, 4000)};
 
-  const std::string doc = spans_to_chrome_json(spans);
+  const std::string doc = flight_to_chrome_json(d);
   std::string err;
   ASSERT_TRUE(oda::testing::json_valid(doc, &err)) << err;
-  EXPECT_NE(doc.find("\"pid\":3,\"tid\":12"), std::string::npos);
-  // Untagged spans land on pid 1, tid = trace id (one track per trace).
-  EXPECT_NE(doc.find("\"pid\":1,\"tid\":42"), std::string::npos);
-  EXPECT_NE(doc.find("\"dur\":0"), std::string::npos);
+  std::size_t rows = 0;
+  for (std::size_t pos = 0; (pos = doc.find("\"thread_name\"", pos)) != std::string::npos; ++pos) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, d.ring_names.size());
+  EXPECT_NE(doc.find("\"tid\":2,\"args\":{\"name\":\"w1\"}"), std::string::npos);
+  EXPECT_NE(doc.find("\"ts\":1.000,\"dur\":10.000,\"pid\":1,\"tid\":2"), std::string::npos);
+  EXPECT_NE(doc.find("\"dur\":0.000,\"pid\":1,\"tid\":0"), std::string::npos);
   EXPECT_EQ(doc.find("\"dur\":-"), std::string::npos);
-  // Non-pid/tid tags ride in args; consumed pid/tid tags are not repeated.
-  EXPECT_NE(doc.find("\"note\":\"x\""), std::string::npos);
-  EXPECT_EQ(doc.find("\"pid\":\"3\""), std::string::npos);
 }
-
 }  // namespace
 }  // namespace oda::observe
