@@ -99,7 +99,8 @@ int main() {
                 enc.size() / 1024);
   }
   {
-    // Values: noisy doubles -> XOR helps modestly (as in real systems).
+    // Values: noisy doubles -> byte-stream split collapses the near-constant
+    // sign/exponent planes; mantissa noise stays near-incompressible.
     std::vector<double> vals;
     vals.reserve(bronze.num_rows());
     for (std::size_t r = 0; r < bronze.num_rows(); ++r)

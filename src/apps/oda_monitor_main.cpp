@@ -20,6 +20,7 @@
 #include "common/faults.hpp"
 #include "core/framework.hpp"
 #include "engine/engine.hpp"
+#include "observe/chaos_bridge.hpp"
 #include "observe/export.hpp"
 #include "telemetry/codec.hpp"
 
@@ -228,6 +229,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+
+  // Fault and retry events become chaos.* series for the whole run, so
+  // the digest's faults=/retries= count what the demo injected.
+  oda::observe::ScopedChaosBridge chaos_bridge;
 
   // Standalone serving demo: no facility simulation, just the LakeServer
   // front-end over a synthetic LAKE (the read-side mirror of the demo).

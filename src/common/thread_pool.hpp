@@ -1,7 +1,9 @@
-// Work-queue thread pool used by the pipeline engine and batch backfills.
+// Work-queue thread pool: the scheduler behind serve::LakeServer::submit,
+// which runs admitted LAKE queries on it. (The engine does not use it:
+// each query owns a team of long-lived workers.)
 //
-// Deliberately simple (single mutex-protected deque): pipeline tasks are
-// micro-batch sized, so queue contention is negligible relative to work.
+// Deliberately simple (single mutex-protected deque): a task is a whole
+// query, so queue contention is negligible relative to work.
 #pragma once
 
 #include <condition_variable>
@@ -51,39 +53,6 @@ class ThreadPool {
     }
     cv_.notify_one();
     return fut;
-  }
-
-  /// Steal one queued task and run it on the calling thread. Returns false
-  /// if the queue was empty. Lets a thread that is blocked waiting on pool
-  /// futures help drain the queue instead of idling — the engine's query
-  /// drivers use this so N queries sharing W workers can't deadlock when
-  /// N > W.
-  bool try_run_one() {
-    std::function<void()> task;
-    {
-      std::lock_guard lk(mu_);
-      if (queue_.empty()) return false;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-    return true;
-  }
-
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    if (n == 0) return;
-    const std::size_t chunks = std::min(n, workers_.size() * 4);
-    std::vector<std::future<void>> futs;
-    futs.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = n * c / chunks;
-      const std::size_t hi = n * (c + 1) / chunks;
-      futs.push_back(submit([lo, hi, &fn] {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      }));
-    }
-    for (auto& f : futs) f.get();
   }
 
  private:

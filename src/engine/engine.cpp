@@ -797,6 +797,10 @@ std::uint64_t Engine::run_until_caught_up(std::size_t max_rounds) {
     // worker team now, so the round loop itself is deterministic. Rounds
     // repeat until no query makes progress, draining multi-hop chains.
     for (auto& q : queries_) {
+      // Round 0 runs every query once: its fetch also refreshes the
+      // members' assignments, which kill_worker leaves stale until then.
+      // Later rounds skip a query with nothing left to read.
+      if (round > 0 && q->lag() == 0) continue;
       // Progress is measured on *committed* work (run_once also returns
       // the pulled rows of a failed, rolled-back batch — counting those
       // would double-bill replays).

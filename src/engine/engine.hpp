@@ -443,6 +443,8 @@ class Engine {
   /// rows processed. Rounds visit queries in add order; each query runs
   /// up to 64 generations per round before the engine moves on to the
   /// next, so a deep topic cannot starve downstream queries in a chain.
+  /// The first round runs every query; later rounds skip the ones with
+  /// zero lag.
   std::uint64_t run_until_caught_up(std::size_t max_rounds = SIZE_MAX);
 
   EngineStats stats() const;

@@ -11,14 +11,12 @@ using common::TimePoint;
 using sql::Table;
 
 WindowAggOp::WindowAggOp(std::string name, std::string time_column, Duration window,
-                         std::vector<std::string> keys, std::vector<sql::AggSpec> aggs,
-                         Duration allowed_lateness)
+                         std::vector<std::string> keys, std::vector<sql::AggSpec> aggs)
     : name_(std::move(name)),
       time_column_(std::move(time_column)),
       window_(window),
       keys_(std::move(keys)),
-      aggs_(std::move(aggs)),
-      lateness_(allowed_lateness) {}
+      aggs_(std::move(aggs)) {}
 
 Batch WindowAggOp::process(Batch in) {
   if (in.table.num_rows() > 0) {
@@ -56,7 +54,7 @@ Batch WindowAggOp::emit_ready(TimePoint watermark) {
   std::vector<Table> ready;
   for (auto it = pending_.begin(); it != pending_.end(); ++it) {
     const TimePoint window_end = it->first + window_;
-    if (window_end + lateness_ <= watermark) {
+    if (window_end <= watermark) {
       if (std::find(emitted_uncommitted_.begin(), emitted_uncommitted_.end(), it->first) !=
           emitted_uncommitted_.end()) {
         continue;  // already emitted within this (uncommitted) batch

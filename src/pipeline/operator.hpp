@@ -78,11 +78,12 @@ class TransformOp final : public Operator {
 /// rows buffer per window until the watermark passes window end, then the
 /// window is aggregated and emitted exactly once. This is the paper's
 /// "aggregated over designated time intervals (e.g., every 15 seconds)".
+/// Allowed lateness is applied once, upstream: QueryConfig's
+/// allowed_lateness holds the engine's watermark back.
 class WindowAggOp final : public Operator {
  public:
   WindowAggOp(std::string name, std::string time_column, common::Duration window,
-              std::vector<std::string> keys, std::vector<sql::AggSpec> aggs,
-              common::Duration allowed_lateness = 0);
+              std::vector<std::string> keys, std::vector<sql::AggSpec> aggs);
 
   const std::string& name() const override { return name_; }
   storage::DataClass output_class() const override { return storage::DataClass::kSilver; }
@@ -107,7 +108,6 @@ class WindowAggOp final : public Operator {
   common::Duration window_;
   std::vector<std::string> keys_;
   std::vector<sql::AggSpec> aggs_;
-  common::Duration lateness_;
   std::map<common::TimePoint, sql::Table> pending_;  ///< window start -> buffered rows
   common::TimePoint max_emitted_ = INT64_MIN;
   std::uint64_t late_dropped_ = 0;

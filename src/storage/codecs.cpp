@@ -51,42 +51,6 @@ std::vector<std::int64_t> decode_int64_delta(std::span<const std::uint8_t> data)
   return out;
 }
 
-std::vector<std::uint8_t> encode_float64_xor(std::span<const double> values) {
-  ByteWriter w;
-  w.varint(values.size());
-  std::uint64_t prev = 0;
-  for (double v : values) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    // XOR against previous; identical or near-identical values produce
-    // tiny varints. Rotate so the volatile mantissa tail doesn't inflate
-    // the varint length when exponent/sign are stable.
-    const std::uint64_t x = bits ^ prev;
-    w.varint((x >> 48) | (x << 16));
-    prev = bits;
-  }
-  return w.take();
-}
-
-std::vector<double> decode_float64_xor(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
-  const std::uint64_t n = r.varint();
-  check_count(n, r.remaining(), "float64-xor");  // each varint is >= 1 byte
-  std::vector<double> out;
-  out.reserve(n);
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t rotated = r.varint();
-    const std::uint64_t x = (rotated << 48) | (rotated >> 16);
-    const std::uint64_t bits = x ^ prev;
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    out.push_back(v);
-    prev = bits;
-  }
-  return out;
-}
-
 std::vector<std::uint8_t> encode_float64_bss(std::span<const double> values) {
   ByteWriter w;
   w.varint(values.size());

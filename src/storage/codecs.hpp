@@ -4,7 +4,7 @@
 // significant data compression and minimal I/O footprint" (Sec V-B).
 // These codecs reproduce the economics Parquet gets on telemetry:
 //   - int64: delta + zigzag + varint (timestamps, ids, counters)
-//   - float64: XOR-with-previous + svarint (slowly varying sensor values)
+//   - float64: byte-stream split + RLE per byte plane (sensor values)
 //   - string: dictionary + RLE-compressed indexes (low-cardinality names)
 //   - bytes: LZSS-style general pass for everything else
 #pragma once
@@ -20,9 +20,6 @@ namespace oda::storage {
 
 std::vector<std::uint8_t> encode_int64_delta(std::span<const std::int64_t> values);
 std::vector<std::int64_t> decode_int64_delta(std::span<const std::uint8_t> data);
-
-std::vector<std::uint8_t> encode_float64_xor(std::span<const double> values);
-std::vector<double> decode_float64_xor(std::span<const std::uint8_t> data);
 
 /// Byte-stream split (Parquet BYTE_STREAM_SPLIT): transpose doubles into
 /// eight byte planes and RLE each. Sign/exponent planes of same-magnitude

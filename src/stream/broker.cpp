@@ -98,7 +98,6 @@ TopicStats Topic::stats() const {
   for (const auto& p : partitions_) {
     s.retained_records += p->record_count();
     s.retained_bytes += p->size_bytes();
-    s.key_dict_entries += p->key_dict_size();
   }
   return s;
 }

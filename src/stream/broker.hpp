@@ -56,11 +56,6 @@ struct TopicStats {
   std::uint64_t retained_records = 0;
   std::uint64_t retained_bytes = 0;
   std::uint64_t evicted_bytes = 0;
-  /// Distinct interned keys summed over partitions. Each partition's
-  /// dictionary is capped at Partition::kMaxDictKeys (overflow keys are
-  /// stored per-record in the segment arena instead); watch this to spot
-  /// a high-cardinality key stream approaching the cap.
-  std::uint64_t key_dict_entries = 0;
 };
 
 class Topic {

@@ -19,126 +19,48 @@ observe::Counter* segments_rolled_counter() {
 }
 }  // namespace
 
-std::uint32_t Partition::KeyDict::intern_view(std::string_view key) {
-  const std::size_t mask = slots.size() - 1;  // slots.size() is a power of 2
-  std::size_t i = static_cast<std::size_t>(common::fnv1a(key)) & mask;
-  while (slots[i] != 0) {
-    const std::uint32_t id = slots[i] - 1;
-    if (entries[id] == key) return id;
-    i = (i + 1) & mask;
-  }
-  // Cardinality cap: past kMaxDictKeys distinct keys the dictionary stops
-  // growing and the caller inlines the key in the segment arena instead —
-  // a high-cardinality key stream (unique request ids as keys) must not
-  // leak memory for the partition's lifetime.
-  if (entries.size() >= kMaxDictKeys) return kNoKey;
-  const auto id = static_cast<std::uint32_t>(entries.size());
-  entries.emplace_back(key);
-  if ((entries.size() + 1) * 4 > slots.size() * 3) {
-    // Past 75% load: double the table and reinsert every id.
-    std::vector<std::uint32_t> grown(slots.size() * 2, 0);
-    const std::size_t gmask = grown.size() - 1;
-    for (std::uint32_t e = 0; e < entries.size(); ++e) {
-      std::size_t g = static_cast<std::size_t>(common::fnv1a(entries[e])) & gmask;
-      while (grown[g] != 0) g = (g + 1) & gmask;
-      grown[g] = e + 1;
-    }
-    slots.swap(grown);
-  } else {
-    slots[i] = id + 1;
-  }
-  return id;
-}
-
-void Partition::append_one_unlocked(const EncodedRecord& r, std::int64_t off,
-                                    std::size_t index_hint) {
-  const std::size_t sz = r.wire_size();
-  // Key placement is decided before the roll check so the arena-byte need
-  // is known: interned keys cost no arena bytes; once the dictionary hits
-  // its cap, new keys are inlined in the arena ahead of the payload.
-  const bool has_key = !r.key.empty();
-  const std::uint32_t key_id = has_key ? dict_->intern_view(r.key) : kNoKey;
-  const bool inline_key = has_key && key_id == kNoKey;
-  const std::size_t arena_need = r.payload.size() + (inline_key ? r.key.size() : 0);
-  // Roll on the wire-size rule (identical placement to the pre-arena
-  // layout), plus a defensive arena-capacity check: the wire rule already
-  // guarantees arena bytes (payload + any inline key <= wire size) fit
-  // the reservation, so the second clause can only fire if that invariant
-  // is ever broken — never silently reallocate an arena that in-flight
-  // views point into.
-  const bool roll = segments_.empty() || segments_.back()->bytes + sz > segment_bytes_ ||
-                    segments_.back()->arena.size() + arena_need >
-                        segments_.back()->arena.capacity();
-  if (roll) {
-    auto s = std::make_shared<Segment>();
-    s->base_offset = off;
-    // Full-capacity reservation up front: the arena must never reallocate
-    // while readers hold views into it. Arena bytes per segment are
-    // bounded by the wire-size roll rule (first record may exceed it).
-    s->arena.reserve(std::max(segment_bytes_, arena_need));
-    s->index.reserve(std::min(index_hint, segment_bytes_ / 24 + 1));
-    s->dict = dict_;
-    segments_.push_back(std::move(s));
-    segments_rolled_counter()->inc();
-  }
-  write_record_unlocked(*segments_.back(), r, key_id);
-  segments_.back()->bytes += sz;
-  total_bytes_ += sz;
-}
-
-void Partition::write_record_unlocked(Segment& seg, const EncodedRecord& r,
-                                      std::uint32_t key_id) {
-  IndexEntry e;
-  e.timestamp = r.timestamp;
-  e.trace_id = r.trace_id;
-  e.span_id = r.span_id;
-  e.key_id = key_id;
-  if (key_id == kNoKey && !r.key.empty()) {
-    seg.arena.insert(seg.arena.end(), r.key.begin(), r.key.end());
-    e.key_len = static_cast<std::uint32_t>(r.key.size());
-  }
-  e.payload_off = seg.arena.size();
-  e.payload_len = static_cast<std::uint32_t>(r.payload.size());
-  seg.arena.insert(seg.arena.end(), r.payload.begin(), r.payload.end());
-  seg.index.push_back(e);
-  if (r.timestamp > seg.max_ts) seg.max_ts = r.timestamp;
-}
-
 std::int64_t Partition::append_encoded_batch(std::span<const EncodedRecord> batch) {
   std::lock_guard lk(mu_);
   const std::int64_t first = next_offset_.load(std::memory_order_relaxed);
-  if (batch.empty()) return first;
-  // One index reservation from the batch's summed wire size: if the whole
-  // batch fits the active segment (the common staged-flush case), reserve
-  // its index up front; otherwise each rolled segment gets the
-  // remaining-records hint. Arena capacity is always fully reserved at
-  // segment creation, so payload bytes need no per-batch reserve.
-  std::size_t wire = 0;
-  for (const EncodedRecord& r : batch) wire += r.wire_size();
-  if (!segments_.empty() && segments_.back()->bytes + wire <= segment_bytes_) {
-    // Fast path: the whole batch fits the active segment, so no record
-    // can roll (cumulative bytes never cross segment_bytes_, and arena
-    // capacity >= segment_bytes_ covers the payload/inline-key bytes).
-    // Per-record roll checks and byte accounting are hoisted out of the
-    // loop — this is the produce-side hot path.
-    Segment& seg = *segments_.back();
-    const std::size_t want = seg.index.size() + batch.size();
-    if (want > seg.index.capacity()) {
-      // Grow geometrically: reserve(want) alone would resize to the exact
-      // count on every flush, turning repeated small batches into O(n^2)
-      // index copies.
-      seg.index.reserve(std::max(want, seg.index.capacity() * 2));
+  Segment* seg = segments_.empty() ? nullptr : segments_.back().get();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const EncodedRecord& r = batch[i];
+    const std::size_t sz = r.wire_size();
+    const std::size_t arena_need = r.key.size() + r.payload.size();
+    // Roll on the wire-size rule, plus a defensive arena-capacity check:
+    // the wire rule already guarantees arena bytes (key + payload <= wire
+    // size) fit the reservation, so the second clause can only fire if
+    // that invariant is ever broken — never silently reallocate an arena
+    // that in-flight views point into.
+    if (seg == nullptr || seg->bytes + sz > segment_bytes_ ||
+        seg->arena.size() + arena_need > seg->arena.capacity()) {
+      auto s = std::make_shared<Segment>();
+      // The running offset: next_offset_ is only published after the loop.
+      s->base_offset = first + static_cast<std::int64_t>(i);
+      // Full-capacity reservation up front: the arena must never
+      // reallocate while readers hold views into it. Arena bytes per
+      // segment are bounded by the wire-size roll rule (the first record
+      // may exceed it).
+      s->arena.reserve(std::max(segment_bytes_, arena_need));
+      s->index.reserve(std::min(batch.size() - i, segment_bytes_ / 24 + 1));
+      seg = s.get();
+      segments_.push_back(std::move(s));
+      segments_rolled_counter()->inc();
     }
-    for (const EncodedRecord& r : batch) {
-      const std::uint32_t key_id = r.key.empty() ? kNoKey : dict_->intern_view(r.key);
-      write_record_unlocked(seg, r, key_id);
-    }
-    seg.bytes += wire;
-    total_bytes_ += wire;
-  } else {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      append_one_unlocked(batch[i], first + static_cast<std::int64_t>(i), batch.size() - i);
-    }
+    // The key sits immediately before its payload in the arena.
+    seg->arena.insert(seg->arena.end(), r.key.begin(), r.key.end());
+    IndexEntry e;
+    e.timestamp = r.timestamp;
+    e.trace_id = r.trace_id;
+    e.span_id = r.span_id;
+    e.payload_off = seg->arena.size();
+    e.payload_len = static_cast<std::uint32_t>(r.payload.size());
+    e.key_len = static_cast<std::uint32_t>(r.key.size());
+    seg->arena.insert(seg->arena.end(), r.payload.begin(), r.payload.end());
+    seg->index.push_back(e);
+    if (r.timestamp > seg->max_ts) seg->max_ts = r.timestamp;
+    seg->bytes += sz;
+    total_bytes_ += sz;
   }
   // Group commit: readers (fetch_view's lockless end check, end_offset())
   // see the whole batch become visible at once.
@@ -183,9 +105,9 @@ std::int64_t Partition::fetch_view(std::int64_t offset, std::size_t max_records,
     const std::int64_t seg_end = seg.base_offset + static_cast<std::int64_t>(seg.index.size());
     if (cur >= seg_end) continue;
     if (cur < seg.base_offset) cur = seg.base_offset;
-    // Pin the segment once per fetch: the shared_ptr keeps the arena, the
-    // index and (through Segment::dict) the key bytes alive after
-    // retention pops the segment — and after this partition is destroyed.
+    // Pin the segment once per fetch: the shared_ptr keeps its arena and
+    // index alive after retention pops the segment — and after this
+    // partition is destroyed.
     bool pinned = false;
     for (std::size_t i = static_cast<std::size_t>(cur - seg.base_offset); i < seg.index.size();
          ++i) {
@@ -200,12 +122,7 @@ std::int64_t Partition::fetch_view(std::int64_t offset, std::size_t max_records,
       v.timestamp = e.timestamp;
       v.trace_id = e.trace_id;
       v.span_id = e.span_id;
-      if (e.key_id != kNoKey) {
-        v.key = seg.dict->entries[e.key_id];
-      } else if (e.key_len > 0) {
-        // Dictionary-cap overflow: key bytes inlined just before the payload.
-        v.key = std::string_view(seg.arena.data() + e.payload_off - e.key_len, e.key_len);
-      }
+      v.key = std::string_view(seg.arena.data() + e.payload_off - e.key_len, e.key_len);
       v.payload = std::string_view(seg.arena.data() + e.payload_off, e.payload_len);
       out.push_back(v);
       ++cur;
@@ -256,11 +173,6 @@ std::int64_t Partition::end_offset() const {
 std::size_t Partition::size_bytes() const {
   std::lock_guard lk(mu_);
   return total_bytes_;
-}
-
-std::size_t Partition::key_dict_size() const {
-  std::lock_guard lk(mu_);
-  return dict_->entries.size();
 }
 
 std::size_t Partition::record_count() const {

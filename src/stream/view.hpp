@@ -1,12 +1,12 @@
 // Zero-copy read path: views into the broker's immutable, refcounted log
 // segments. A fetch hands out RecordViews (string_views into a segment's
-// arena plus the partition's key dictionary) bundled in a FetchView that
-// pins the backing segments alive — retention can drop a segment from the
-// partition while in-flight readers keep reading it, with no locks held
-// after the fetch returns (the ALICE Run-3 pattern: analysis reads views
-// into refcounted buffers instead of owned copies). This is the only read
-// path; code that keeps bytes past a view's life copies the fields it
-// needs.
+// arena, which holds each record's key and payload) bundled in a
+// FetchView that pins the backing segments alive — retention can drop a
+// segment from the partition while in-flight readers keep reading it,
+// with no locks held after the fetch returns (the ALICE Run-3 pattern:
+// analysis reads views into refcounted buffers instead of owned copies).
+// This is the only read path; code that keeps bytes past a view's life
+// copies the fields it needs.
 #pragma once
 
 #include <cstdint>

@@ -68,10 +68,12 @@ TEST(BrokerStressTest, ProducersConsumerChurnAndRetentionRace) {
   }
 
   // --- retention: sweeps both topics while everything else runs ---------
+  std::atomic<std::uint64_t> sweeps_done{0};
   std::thread retention([&] {
     common::TimePoint now = 0;
     while (!stop_aux.load(std::memory_order_acquire)) {
       broker.enforce_retention(now);
+      sweeps_done.fetch_add(1, std::memory_order_release);
       now += common::kMinute;
       std::this_thread::yield();
     }
@@ -160,6 +162,14 @@ TEST(BrokerStressTest, ProducersConsumerChurnAndRetentionRace) {
       }
     }
     consumer.commit();
+  }
+  // Stop only after a sweep that began after the producers joined has
+  // finished: the sweep running now may have started before, the next
+  // one cannot. A starved retention thread then still sees the churny
+  // partitions over their size bound.
+  const std::uint64_t sweeps_at_join = sweeps_done.load(std::memory_order_acquire);
+  while (sweeps_done.load(std::memory_order_acquire) < sweeps_at_join + 2) {
+    std::this_thread::yield();
   }
   stop_aux.store(true, std::memory_order_release);
   retention.join();
@@ -449,8 +459,8 @@ TEST(BrokerStressTest, StagedProducersRaceConsumersAndRetention) {
   });
 
   // Two zero-copy reader groups; one pins every view it ever polled so
-  // eviction (of the churn topic's shared dict) and arena lifetimes are
-  // exercised while the staged topic's segments stay referenced.
+  // segment eviction and arena lifetimes are exercised while the staged
+  // topic's segments stay referenced.
   std::atomic<std::uint64_t> torn{0};
   std::vector<FetchView> held;
   std::thread pinning_reader([&] {

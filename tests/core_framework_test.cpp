@@ -249,6 +249,7 @@ struct DumpEvent {
   std::string label;
   std::uint64_t span = 0;
   std::uint64_t parent = 0;
+  std::uint64_t arg = 0;
 };
 
 std::string json_field(const std::string& line, const std::string& key) {
@@ -273,16 +274,26 @@ std::vector<DumpEvent> dump_events(const std::string& json) {
     e.label = json_field(line, "label");
     e.span = std::strtoull(json_field(line, "span").c_str(), nullptr, 10);
     e.parent = std::strtoull(json_field(line, "parent").c_str(), nullptr, 10);
+    e.arg = std::strtoull(json_field(line, "arg").c_str(), nullptr, 10);
     out.push_back(e);
   }
   return out;
 }
 
-TEST(FrameworkTimelineTest, LiveRigRecordsEveryQueryOnOneTimeline) {
+/// The live rig at seed 11: six pipelines plus self-telemetry, with a
+/// retention sweep every minute (three sweeps in twelve steps).
+core::FrameworkConfig timeline_rig_config() {
   core::FrameworkConfig fc;
   fc.retention.stream_age = 10 * kMinute;
-  fc.retention_sweep_period = kMinute;  // three sweeps in twelve steps
-  core::OdaFramework fw(fc);
+  fc.retention_sweep_period = kMinute;
+  return fc;
+}
+
+constexpr int kTimelineSteps = 12;
+
+/// Registers the rig's queries on `fw` and runs its steps; returns the
+/// system name.
+std::string run_timeline_rig(core::OdaFramework& fw) {
   telemetry::SimulatorConfig sc;
   sc.seed = 11;
   sc.scheduler.arrival_rate_per_hour = 240.0;
@@ -297,7 +308,13 @@ TEST(FrameworkTimelineTest, LiveRigRecordsEveryQueryOnOneTimeline) {
   fw.enable_self_telemetry();
   // Twelve steps: Silver windows close once the watermark, two minutes of
   // allowed lateness behind, passes them.
-  for (int step = 0; step < 12; ++step) fw.advance(15 * kSecond);
+  for (int step = 0; step < kTimelineSteps; ++step) fw.advance(15 * kSecond);
+  return sys;
+}
+
+TEST(FrameworkTimelineTest, LiveRigRecordsEveryQueryOnOneTimeline) {
+  core::OdaFramework fw(timeline_rig_config());
+  const std::string sys = run_timeline_rig(fw);
 
   observe::FlightRecorder* rec = observe::installed_flight_recorder();
   ASSERT_NE(rec, nullptr) << "advance() recorded no flight timeline";
@@ -355,6 +372,31 @@ TEST(FrameworkTimelineTest, LiveRigRecordsEveryQueryOnOneTimeline) {
     if (named(sink, "sink.write") && named(parent_of[sink], silver_batch)) ++linked;
   }
   EXPECT_GT(linked, 0u);
+}
+
+TEST(FrameworkTimelineTest, CaughtUpQueriesRunAtMostOneEmptyBatchPerStep) {
+  core::OdaFramework fw(timeline_rig_config());
+  run_timeline_rig(fw);
+  const observe::FlightDump dump = observe::installed_flight_recorder()->dump();
+  ASSERT_EQ(dump.dropped, 0u) << "the rings lapped; the count below needs every event";
+  const std::vector<DumpEvent> events = dump_events(observe::flight_to_json(dump));
+
+  // Records each batch span's fetch phase read (its phase_end argument).
+  std::map<std::uint64_t, std::string> batch_of;
+  std::map<std::uint64_t, std::uint64_t> fetched;
+  for (const DumpEvent& e : events) {
+    if (e.type == "span_end" && e.label.ends_with(".batch")) batch_of[e.span] = e.label;
+    if (e.type == "phase_end" && e.phase == "fetch") fetched[e.parent] += e.arg;
+  }
+  // A step's first drain round runs every query, and each one stops at
+  // its first batch that reads nothing; later rounds skip queries with
+  // zero lag instead of fetching nothing again.
+  for (const auto& q : fw.queries()) {
+    const std::string batch = "query." + q->name() + ".batch";
+    std::size_t empty = 0;
+    for (const auto& [id, name] : batch_of) empty += name == batch && fetched[id] == 0 ? 1 : 0;
+    EXPECT_LE(empty, static_cast<std::size_t>(kTimelineSteps)) << batch;
+  }
 }
 
 }  // namespace

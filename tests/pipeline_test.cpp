@@ -59,16 +59,6 @@ TEST(WindowAggOpTest, LateRowsForClosedWindowsDropped) {
   op.commit_batch();
 }
 
-TEST(WindowAggOpTest, AllowedLatenessHoldsWindowsOpen) {
-  WindowAggOp op("w", "time", 10 * kSecond, {}, {{"v", sql::AggKind::kSum, "s"}},
-                 /*allowed_lateness=*/20 * kSecond);
-  op.begin_batch();
-  Batch out = op.process({rows_at({{1 * kSecond, 1.0}}), 25 * kSecond});
-  EXPECT_EQ(out.table.num_rows(), 0u);  // 10 + 20 > 25: still open
-  out = op.process({rows_at({{26 * kSecond, 1.0}}), 31 * kSecond});
-  EXPECT_EQ(out.table.num_rows(), 1u);  // now closed
-}
-
 TEST(WindowAggOpTest, FlushEmitsEverythingPending) {
   auto op = make_op();
   op.begin_batch();
@@ -201,6 +191,25 @@ TEST(QueryTest, EndToEndWindowedSum) {
   for (std::size_t r = 0; r < 4; ++r) EXPECT_DOUBLE_EQ(out->table().column("s").double_at(r), 10.0);
   EXPECT_EQ(q->metrics().failures, 0u);
   EXPECT_GT(q->metrics().batches, 0u);
+}
+
+TEST(WindowAggOpTest, AllowedLatenessHoldsWindowsOpen) {
+  // Lateness lives at the engine's watermark: max event time minus
+  // QueryConfig::allowed_lateness.
+  QueryRig rig;
+  auto q = rig.make_query(QueryConfig{}.with_allowed_lateness(20 * kSecond));
+  q->add_operator(windowed_sum(10 * kSecond));
+  auto sink = std::make_unique<TableSink>();
+  auto* out = sink.get();
+  q->add_sink(std::move(sink));
+  rig.produce(1 * kSecond, 1.0);
+  rig.produce(29 * kSecond, 1.0);
+  q->run_until_caught_up();
+  EXPECT_EQ(out->table().num_rows(), 0u);  // watermark 9 s < window end 10 s: still open
+  rig.produce(30 * kSecond, 1.0);
+  q->run_until_caught_up();
+  ASSERT_EQ(out->table().num_rows(), 1u);  // watermark 10 s: now closed
+  EXPECT_DOUBLE_EQ(out->table().column("s").double_at(0), 1.0);
 }
 
 TEST(QueryTest, InjectedFaultRecoversWithoutLossOrDuplication) {

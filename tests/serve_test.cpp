@@ -371,7 +371,11 @@ TEST(ServeStressTest, ReadersRaceAppendsOnTimeSeriesDb) {
     threads.emplace_back([&, r] {
       TsQuery q;
       q.metric = "power";
-      while (!stop.load(std::memory_order_relaxed)) {
+      // Run until the writers are done, but always at least one query — a
+      // reader first scheduled after both writers joined still reads.
+      int done = 0;
+      while (!stop.load(std::memory_order_relaxed) || done < 1) {
+        ++done;
         q.tag_filter = (r % 2) ? std::map<std::string, std::string>{{"node", "n1"}}
                                : std::map<std::string, std::string>{};
         q.step = (r % 3) ? common::kMinute : 0;

@@ -124,14 +124,6 @@ TEST(CodecsPropertyTest, Int64DeltaRoundTrips) {
   }
 }
 
-TEST(CodecsPropertyTest, Float64XorRoundTrips) {
-  Rng rng(0x2222);
-  for (int it = 0; it < kRounds; ++it) {
-    const auto v = random_doubles(rng);
-    expect_bits_equal(decode_float64_xor(encode_float64_xor(v)), v);
-  }
-}
-
 TEST(CodecsPropertyTest, Float64BssRoundTrips) {
   Rng rng(0x3333);
   for (int it = 0; it < kRounds; ++it) {
@@ -175,7 +167,7 @@ TEST(CodecsPropertyTest, LzRoundTrips) {
 
 // --- hostile input: truncation and corruption ------------------------------
 
-enum class Codec { kInt64, kXor, kBss, kDict, kBools, kRle, kLz };
+enum class Codec { kInt64, kBss, kDict, kBools, kRle, kLz };
 
 // Decode then re-encode: a canonical byte representation of the decoded
 // values, so decodes of different inputs can be compared without a
@@ -183,7 +175,6 @@ enum class Codec { kInt64, kXor, kBss, kDict, kBools, kRle, kLz };
 std::vector<std::uint8_t> decode_reencode(Codec c, std::span<const std::uint8_t> data) {
   switch (c) {
     case Codec::kInt64: return encode_int64_delta(decode_int64_delta(data));
-    case Codec::kXor: return encode_float64_xor(decode_float64_xor(data));
     case Codec::kBss: return encode_float64_bss(decode_float64_bss(data));
     case Codec::kDict: return encode_strings_dict(decode_strings_dict(data));
     case Codec::kBools: return encode_bools(decode_bools(data));
@@ -198,7 +189,6 @@ void decode_any(Codec c, std::span<const std::uint8_t> data) { decode_reencode(c
 std::vector<std::uint8_t> encode_sample(Codec c, Rng& rng) {
   switch (c) {
     case Codec::kInt64: return encode_int64_delta(random_ints(rng));
-    case Codec::kXor: return encode_float64_xor(random_doubles(rng));
     case Codec::kBss: return encode_float64_bss(random_doubles(rng));
     case Codec::kDict: return encode_strings_dict(random_strings(rng));
     case Codec::kBools: {
@@ -212,7 +202,7 @@ std::vector<std::uint8_t> encode_sample(Codec c, Rng& rng) {
   return {};
 }
 
-const Codec kAllCodecs[] = {Codec::kInt64, Codec::kXor,  Codec::kBss, Codec::kDict,
+const Codec kAllCodecs[] = {Codec::kInt64, Codec::kBss, Codec::kDict,
                             Codec::kBools, Codec::kRle, Codec::kLz};
 
 TEST(CodecsHostileInputTest, TruncationThrowsOrLosesNothing) {
@@ -283,7 +273,6 @@ TEST(CodecsHostileInputTest, HugeDeclaredCountsAreRejectedCheaply) {
   w.u8(0);
   const auto forged = w.take();
   EXPECT_THROW(decode_int64_delta(forged), std::exception);
-  EXPECT_THROW(decode_float64_xor(forged), std::exception);
   EXPECT_THROW(decode_float64_bss(forged), std::exception);
   EXPECT_THROW(decode_strings_dict(forged), std::exception);
   EXPECT_THROW(decode_bools(forged), std::exception);

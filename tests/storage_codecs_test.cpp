@@ -2,9 +2,6 @@
 // fuzz over random distributions.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-
 #include "common/rng.hpp"
 #include "storage/codecs.hpp"
 
@@ -28,20 +25,6 @@ TEST(Int64DeltaTest, SortedTimestampsCompressWell) {
   const auto enc = encode_int64_delta(ts);
   EXPECT_LT(enc.size(), ts.size() * 8 / 2);  // >2x on regular second-scale deltas
   EXPECT_EQ(decode_int64_delta(enc), ts);
-}
-
-TEST(Float64XorTest, RoundTripSpecials) {
-  const std::vector<double> vals{0.0, -0.0, 1.5, -2.25, 1e300, -1e-300,
-                                 std::numeric_limits<double>::infinity(),
-                                 -std::numeric_limits<double>::infinity()};
-  EXPECT_EQ(decode_float64_xor(encode_float64_xor(vals)), vals);
-}
-
-TEST(Float64XorTest, NanRoundTripsBitExact) {
-  const std::vector<double> vals{std::nan("1"), 1.0};
-  const auto back = decode_float64_xor(encode_float64_xor(vals));
-  EXPECT_TRUE(std::isnan(back[0]));
-  EXPECT_EQ(back[1], 1.0);
 }
 
 TEST(Float64BssTest, RoundTripAndRepeatedValuesShrink) {
@@ -155,7 +138,6 @@ TEST_P(CodecFuzz, AllCodecsRoundTrip) {
     bools.push_back(rng.bernoulli(0.5) ? 1 : 0);
   }
   EXPECT_EQ(decode_int64_delta(encode_int64_delta(ints)), ints);
-  EXPECT_EQ(decode_float64_xor(encode_float64_xor(doubles)), doubles);
   EXPECT_EQ(decode_float64_bss(encode_float64_bss(doubles)), doubles);
   EXPECT_EQ(decode_strings_dict(encode_strings_dict(strings)), strings);
   EXPECT_EQ(decode_bools(encode_bools(bools)), bools);

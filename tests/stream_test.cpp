@@ -170,63 +170,78 @@ TEST(PartitionViewTest, ViewsOutliveThePartition) {
     r.payload = "the payload";
     append_one(p, std::move(r));
     p.fetch_view(0, 10, v);
-  }  // partition (segments, key dictionary) now only owned via the pins
+  }  // the partition's segments are now only owned via the pins
   ASSERT_EQ(v.size(), 1u);
   EXPECT_EQ(v[0].key, "node42");
   EXPECT_EQ(v[0].payload, "the payload");
 }
 
-TEST(PartitionViewTest, RepeatedKeysShareDictionaryStorage) {
-  Partition p(128);  // several segments, one interned key
-  for (int i = 0; i < 30; ++i) append_one(p, make_record(i, "shared-host", 8));
+TEST(PartitionViewTest, KeyBytesPrecedePayloadInTheArena) {
+  // A segment is self-contained: each record's key sits in the segment
+  // arena immediately before its payload, across rolls made both between
+  // and inside batches. Keyless records have an empty key.
+  Partition p(128);  // three records per segment
+  std::vector<Record> staged;
+  for (int i = 0; i < 30; ++i) {
+    staged.push_back(make_record(i, i % 5 == 0 ? "" : "host" + std::to_string(i % 3), 8));
+  }
+  for (int i = 0; i < 15; ++i) append_one(p, staged[static_cast<std::size_t>(i)]);
+  std::vector<EncodedRecord> batch;
+  for (std::size_t i = 15; i < staged.size(); ++i) {
+    batch.push_back(EncodedRecord{staged[i].timestamp, 0, 0, staged[i].key, staged[i].payload});
+  }
+  p.append_encoded_batch(batch);
+
   FetchView v;
   p.fetch_view(0, 30, v);
-  ASSERT_GE(v.size(), 2u);
-  const char* interned = v[0].key.data();
-  for (const RecordView& rv : v) EXPECT_EQ(rv.key.data(), interned);
+  ASSERT_EQ(v.size(), 30u);
+  EXPECT_GT(v.pin_count(), 5u);  // the range spans several segment rolls
+  for (const RecordView& rv : v) {
+    const Record& want = staged[static_cast<std::size_t>(rv.offset)];
+    EXPECT_EQ(rv.key, want.key);
+    EXPECT_EQ(rv.payload, want.payload);
+    if (want.key.empty()) {
+      EXPECT_TRUE(rv.key.empty()) << rv.offset;
+    } else {
+      EXPECT_EQ(rv.key.data() + rv.key.size(), rv.payload.data()) << rv.offset;
+    }
+  }
 }
 
-TEST(PartitionViewTest, KeyDictionaryCapsAndInlinesOverflowKeys) {
+TEST(PartitionViewTest, DistinctKeysRoundTripAndSurviveEviction) {
+  constexpr std::size_t kKeys = 1 << 16;
   Partition p(/*segment_bytes=*/8192);  // many segments across the fill
-  // Fill the dictionary to its cap with distinct keys.
-  for (std::size_t i = 0; i < Partition::kMaxDictKeys; ++i) {
+  for (std::size_t i = 0; i < kKeys; ++i) {
     append_one(p, make_record(static_cast<common::TimePoint>(i), "k" + std::to_string(i), 4));
   }
-  EXPECT_EQ(p.key_dict_size(), Partition::kMaxDictKeys);
-  // Past the cap: new keys are not interned (no unbounded dictionary
-  // growth) but still round-trip byte-identically.
-  const std::int64_t first_overflow = p.end_offset();
+  const std::int64_t first_late = p.end_offset();
   for (int i = 0; i < 10; ++i) {
-    Record r = make_record(1000000 + i, "overflow-key-" + std::to_string(i));
-    r.payload = "overflow-payload-" + std::to_string(i);
+    Record r = make_record(1000000 + i, "late-key-" + std::to_string(i));
+    r.payload = "late-payload-" + std::to_string(i);
     append_one(p, std::move(r));
   }
-  EXPECT_EQ(p.key_dict_size(), Partition::kMaxDictKeys);
-  EXPECT_EQ(p.record_count(), Partition::kMaxDictKeys + 10);
+  EXPECT_EQ(p.record_count(), kKeys + 10);
 
   FetchView v;
-  p.fetch_view(first_overflow, 10, v);
+  p.fetch_view(first_late, 10, v);
   ASSERT_EQ(v.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(v[i].key, "overflow-key-" + std::to_string(i));
-    EXPECT_EQ(v[i].payload, "overflow-payload-" + std::to_string(i));
+    EXPECT_EQ(v[i].key, "late-key-" + std::to_string(i));
+    EXPECT_EQ(v[i].payload, "late-payload-" + std::to_string(i));
   }
-  // An already-interned key still resolves through the dictionary.
-  FetchView interned;
-  p.fetch_view(0, 1, interned);
-  ASSERT_EQ(interned.size(), 1u);
-  EXPECT_EQ(interned[0].key, "k0");
-  // Inline keys live in the pinned arena, so views survive eviction of
-  // their segment exactly like interned-key views do. Big keyless records
-  // first roll the log past the overflow segment (the active segment is
-  // never evicted).
+  FetchView first;
+  p.fetch_view(0, 1, first);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0].key, "k0");
+  // Keys live in the pinned arena, so views survive eviction of their
+  // segment. Big keyless records first roll the log past the late
+  // records' segment (the active segment is never evicted).
   for (int i = 0; i < 3; ++i) append_one(p, make_record(1000100 + i, "", 6000));
-  p.enforce_retention({/*max_age=*/1, /*max_bytes=*/-1},
-                      /*now=*/2000000 + Partition::kMaxDictKeys);
-  EXPECT_GT(p.start_offset(), first_overflow);
+  p.enforce_retention({/*max_age=*/1, /*max_bytes=*/-1}, /*now=*/2000000 + kKeys);
+  EXPECT_GT(p.start_offset(), first_late);
   for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(v[i].key, "overflow-key-" + std::to_string(i));
-    EXPECT_EQ(v[i].payload, "overflow-payload-" + std::to_string(i));
+    EXPECT_EQ(v[i].key, "late-key-" + std::to_string(i));
+    EXPECT_EQ(v[i].payload, "late-payload-" + std::to_string(i));
   }
 }
 
@@ -297,7 +312,6 @@ TEST(TopicTest, StatsTrackProducedAndRetained) {
   EXPECT_EQ(s.produced_records, 10u);
   EXPECT_EQ(s.retained_records, 10u);
   EXPECT_GT(s.produced_bytes, 0u);
-  EXPECT_EQ(s.key_dict_entries, 10u);  // ten distinct keys interned
 }
 
 TEST(BrokerTest, CreateTopicIdempotent) {
@@ -583,11 +597,11 @@ TEST(StagedProduceTest, WriterApiMatchesAddApi) {
   EXPECT_EQ(a[0].payload, b[0].payload);
 }
 
-TEST(StagedProduceTest, EncodedBatchRoundTripsAcrossTheDictionaryCap) {
-  // Property: randomized payloads with MORE distinct keys than the
-  // dictionary cap round-trip byte-identically — interned keys below the
-  // cap, arena-inlined keys above it, with a mid-stream repeat mix.
-  const std::size_t kKeys = Partition::kMaxDictKeys + 5000;
+TEST(StagedProduceTest, EncodedBatchRoundTripsManyDistinctKeys) {
+  // Property: randomized payloads under tens of thousands of distinct
+  // keys, with a repeated-key mix, round-trip byte-identically through
+  // uneven batches.
+  const std::size_t kKeys = (1 << 16) + 5000;
   Partition part(1 << 20);
   common::Rng rng(0xd1c7);
   std::vector<Record> originals;
@@ -597,8 +611,7 @@ TEST(StagedProduceTest, EncodedBatchRoundTripsAcrossTheDictionaryCap) {
   for (std::size_t i = 0; i < kKeys; ++i) {
     Record r;
     r.timestamp = static_cast<common::TimePoint>(i);
-    // Distinct keys march past the cap; every 10th record repeats an
-    // early (interned) key to interleave the two storage modes.
+    // Mostly distinct keys; every 10th record repeats one of 97 keys.
     r.key = i % 10 == 0 ? "k" + std::to_string(i % 97) : "key-" + std::to_string(i);
     r.payload.assign(rng.uniform_index(24) + 1,
                      static_cast<char>('a' + rng.uniform_index(26)));
@@ -618,8 +631,6 @@ TEST(StagedProduceTest, EncodedBatchRoundTripsAcrossTheDictionaryCap) {
     expect_first += static_cast<std::int64_t>(take);
     at += take;
   }
-  EXPECT_GT(part.key_dict_size(), 0u);
-  EXPECT_LE(part.key_dict_size(), Partition::kMaxDictKeys);
 
   FetchView out;
   std::int64_t cursor = 0;

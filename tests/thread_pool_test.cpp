@@ -1,12 +1,10 @@
 // common::ThreadPool coverage: concurrent submission from many threads,
-// destructor drain ordering, parallel_for correctness, and exception
-// propagation through futures. Runs in the stress tier so the TSan build
+// destructor drain ordering, and exception propagation through futures. Runs in the stress tier so the TSan build
 // (`cmake -DODA_SANITIZE=thread`, `ctest -L stress`) sweeps the pool's
 // locking.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -66,21 +64,6 @@ TEST(ThreadPoolTest, DestructorDrainsPendingQueue) {
   EXPECT_EQ(ran.load(), kTasks);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); });
-  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
   ThreadPool pool(2);
   auto f = pool.submit([]() -> int { throw std::runtime_error("task failed"); });
@@ -93,38 +76,6 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_EQ(pool.submit([] { return 42; }).get(), 42);
-}
-
-TEST(ThreadPoolTest, TryRunOneStealsQueuedWork) {
-  ThreadPool pool(1);
-  EXPECT_FALSE(pool.try_run_one());  // empty queue: nothing to steal
-
-  // Wedge the only worker so further submissions stay queued. Wait until
-  // the worker has actually dequeued the blocker — otherwise try_run_one
-  // below could steal the blocker itself and spin on `release` forever.
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  auto blocker = pool.submit([&] {
-    started.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
-  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
-  std::atomic<bool> queued_ran{false};
-  std::thread::id ran_on;
-  auto queued = pool.submit([&] {
-    ran_on = std::this_thread::get_id();
-    queued_ran.store(true, std::memory_order_release);
-  });
-
-  // The caller drains the queued task inline while the worker is busy.
-  EXPECT_TRUE(pool.try_run_one());
-  EXPECT_TRUE(queued_ran.load(std::memory_order_acquire));
-  EXPECT_EQ(ran_on, std::this_thread::get_id());
-
-  release.store(true, std::memory_order_release);
-  blocker.get();
-  queued.get();
-  EXPECT_FALSE(pool.try_run_one());  // drained
 }
 
 }  // namespace
