@@ -148,9 +148,8 @@ SweepResult produce_sweep(oda::stream::Broker& broker, const std::string& topic,
 }
 
 /// One produce+consume sweep over fresh topics. The observe registry
-/// counters are live (or gated off) exactly as in production — this is
-/// the path the <5% instrumentation-overhead criterion is measured on.
-/// The same records are produced twice through the one write path:
+/// counters are live exactly as in production (metrics have no off
+/// switch). The same records are produced twice through the one write path:
 /// staged 512 per flush, then each flushed on its own (one fault seam,
 /// lock and group commit per record). Each sweep gets its own broker, so
 /// both write into segment memory the allocator recycled from the broker
@@ -179,34 +178,22 @@ ThroughputResult broker_throughput_once(std::size_t n) {
   return res;
 }
 
-/// Best-of-k (peak rate ≈ least interference from the OS) with metrics
-/// enabled vs disabled, reporting the instrumentation overhead. Returns
-/// the 512-per-flush vs one-per-flush speedup — main() gates on it
-/// staying >= 1.0 so batching cannot silently stop paying for itself.
+/// Best-of-k (peak rate ≈ least interference from the OS). Returns the
+/// 512-per-flush vs one-per-flush speedup — main() gates on it staying
+/// >= 1.0 so batching cannot silently stop paying for itself.
 double broker_throughput(oda::bench::JsonReport& report, bool smoke) {
   using namespace oda;
   const std::size_t kN = smoke ? 60000 : 200000;
   const int kRuns = smoke ? 4 : 24;  // the gated ratio is best-of-kRuns on each side
 
   (void)broker_throughput_once(kN);  // warmup: fault in the pages every later sweep reuses
-  ThroughputResult on, off;
-  for (int r = 0; r < kRuns; ++r) {
-    // Interleave the on/off runs and alternate which goes first, so
-    // thermal drift and scheduler noise hit both configurations equally.
-    const bool on_first = (r % 2) == 0;
-    observe::set_metrics_enabled(on_first);
-    (on_first ? on : off).take_best(broker_throughput_once(kN));
-    observe::set_metrics_enabled(!on_first);
-    (on_first ? off : on).take_best(broker_throughput_once(kN));
-  }
-  observe::set_metrics_enabled(true);
+  ThroughputResult on;
+  for (int r = 0; r < kRuns; ++r) on.take_best(broker_throughput_once(kN));
 
   const std::string payload(200, 'x');  // produce_sweep's record shape
   const double wire =
       static_cast<double>(stream::EncodedRecord{0, 0, 0, "n000", payload}.wire_size());
   const double mbs_on = on.single.rate * wire / (1024.0 * 1024.0);
-  const double overhead_prod = (off.single.rate - on.single.rate) / off.single.rate * 100.0;
-  const double overhead_cons = (off.consume_rate - on.consume_rate) / off.consume_rate * 100.0;
   const double batch_speedup = on.staged.rate / on.single.rate;
   // Guard the reduction ratio: the staged path can measure 0 allocs/rec.
   const double alloc_reduction =
@@ -215,22 +202,16 @@ double broker_throughput(oda::bench::JsonReport& report, bool smoke) {
   std::printf("\nbroker throughput (metrics ON):  produce one per flush %.0fk rec/s (%.0f MB/s), "
               "512 per flush %.0fk rec/s, consume %.0fk rec/s\n",
               on.single.rate / 1e3, mbs_on, on.staged.rate / 1e3, on.consume_rate / 1e3);
-  std::printf("broker throughput (metrics OFF): produce one per flush %.0fk rec/s, "
-              "consume %.0fk rec/s\n",
-              off.single.rate / 1e3, off.consume_rate / 1e3);
   std::printf("batched produce speedup: %.2fx over one record per flush (gate: >= 1.0)\n",
               batch_speedup);
   std::printf("produce allocations: one per flush %.3f allocs/rec (%.1f heap B/rec), "
               "512 per flush %.4f allocs/rec (%.2f heap B/rec), reduction %.0fx\n",
               on.single.allocs_per_record, on.single.heap_bytes_per_record,
               on.staged.allocs_per_record, on.staged.heap_bytes_per_record, alloc_reduction);
-  std::printf("instrumentation overhead: produce %+.2f%%, consume %+.2f%% (criterion: < 5%%)\n",
-              overhead_prod, overhead_cons);
 
   // broker.produce.* is one record per flush; broker.produce_staged.* the
   // same records 512 per flush.
   report.metric("broker.produce.rate.metrics_on", on.single.rate, "records/s");
-  report.metric("broker.produce.rate.metrics_off", off.single.rate, "records/s");
   report.metric("broker.produce_staged.rate.metrics_on", on.staged.rate, "records/s");
   report.metric("broker.produce_staged.speedup", batch_speedup, "x");
   report.metric("broker.produce.allocs_per_record", on.single.allocs_per_record,
@@ -243,9 +224,6 @@ double broker_throughput(oda::bench::JsonReport& report, bool smoke) {
                 "bytes/record");
   report.metric("broker.produce.alloc_reduction", alloc_reduction, "x");
   report.metric("broker.consume.rate.metrics_on", on.consume_rate, "records/s");
-  report.metric("broker.consume.rate.metrics_off", off.consume_rate, "records/s");
-  report.metric("observe.overhead.produce_pct", overhead_prod, "percent");
-  report.metric("observe.overhead.consume_pct", overhead_cons, "percent");
   return batch_speedup;
 }
 

@@ -12,7 +12,14 @@
 //      client threads calling execute(), reporting throughput and
 //      cache hit-rate vs concurrency.
 //
-// Hard gates (exit 1 on failure):
+// Each section runs kTrials times, interleaved: a trial runs both
+// uncached and cached-hot (or all three thread counts), alternating
+// which goes first, so a slow stretch of the host hits every side of a
+// trial. Latency quantiles pool every trial's queries; throughputs are
+// per-trial medians.
+//
+// Hard gates (exit 1 on failure), each on the MEDIAN of the per-trial
+// ratios (min, median and max land in the JSON):
 //   - cached-hot p99 must beat uncached p99 by >= 5x (always armed —
 //     this is the point of the result cache), and
 //   - 4-thread throughput must beat 1-thread by >= 1.5x, armed only when
@@ -46,6 +53,7 @@ constexpr common::Duration kCadence = 15 * common::kSecond;
 constexpr common::Duration kSpan = 6 * common::kHour;  // 1440 points/series
 constexpr std::size_t kPanelsPerSession = 5;
 constexpr double kZipfSkew = 1.1;
+constexpr int kTrials = 5;
 
 storage::SeriesKey node_key(std::size_t node) {
   char name[8];
@@ -176,6 +184,28 @@ serve::ServeConfig wide_open(std::size_t cache_bytes) {
       .with_cache_bytes(cache_bytes);
 }
 
+/// One concurrency-sweep point: a fixed budget of `queries` split across
+/// `threads` client threads against a freshly warmed 8 MiB cache.
+/// Returns queries/s; `hit_rate` receives the server's cache hit-rate.
+double sweep_rate(const LakeFixture& lake, const std::vector<storage::TsQuery>& pool,
+                  std::size_t threads, std::size_t queries, double* hit_rate) {
+  serve::LakeServer server(lake.db, wide_open(8u << 20), &lake.rollups);
+  for (const auto& q : pool) server.execute("warm", q);
+  const std::size_t per_thread = queries / (threads * kPanelsPerSession);
+  common::Stopwatch sw;
+  std::vector<std::thread> clients;
+  std::atomic<std::size_t> total{0};
+  for (std::size_t c = 0; c < threads; ++c) {
+    clients.emplace_back([&, c] {
+      total += run_sessions(server, pool, per_thread, 300 + c, nullptr);
+    });
+  }
+  for (auto& c : clients) c.join();
+  const double rate = static_cast<double>(total.load()) / sw.elapsed_seconds();
+  *hit_rate = hit_rate_of(server);
+  return rate;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -205,90 +235,113 @@ int main(int argc, char** argv) {
 
   oda::bench::JsonReport report("lake_serving");
 
-  // --- 1. uncached: zero cache budget, every query executes its plan ---
-  bench::section("uncached (cache budget 0)");
+  // --- 1+2. uncached (zero cache budget, every query executes its plan)
+  // and cached-hot (warmed cache, zipf head served from memory), one of
+  // each per trial ---
+  bench::section("uncached (cache budget 0) vs cached-hot (8 MiB cache, warmed)");
   std::vector<double> uncached_us;
-  uncached_us.reserve(kUncachedSessions * kPanelsPerSession);
-  double uncached_p99 = 0.0;
-  {
-    serve::LakeServer server(lake.db, wide_open(0), &lake.rollups);
-    run_sessions(server, pool, kUncachedSessions, 101, &uncached_us);
-    uncached_p99 = common::exact_quantile(uncached_us, 0.99);
-    report_latency(report, "uncached", std::move(uncached_us), hit_rate_of(server));
-  }
-
-  // --- 2. cached-hot: warmed cache, zipf head served from memory ---
-  bench::section("cached-hot (8 MiB cache, warmed)");
-  double cached_p99 = 0.0;
-  {
-    serve::LakeServer server(lake.db, wide_open(8u << 20), &lake.rollups);
-    for (const auto& q : pool) server.execute("warm", q);  // warm every entry
-    std::vector<double> cached_us;
-    cached_us.reserve(kCachedSessions * kPanelsPerSession);
-    run_sessions(server, pool, kCachedSessions, 202, &cached_us);
-    cached_p99 = common::exact_quantile(cached_us, 0.99);
-    report_latency(report, "cached_hot", std::move(cached_us), hit_rate_of(server));
-    const serve::ServeStats st = server.stats();
-    report.metric("serve.cached_hot.rollup_served", static_cast<double>(st.rollup_served),
-                  "queries");
-    report.metric("serve.cache.bytes", static_cast<double>(st.cache.bytes), "bytes");
-    report.metric("serve.cache.entries", static_cast<double>(st.cache.entries), "entries");
-  }
-  const double p99_improvement = cached_p99 > 0.0 ? uncached_p99 / cached_p99 : 0.0;
-  report.metric("serve.p99_improvement", p99_improvement, "x");
-
-  // --- 3. concurrency sweep: fixed budget across 1/2/4 client threads ---
-  bench::section("concurrency sweep (warmed cache, closed loop)");
-  double rate_1 = 0.0;
-  double speedup_4 = 0.0;
-  for (const std::size_t threads : {1, 2, 4}) {
-    serve::LakeServer server(lake.db, wide_open(8u << 20), &lake.rollups);
-    for (const auto& q : pool) server.execute("warm", q);
-    const std::size_t per_thread = kSweepQueries / (threads * kPanelsPerSession);
-    common::Stopwatch sw;
-    std::vector<std::thread> clients;
-    std::atomic<std::size_t> total{0};
-    for (std::size_t c = 0; c < threads; ++c) {
-      clients.emplace_back([&, c] {
-        total += run_sessions(server, pool, per_thread, 300 + c, nullptr);
-      });
+  std::vector<double> cached_us;
+  std::vector<double> p99_ratios;
+  double uncached_hit_rate = 0.0;
+  double cached_hit_rate = 0.0;
+  serve::ServeStats cached_stats;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    double uncached_p99 = 0.0;
+    double cached_p99 = 0.0;
+    const auto uncached = [&] {
+      serve::LakeServer server(lake.db, wide_open(0), &lake.rollups);
+      std::vector<double> us;
+      us.reserve(kUncachedSessions * kPanelsPerSession);
+      run_sessions(server, pool, kUncachedSessions, 101, &us);
+      uncached_p99 = common::exact_quantile(us, 0.99);
+      uncached_hit_rate = hit_rate_of(server);
+      uncached_us.insert(uncached_us.end(), us.begin(), us.end());
+    };
+    const auto cached = [&] {
+      serve::LakeServer server(lake.db, wide_open(8u << 20), &lake.rollups);
+      for (const auto& q : pool) server.execute("warm", q);  // warm every entry
+      std::vector<double> us;
+      us.reserve(kCachedSessions * kPanelsPerSession);
+      run_sessions(server, pool, kCachedSessions, 202, &us);
+      cached_p99 = common::exact_quantile(us, 0.99);
+      cached_hit_rate = hit_rate_of(server);
+      cached_stats = server.stats();
+      cached_us.insert(cached_us.end(), us.begin(), us.end());
+    };
+    if (trial % 2 == 0) {
+      uncached();
+      cached();
+    } else {
+      cached();
+      uncached();
     }
-    for (auto& c : clients) c.join();
-    const double rate = static_cast<double>(total.load()) / sw.elapsed_seconds();
-    if (threads == 1) rate_1 = rate;
-    const double speedup = rate_1 > 0.0 ? rate / rate_1 : 0.0;
-    if (threads == 4) speedup_4 = speedup;
-    const double hit_rate = hit_rate_of(server);
-    std::printf("  threads=%zu  %9.0fk queries/s  speedup %.2fx  hit-rate %5.1f%%\n", threads,
-                rate / 1e3, speedup, hit_rate * 100.0);
-    const std::string suffix = "threads_" + std::to_string(threads);
-    report.metric("serve.throughput." + suffix, rate, "queries/s");
-    report.metric("serve.speedup." + suffix, speedup, "x");
-    report.metric("serve.hit_rate." + suffix, hit_rate, "ratio");
+    p99_ratios.push_back(cached_p99 > 0.0 ? uncached_p99 / cached_p99 : 0.0);
   }
+  report_latency(report, "uncached", std::move(uncached_us), uncached_hit_rate);
+  report_latency(report, "cached_hot", std::move(cached_us), cached_hit_rate);
+  report.metric("serve.cached_hot.rollup_served", static_cast<double>(cached_stats.rollup_served),
+                "queries");
+  report.metric("serve.cache.bytes", static_cast<double>(cached_stats.cache.bytes), "bytes");
+  report.metric("serve.cache.entries", static_cast<double>(cached_stats.cache.entries),
+                "entries");
+  const bench::Spread p99_improvement(p99_ratios);
+  report.spread("serve.p99_improvement", p99_improvement, "x");
+
+  // --- 3. concurrency sweep: fixed budget across 1/2/4 client threads,
+  // all three per trial ---
+  bench::section("concurrency sweep (warmed cache, closed loop)");
+  constexpr std::size_t kThreads[] = {1, 2, 4};
+  std::vector<double> rates[3];
+  std::vector<double> speedups[3];
+  double hit_rates[3] = {0.0, 0.0, 0.0};
+  for (int trial = 0; trial < kTrials; ++trial) {
+    double rate[3] = {0.0, 0.0, 0.0};
+    for (std::size_t k = 0; k < 3; ++k) {
+      const std::size_t i = trial % 2 == 0 ? k : 2 - k;
+      rate[i] = sweep_rate(lake, pool, kThreads[i], kSweepQueries, &hit_rates[i]);
+    }
+    for (std::size_t i = 0; i < 3; ++i) {
+      rates[i].push_back(rate[i]);
+      speedups[i].push_back(rate[i] / rate[0]);
+    }
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    const double rate = bench::Spread(rates[i]).median;
+    const bench::Spread speedup(speedups[i]);
+    std::printf("  threads=%zu  %9.0fk queries/s  speedup %.2fx (min %.2fx, max %.2fx)  "
+                "hit-rate %5.1f%%\n",
+                kThreads[i], rate / 1e3, speedup.median, speedup.min, speedup.max,
+                hit_rates[i] * 100.0);
+    const std::string suffix = "threads_" + std::to_string(kThreads[i]);
+    report.metric("serve.throughput." + suffix, rate, "queries/s");
+    report.spread("serve.speedup." + suffix, speedup, "x");
+    report.metric("serve.hit_rate." + suffix, hit_rates[i], "ratio");
+  }
+  const bench::Spread speedup_4(speedups[2]);
 
   report.write();
 
   // Hard gate: the warmed cache must collapse hot-query p99 by >= 5x.
-  if (p99_improvement < 5.0) {
-    std::fprintf(stderr, "FAIL: cached-hot p99 improvement %.2fx < 5x gate (uncached %.1fus, "
-                 "cached %.1fus)\n", p99_improvement, uncached_p99, cached_p99);
+  if (p99_improvement.median < 5.0) {
+    std::fprintf(stderr, "FAIL: cached-hot p99 improvement median %.2fx < 5x gate "
+                 "(min %.2fx, max %.2fx over %d trials)\n", p99_improvement.median,
+                 p99_improvement.min, p99_improvement.max, kTrials);
     return 1;
   }
-  std::printf("cache gate: cached-hot p99 %.1fus vs uncached %.1fus — %.1fx >= 5x\n", cached_p99,
-              uncached_p99, p99_improvement);
+  std::printf("cache gate: cached-hot vs uncached p99 median %.1fx >= 5x (min %.1fx, max %.1fx)\n",
+              p99_improvement.median, p99_improvement.min, p99_improvement.max);
 
   // Hard gate: concurrent reads must scale where the hardware can show
   // it; per-series reader-writer locks and sharded cache shards make the
   // read path shared-nothing in the common case.
   if (std::thread::hardware_concurrency() >= 4) {
-    if (speedup_4 < 1.5) {
-      std::fprintf(stderr, "FAIL: 4-thread serving speedup %.2fx < 1.50x gate "
-                   "(hardware_concurrency=%u)\n", speedup_4,
-                   std::thread::hardware_concurrency());
+    if (speedup_4.median < 1.5) {
+      std::fprintf(stderr, "FAIL: 4-thread serving speedup median %.2fx < 1.50x gate "
+                   "(min %.2fx, max %.2fx; hardware_concurrency=%u)\n", speedup_4.median,
+                   speedup_4.min, speedup_4.max, std::thread::hardware_concurrency());
       return 1;
     }
-    std::printf("concurrency gate: 4-thread speedup %.2fx >= 1.50x\n", speedup_4);
+    std::printf("concurrency gate: 4-thread speedup median %.2fx >= 1.50x\n", speedup_4.median);
   } else {
     std::printf("concurrency gate: skipped (hardware_concurrency=%u < 4)\n",
                 std::thread::hardware_concurrency());

@@ -2,8 +2,9 @@
 // broker staged produce and consume, window aggregation, pivot, join,
 // and columnar encode/decode. These are the primitives every
 // figure-level result is built from. A custom main additionally sweeps
-// the engine's 1/2/4/8/16-worker ingest scaling curve and the flight
-// recorder's overhead into BENCH_micro_engine.json. The broker's
+// the engine's 1/2/4/8/16-worker ingest scaling curve, interleaved
+// (1-worker, 4-worker) drain pairs and the flight recorder's overhead
+// into BENCH_micro_engine.json. The broker's
 // produce and consume rates and allocations per record are
 // bench_fig4a_ingest_rate's to report.
 #include <benchmark/benchmark.h>
@@ -208,6 +209,40 @@ void fill_keyless(stream::Producer& producer, std::size_t n) {
   producer.produce_staged(staged);
 }
 
+/// Drain a freshly filled 16-partition topic of `records` records through
+/// one query with `workers` workers under partition ownership.
+engine::EngineStats drain_fresh_topic(std::size_t workers, std::size_t records,
+                                      engine::PhaseProfile* prof) {
+  constexpr std::size_t kPartitions = 16;
+  const auto decode = [](std::span<const stream::RecordView> views) {
+    sql::Table t{sql::Schema{{"time", sql::DataType::kInt64},
+                             {"value", sql::DataType::kFloat64}}};
+    for (const auto& v : views) {
+      t.append_row({sql::Value(v.timestamp),
+                    sql::Value(static_cast<double>(v.payload.size()))});
+    }
+    return t;
+  };
+  stream::Broker broker;
+  broker.create_topic("curve", stream::TopicConfig{}.with_partitions(kPartitions));
+  stream::Producer producer = broker.producer("curve");
+  fill_keyless(producer, records);
+
+  engine::Engine eng(engine::EngineConfig{}
+                         .with_workers(workers)
+                         .with_ownership(engine::OwnershipConfig{}.with_partitions(kPartitions)));
+  auto& q = eng.add_query(pipeline::QueryConfig{}.with_name("curve.q").with_batch_size(16384),
+                          engine::SourceSpec{&broker, "curve", "curve-group", decode});
+  q.add_sink(std::make_unique<pipeline::TableSink>());
+  eng.run_until_caught_up();
+  if (prof) *prof = q.phase_profile();
+  return eng.stats();
+}
+
+double drain_rate(const engine::EngineStats& stats) {
+  return static_cast<double>(stats.rows) / stats.wall_seconds;
+}
+
 /// Engine scaling curve: drain the same topic through the same query at
 /// 1/2/4/8/16 workers under partition ownership. Rates, speedups, and
 /// scaling efficiency ((rate_N / N) / rate_1) land in
@@ -215,49 +250,17 @@ void fill_keyless(stream::Producer& producer, std::size_t n) {
 /// single-core host the curve is flat. Returns the 4-worker speedup so
 /// main() can gate on it where the hardware can express parallelism.
 double engine_scaling_curve(bench::JsonReport& report, bool smoke) {
-  constexpr std::size_t kPartitions = 16;
   const std::size_t kRecords = smoke ? 50000 : 100000;
-
-  const auto decode = [](std::span<const stream::RecordView> records) {
-    sql::Table t{sql::Schema{{"time", sql::DataType::kInt64},
-                             {"value", sql::DataType::kFloat64}}};
-    for (const auto& v : records) {
-      t.append_row({sql::Value(v.timestamp),
-                    sql::Value(static_cast<double>(v.payload.size()))});
-    }
-    return t;
-  };
-
-  // Drain a freshly filled topic with `workers` workers.
-  const auto drain = [&](std::size_t workers, engine::PhaseProfile* prof) {
-    stream::Broker broker;
-    broker.create_topic("curve", stream::TopicConfig{}.with_partitions(kPartitions));
-    stream::Producer producer = broker.producer("curve");
-    fill_keyless(producer, kRecords);
-
-    engine::Engine eng(engine::EngineConfig{}
-                           .with_workers(workers)
-                           .with_ownership(engine::OwnershipConfig{}.with_partitions(kPartitions)));
-    auto& q = eng.add_query(
-        pipeline::QueryConfig{}.with_name("curve.q").with_batch_size(16384),
-        engine::SourceSpec{&broker, "curve", "curve-group", decode});
-    q.add_sink(std::make_unique<pipeline::TableSink>());
-    eng.run_until_caught_up();
-    if (prof) *prof = q.phase_profile();
-    return eng.stats();
-  };
-
-  std::printf("\nengine ingest scaling (%zu records, %zu partitions):\n", kRecords, kPartitions);
+  std::printf("\nengine ingest scaling (%zu records, 16 partitions):\n", kRecords);
   // Warmup: the process's first multi-threaded drain runs slow (fresh
   // allocator arenas and registry cells), and the 4-worker gate below
   // must time the engine, not that.
-  (void)drain(4, nullptr);
+  (void)drain_fresh_topic(4, kRecords, nullptr);
   double base_rate = 0.0;
   double speedup_4 = 0.0;
   for (const std::size_t workers : {1, 2, 4, 8, 16}) {
     engine::PhaseProfile prof;
-    const engine::EngineStats stats = drain(workers, &prof);
-    const double rate = static_cast<double>(stats.rows) / stats.wall_seconds;
+    const double rate = drain_rate(drain_fresh_topic(workers, kRecords, &prof));
     if (workers == 1) base_rate = rate;
     const double speedup = rate / base_rate;
     const double efficiency = speedup / static_cast<double>(workers);
@@ -284,6 +287,36 @@ double engine_scaling_curve(bench::JsonReport& report, bool smoke) {
                 prof.pct(prof.barrier_s), prof.pct(prof.merge_s), prof.pct(prof.commit_s));
   }
   return speedup_4;
+}
+
+/// The 4-worker speedup measured without the curve's cold baseline: the
+/// curve's 1-worker drain is the process's first to decode every record
+/// on one thread, and runs slower than later 1-worker drains. Here
+/// kTrials (1-worker, 4-worker) drain pairs run after the curve,
+/// alternating which side goes first, so a slow stretch of the host hits
+/// both sides of a pair. Min, median and max of the per-pair speedups
+/// land in the JSON; nothing gates them yet (ROADMAP item 1).
+void engine_scaling_trials(bench::JsonReport& report, bool smoke) {
+  constexpr int kTrials = 5;
+  const std::size_t kRecords = smoke ? 50000 : 100000;
+  std::vector<double> speedups;
+  for (int i = 0; i < kTrials; ++i) {
+    double rate_1 = 0.0;
+    double rate_4 = 0.0;
+    if (i % 2 == 0) {
+      rate_1 = drain_rate(drain_fresh_topic(1, kRecords, nullptr));
+      rate_4 = drain_rate(drain_fresh_topic(4, kRecords, nullptr));
+    } else {
+      rate_4 = drain_rate(drain_fresh_topic(4, kRecords, nullptr));
+      rate_1 = drain_rate(drain_fresh_topic(1, kRecords, nullptr));
+    }
+    speedups.push_back(rate_4 / rate_1);
+  }
+  const bench::Spread s(speedups);
+  std::printf("interleaved (1-worker, 4-worker) drain pairs x%d: 4-worker speedup median %.2fx "
+              "(min %.2fx, max %.2fx)\n",
+              kTrials, s.median, s.min, s.max);
+  report.spread("engine.ingest.speedup.workers_4.interleaved", s, "x");
 }
 
 /// Flight-recorder cost: the same single-worker drain with the recorder
@@ -361,23 +394,17 @@ double flight_overhead_profile(bench::JsonReport& report, bool smoke) {
     on_rates.push_back(on.rate());
     deltas_pct.push_back((off.rate() - on.rate()) / off.rate() * 100.0);
   }
-  const auto median_of = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const double overhead_pct = median_of(deltas_pct);
-  const double min_pct = *std::min_element(deltas_pct.begin(), deltas_pct.end());
-  const double max_pct = *std::max_element(deltas_pct.begin(), deltas_pct.end());
+  const bench::Spread overhead(deltas_pct);
+  const double off_rate = bench::Spread(off_rates).median;
+  const double on_rate = bench::Spread(on_rates).median;
   std::printf("\nflight recorder overhead (%d rounds of %d x %zu records per side, 1 worker): "
               "off %.0fk rec/s, on %.0fk rec/s, overhead median %.2f%% (min %.2f%%, max %.2f%%)\n",
-              kRounds, kDrains, kRecords, median_of(off_rates) / 1e3, median_of(on_rates) / 1e3,
-              overhead_pct, min_pct, max_pct);
-  report.metric("flight.off.rate", median_of(off_rates), "records/s");
-  report.metric("flight.on.rate", median_of(on_rates), "records/s");
-  report.metric("flight.overhead.ingest_pct", overhead_pct, "%");
-  report.metric("flight.overhead.ingest_pct.min", min_pct, "%");
-  report.metric("flight.overhead.ingest_pct.max", max_pct, "%");
-  return overhead_pct;
+              kRounds, kDrains, kRecords, off_rate / 1e3, on_rate / 1e3, overhead.median,
+              overhead.min, overhead.max);
+  report.metric("flight.off.rate", off_rate, "records/s");
+  report.metric("flight.on.rate", on_rate, "records/s");
+  report.spread("flight.overhead.ingest_pct", overhead, "%");
+  return overhead.median;
 }
 
 }  // namespace
@@ -404,6 +431,7 @@ int main(int argc, char** argv) {
 
   oda::bench::JsonReport report("micro_engine");
   const double speedup_4 = engine_scaling_curve(report, smoke);
+  engine_scaling_trials(report, smoke);
   const double flight_overhead = flight_overhead_profile(report, smoke);
   report.write();
 

@@ -1,6 +1,7 @@
 // Shared helpers for the per-figure bench/report binaries.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -25,6 +26,22 @@ inline void header(const char* experiment, const char* paper_ref, const char* cl
 }
 
 inline void section(const char* title) { std::printf("\n--- %s ---\n", title); }
+
+/// Min, median and max of a ratio measured over repeated trials. A gate
+/// reads the median, so neither one slow trial nor one lucky trial
+/// decides it; JsonReport::spread lands all three in the JSON.
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+
+  explicit Spread(std::vector<double> trials) {
+    std::sort(trials.begin(), trials.end());
+    min = trials.front();
+    median = trials[trials.size() / 2];
+    max = trials.back();
+  }
+};
 
 /// A small standard facility: Compass at 1%% scale with busy scheduling,
 /// canonical pipelines registered. Callers advance() as needed.
@@ -58,6 +75,14 @@ class JsonReport {
 
   void metric(std::string metric_name, double value, std::string unit) {
     metrics_.push_back({std::move(metric_name), value, std::move(unit)});
+  }
+
+  /// A spread's median as `metric_name`, its extremes as `<metric_name>.min`
+  /// and `<metric_name>.max`.
+  void spread(const std::string& metric_name, const Spread& s, const std::string& unit) {
+    metric(metric_name, s.median, unit);
+    metric(metric_name + ".min", s.min, unit);
+    metric(metric_name + ".max", s.max, unit);
   }
 
   /// Allocation accounting for a measured region: allocations and heap

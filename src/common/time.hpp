@@ -50,22 +50,6 @@ std::string format_time(TimePoint t);
 /// Render a duration compactly, e.g. "15s", "4.2ms", "36h".
 std::string format_duration(Duration d);
 
-/// The facility's simulated clock. Advancing it is explicit: the
-/// orchestrator ticks it, sources sample it. Deterministic by design.
-class SimClock {
- public:
-  explicit SimClock(TimePoint start = 0) : now_(start) {}
-
-  TimePoint now() const { return now_; }
-  void advance(Duration d) { now_ += d; }
-  void advance_to(TimePoint t) {
-    if (t > now_) now_ = t;
-  }
-
- private:
-  TimePoint now_;
-};
-
 /// Wall-clock stopwatch for bench/report instrumentation.
 class Stopwatch {
  public:

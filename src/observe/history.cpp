@@ -24,16 +24,12 @@ common::Duration resolution_width(Resolution r) {
   return 0;
 }
 
-namespace {
-
-// Floor-aligned bucket start (correct for negative virtual times too).
-common::TimePoint bucket_start(common::TimePoint t, common::Duration width) {
-  common::TimePoint r = t % width;
-  if (r < 0) r += width;
-  return t - r;
+Resolution rollup_resolution(common::Duration step) {
+  for (const Resolution r : {Resolution::kOneMinute, Resolution::kTenMinute}) {
+    if (step == resolution_width(r)) return r;
+  }
+  return Resolution::kRaw;
 }
-
-}  // namespace
 
 void HistoryConfig::validate() const {
   if (raw_capacity == 0) throw std::invalid_argument("HistoryConfig: raw_capacity == 0");
@@ -63,40 +59,19 @@ bool HistoryStore::Ring::push(std::size_t capacity, const HistoryPoint& p) {
   return true;
 }
 
-std::vector<HistoryPoint> HistoryStore::Ring::ordered() const {
-  std::vector<HistoryPoint> out;
-  out.reserve(size());
-  if (!full) {
-    out = buf;
-  } else {
-    for (std::size_t i = 0; i < buf.size(); ++i) out.push_back(buf[(next + i) % buf.size()]);
-  }
-  return out;
-}
-
 void HistoryStore::roll_into(Ring& ring, common::TimePoint bucket, double value) {
   if (HistoryPoint* last = ring.back(); last != nullptr) {
     if (last->t == bucket) {
-      last->min = std::min(last->min, value);
-      last->max = std::max(last->max, value);
-      last->sum += value;
-      ++last->count;
-      last->last = value;
+      last->fold(value);
       return;
     }
     if (bucket < last->t) {
       // Late for a closed bucket: fold into it if still retained, else drop.
-      // A linear scan is fine — rings hold a few hundred buckets at most.
-      auto points = ring.ordered();
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        if (points[i].t != bucket) continue;
-        const std::size_t base = ring.full ? ring.next : 0;
-        HistoryPoint& p = ring.buf[(base + i) % ring.buf.size()];
-        p.min = std::min(p.min, value);
-        p.max = std::max(p.max, value);
-        p.sum += value;
-        ++p.count;
-        p.last = value;
+      // A linear scan is fine — rings hold a few hundred buckets at most,
+      // each with a distinct start time.
+      for (HistoryPoint& p : ring.buf) {
+        if (p.t != bucket) continue;
+        p.fold(value);
         return;
       }
       ++late_dropped_;
@@ -111,8 +86,8 @@ void HistoryStore::append(const std::string& series, common::TimePoint t, double
   Series& s = series_[series];
   ++total_samples_;
   if (s.raw.push(config_.raw_capacity, {t, value, value, value, 1, value})) ++evicted_;
-  roll_into(s.one_minute, bucket_start(t, common::kMinute), value);
-  roll_into(s.ten_minute, bucket_start(t, 10 * common::kMinute), value);
+  roll_into(s.one_minute, common::window_start(t, common::kMinute), value);
+  roll_into(s.ten_minute, common::window_start(t, 10 * common::kMinute), value);
 }
 
 const HistoryStore::Ring* HistoryStore::ring_for(const Series& s, Resolution res) const {
@@ -131,7 +106,8 @@ std::vector<HistoryPoint> HistoryStore::query(const std::string& series, common:
   if (it == series_.end()) return {};
   const Ring* ring = ring_for(it->second, res);
   std::vector<HistoryPoint> out;
-  for (const auto& p : ring->ordered()) {
+  for (std::size_t i = 0; i < ring->size(); ++i) {
+    const HistoryPoint& p = ring->at(i);
     if (p.t >= t0 && p.t <= t1) out.push_back(p);
   }
   return out;
@@ -141,11 +117,11 @@ std::vector<double> HistoryStore::recent_values(const std::string& series, std::
   std::shared_lock lk(mu_);
   auto it = series_.find(series);
   if (it == series_.end()) return {};
-  const auto points = it->second.raw.ordered();
-  const std::size_t start = points.size() > n ? points.size() - n : 0;
+  const Ring& raw = it->second.raw;
+  const std::size_t start = raw.size() > n ? raw.size() - n : 0;
   std::vector<double> out;
-  out.reserve(points.size() - start);
-  for (std::size_t i = start; i < points.size(); ++i) out.push_back(points[i].last);
+  out.reserve(raw.size() - start);
+  for (std::size_t i = start; i < raw.size(); ++i) out.push_back(raw.at(i).last);
   return out;
 }
 
@@ -153,11 +129,9 @@ std::optional<HistoryPoint> HistoryStore::latest(const std::string& series) cons
   std::shared_lock lk(mu_);
   auto it = series_.find(series);
   if (it == series_.end()) return std::nullopt;
-  // back() is non-const only because roll_into mutates through it.
   const Ring& raw = it->second.raw;
-  const auto points = raw.ordered();
-  if (points.empty()) return std::nullopt;
-  return points.back();
+  if (raw.size() == 0) return std::nullopt;
+  return raw.at(raw.size() - 1);
 }
 
 std::vector<std::string> HistoryStore::series_names() const {

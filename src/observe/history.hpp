@@ -14,6 +14,7 @@
 // (and counted) rather than resurrecting the bucket out of order.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -29,9 +30,13 @@ enum class Resolution : std::uint8_t { kRaw = 0, kOneMinute = 1, kTenMinute = 2 
 const char* resolution_name(Resolution r);
 /// Bucket width in virtual time (0 for raw samples).
 common::Duration resolution_width(Resolution r);
+/// The rollup ring whose bucket width is `step`: kOneMinute for 1 m,
+/// kTenMinute for 10 m, kRaw (no ring) for any other step.
+Resolution rollup_resolution(common::Duration step);
 
 /// One retained point: a raw sample (count == 1, min == max == last) or a
-/// rollup bucket stamped with its start time.
+/// rollup bucket stamped with its start time (common::window_start of its
+/// samples' times).
 struct HistoryPoint {
   common::TimePoint t = 0;
   double min = 0.0;
@@ -41,6 +46,14 @@ struct HistoryPoint {
   double last = 0.0;
 
   double avg() const { return count ? sum / static_cast<double>(count) : 0.0; }
+  /// Fold one more sample into the bucket.
+  void fold(double v) {
+    min = std::min(min, v);
+    max = std::max(max, v);
+    sum += v;
+    ++count;
+    last = v;
+  }
 };
 
 struct HistoryConfig {
@@ -75,7 +88,8 @@ class HistoryStore {
   /// counted in late_dropped() and skipped from rollups (still rawed).
   void append(const std::string& series, common::TimePoint t, double value);
 
-  /// Points with t in [t0, t1], oldest first. Empty for unknown series.
+  /// Points with t in [t0, t1], oldest first (only those are copied).
+  /// Empty for unknown series.
   std::vector<HistoryPoint> query(const std::string& series, common::TimePoint t0,
                                   common::TimePoint t1, Resolution res = Resolution::kRaw) const;
 
@@ -106,10 +120,11 @@ class HistoryStore {
     bool full = false;
 
     std::size_t size() const { return buf.size(); }
+    /// The i-th oldest point.
+    const HistoryPoint& at(std::size_t i) const { return buf[((full ? next : 0) + i) % buf.size()]; }
     HistoryPoint* back();
     // Push returns true when an old point was overwritten.
     bool push(std::size_t capacity, const HistoryPoint& p);
-    std::vector<HistoryPoint> ordered() const;
   };
   struct Series {
     Ring raw;

@@ -9,7 +9,6 @@
 namespace oda::observe {
 
 namespace detail {
-std::atomic<bool> g_metrics_enabled{true};
 std::atomic<std::int64_t> g_virtual_now{0};
 }  // namespace detail
 

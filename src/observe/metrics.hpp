@@ -13,13 +13,11 @@
 //     static) and hit a relaxed atomic afterwards. reset_values() zeroes
 //     values but never invalidates handles.
 //   - Registration is lock-sharded by metric-key hash; the data plane
-//     (inc/set/add) never takes a lock.
-//   - A process-wide enabled flag gates every write with one relaxed
-//     atomic load, so "metrics off" costs a predictable branch — the
-//     bench_fig4a overhead criterion (<5%) is measured against it.
+//     (inc/set/add) never takes a lock and tests no flag: metrics are
+//     always on.
 //   - Virtual-clock aware: set_virtual_now() mirrors the facility's
-//     SimClock so snapshots and spans can be stamped with deterministic
-//     timestamps; nothing here reads the wall clock.
+//     virtual time so snapshots and spans can be stamped with
+//     deterministic timestamps; nothing here reads the wall clock.
 #pragma once
 
 #include <array>
@@ -41,20 +39,12 @@ namespace oda::observe {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 namespace detail {
-extern std::atomic<bool> g_metrics_enabled;
 extern std::atomic<std::int64_t> g_virtual_now;
 }  // namespace detail
 
-/// Process-wide metrics on/off switch (default on). Off = every write
-/// returns after one relaxed atomic load.
-inline bool metrics_enabled() { return detail::g_metrics_enabled.load(std::memory_order_relaxed); }
-inline void set_metrics_enabled(bool on) {
-  detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
-
 /// The observability view of the facility's virtual clock. The framework
-/// (and tests) mirror SimClock advances here; spans and SLO evaluations
-/// stamp from it so chaos/determinism runs stay reproducible.
+/// (and tests) mirror virtual-time advances here; spans and SLO
+/// evaluations stamp from it so chaos/determinism runs stay reproducible.
 inline common::TimePoint virtual_now() {
   return detail::g_virtual_now.load(std::memory_order_relaxed);
 }
@@ -79,18 +69,12 @@ struct MetricValue {
 
 using MetricsSnapshot = std::vector<MetricValue>;
 
-/// Monotonic event count. Data plane: one relaxed fetch_add.
+/// Monotonic event count. Data plane: one relaxed fetch_add. A cell may
+/// double as product accounting (e.g. TopicStats reads the broker's
+/// produced/fetched cells): the registry snapshots what the owner counts.
 class Counter {
  public:
-  void inc(std::uint64_t delta = 1) {
-    if (!metrics_enabled()) return;
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  /// Ungated increment for dual-use cells: counts that are product
-  /// accounting (e.g. TopicStats) as well as observability, and must keep
-  /// advancing when metrics are disabled. Such sites pay no flag check —
-  /// the registry simply snapshots accounting the owner maintains anyway.
-  void inc_unchecked(std::uint64_t delta = 1) { v_.fetch_add(delta, std::memory_order_relaxed); }
+  void inc(std::uint64_t delta = 1) { v_.fetch_add(delta, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
 
@@ -112,7 +96,6 @@ class ShardedCounter {
   static constexpr std::size_t kSlots = 16;
 
   void inc(std::size_t shard, std::uint64_t delta = 1) {
-    if (!metrics_enabled()) return;
     slots_[shard % kSlots].v.fetch_add(delta, std::memory_order_relaxed);
   }
   /// Merge-on-scrape: sum of all slots. Relaxed per-slot loads — the
@@ -139,12 +122,8 @@ class ShardedCounter {
 /// Last-written level (lag, watermark, backlog bytes).
 class Gauge {
  public:
-  void set(double x) {
-    if (!metrics_enabled()) return;
-    v_.store(x, std::memory_order_relaxed);
-  }
+  void set(double x) { v_.store(x, std::memory_order_relaxed); }
   void add(double delta) {
-    if (!metrics_enabled()) return;
     double cur = v_.load(std::memory_order_relaxed);
     while (!v_.compare_exchange_weak(cur, cur + delta, std::memory_order_relaxed)) {
     }
@@ -164,7 +143,6 @@ class Histogram {
   explicit Histogram(std::vector<double> bounds);
 
   void add(double x) {
-    if (!metrics_enabled()) return;
     counts_[bucket_of(x)].fetch_add(1, std::memory_order_relaxed);
     double cur = sum_.load(std::memory_order_relaxed);
     while (!sum_.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {

@@ -24,37 +24,44 @@ std::size_t ResultCache::entry_bytes(const std::string& key, const sql::Table& t
 std::optional<sql::Table> ResultCache::lookup(const std::string& key, const std::string& metric,
                                               const storage::TimeSeriesDb& db) {
   Shard& sh = shard_for(key);
-  std::lock_guard lk(sh.mu);
-  const auto it = sh.map.find(key);
-  if (it == sh.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+  std::shared_ptr<const sql::Table> table;  // released (or copied) after unlocking
+  {
+    std::lock_guard lk(sh.mu);
+    const auto it = sh.map.find(key);
+    if (it == sh.map.end()) {
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      return std::nullopt;
+    }
+    Entry& e = it->second;
+    table = e.table;
+    if (!db.fingerprint_fresh(metric, e.fp)) {
+      // Some matched series moved on since this result was computed —
+      // drop the entry; the caller recomputes and re-inserts.
+      sh.bytes -= e.bytes;
+      sh.lru.erase(e.lru_it);
+      sh.map.erase(it);
+      stale_.fetch_add(1, std::memory_order_relaxed);
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      return std::nullopt;
+    }
+    sh.lru.splice(sh.lru.begin(), sh.lru, e.lru_it);  // touch: move to front
   }
-  Entry& e = it->second;
-  if (!db.fingerprint_fresh(metric, e.fp)) {
-    // Some matched series moved on since this result was computed —
-    // drop the entry; the caller recomputes and re-inserts.
-    sh.bytes -= e.bytes;
-    sh.lru.erase(e.lru_it);
-    sh.map.erase(it);
-    stale_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  sh.lru.splice(sh.lru.begin(), sh.lru, e.lru_it);  // touch: move to front
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return e.table;
+  return *table;
 }
 
 std::size_t ResultCache::insert(const std::string& key, const std::string& metric,
                                 const sql::Table& result, storage::QueryFingerprint fp) {
   const std::size_t bytes = entry_bytes(key, result, fp);
   if (bytes > shard_budget_) return 0;  // would evict the whole shard for one entry
+  auto table = std::make_shared<const sql::Table>(result);
+  std::vector<std::shared_ptr<const sql::Table>> dropped;  // freed after unlocking
   Shard& sh = shard_for(key);
   std::lock_guard lk(sh.mu);
   if (const auto it = sh.map.find(key); it != sh.map.end()) {
     sh.bytes -= it->second.bytes;
     sh.lru.erase(it->second.lru_it);
+    dropped.push_back(std::move(it->second.table));
     sh.map.erase(it);
   }
   std::size_t evicted = 0;
@@ -62,6 +69,7 @@ std::size_t ResultCache::insert(const std::string& key, const std::string& metri
     const std::string& victim = sh.lru.back();
     const auto vit = sh.map.find(victim);
     sh.bytes -= vit->second.bytes;
+    dropped.push_back(std::move(vit->second.table));
     sh.map.erase(vit);
     sh.lru.pop_back();
     ++evicted;
@@ -69,7 +77,7 @@ std::size_t ResultCache::insert(const std::string& key, const std::string& metri
   sh.lru.push_front(key);
   Entry e;
   e.metric = metric;
-  e.table = result;
+  e.table = std::move(table);
   e.fp = std::move(fp);
   e.bytes = bytes;
   e.lru_it = sh.lru.begin();

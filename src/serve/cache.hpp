@@ -9,7 +9,9 @@
 //
 // Sharding: keys hash across N independent shards, each with its own
 // mutex, LRU list, and byte budget (total/N). Concurrent dashboard
-// sessions hitting distinct keys never contend on one lock.
+// sessions hitting distinct keys never contend on one lock, and no table
+// is copied or freed under a shard lock: entries hold an immutable
+// shared table, so sessions hitting the same hot key copy it in parallel.
 #pragma once
 
 #include <atomic>
@@ -57,7 +59,8 @@ class ResultCache {
 
   /// Hit iff the key is present AND its fingerprint is still fresh in
   /// `db`. A stale entry is erased and reported as a miss. The returned
-  /// table is a copy — the caller owns it outright.
+  /// table is a copy, made after the shard lock is released — the caller
+  /// owns it outright.
   std::optional<sql::Table> lookup(const std::string& key, const std::string& metric,
                                    const storage::TimeSeriesDb& db);
 
@@ -75,7 +78,7 @@ class ResultCache {
  private:
   struct Entry {
     std::string metric;
-    sql::Table table;
+    std::shared_ptr<const sql::Table> table;
     storage::QueryFingerprint fp;
     std::size_t bytes = 0;
     std::list<std::string>::iterator lru_it;  ///< position in shard LRU

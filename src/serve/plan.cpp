@@ -35,23 +35,6 @@ std::string canonical_key(const storage::TsQuery& q) {
   return key;
 }
 
-std::string history_series_name(const storage::SeriesKey& key) {
-  std::string name = key.metric;
-  if (!key.tags.empty()) {
-    name += '{';
-    bool first = true;
-    for (const auto& [k, v] : key.tags) {
-      if (!first) name += ',';
-      first = false;
-      name += k;
-      name += '=';
-      name += v;
-    }
-    name += '}';
-  }
-  return name;
-}
-
 bool rollup_supports(sql::AggKind agg) {
   switch (agg) {
     case sql::AggKind::kMean:
@@ -67,21 +50,14 @@ bool rollup_supports(sql::AggKind agg) {
 }
 
 PlanKind select_plan(const storage::TsQuery& q, const observe::HistoryStore* rollups) {
-  if (rollups == nullptr || q.step <= 0) return PlanKind::kRaw;
-  PlanKind candidate;
-  if (q.step == observe::resolution_width(observe::Resolution::kOneMinute)) {
-    candidate = PlanKind::kRollup1m;
-  } else if (q.step == observe::resolution_width(observe::Resolution::kTenMinute)) {
-    candidate = PlanKind::kRollup10m;
-  } else {
-    return PlanKind::kRaw;
-  }
-  if (!rollup_supports(q.agg)) return PlanKind::kRaw;
+  if (rollups == nullptr) return PlanKind::kRaw;
+  const observe::Resolution ring = observe::rollup_resolution(q.step);
+  if (ring == observe::Resolution::kRaw || !rollup_supports(q.agg)) return PlanKind::kRaw;
   // Rollup buckets are epoch-aligned; an unaligned t0 would need a
   // partial first bucket only the raw points can provide.
   if (common::window_start(q.t0, q.step) != q.t0) return PlanKind::kRaw;
   if (q.t1 != INT64_MAX && common::window_start(q.t1, q.step) != q.t1) return PlanKind::kRaw;
-  return candidate;
+  return ring == observe::Resolution::kOneMinute ? PlanKind::kRollup1m : PlanKind::kRollup10m;
 }
 
 }  // namespace oda::serve

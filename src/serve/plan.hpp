@@ -2,7 +2,8 @@
 // downsample-aware plan selection. A TsQuery whose step exactly matches a
 // HistoryStore rollup resolution — and whose range lands on bucket
 // boundaries — can be answered from the 1m/10m rings without touching raw
-// points; everything else scans the LAKE.
+// points; everything else scans the LAKE. Serving only picks the plan:
+// storage::TimeSeriesDb::query executes both kinds.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +26,8 @@ const char* plan_kind_name(PlanKind p);
 /// contract the result cache serves under.
 std::string canonical_key(const storage::TsQuery& q);
 
-/// The HistoryStore series name for a LAKE series: "metric{k=v,...}",
-/// the same encoding observe::series_key uses for scraped self-metrics.
-std::string history_series_name(const storage::SeriesKey& key);
+/// The HistoryStore series name for a LAKE series (storage/tsdb.hpp).
+using storage::history_series_name;
 
 /// True when `agg` can be computed from a HistoryPoint rollup bucket
 /// (min/max/sum/count/last are carried; mean derives from sum/count).

@@ -1,16 +1,8 @@
 #include "serve/server.hpp"
 
-#include <set>
 #include <utility>
 
 namespace oda::serve {
-
-using common::TimePoint;
-using sql::AggKind;
-using sql::DataType;
-using sql::Schema;
-using sql::Table;
-using sql::Value;
 
 const char* admission_name(Admission a) {
   switch (a) {
@@ -24,6 +16,9 @@ const char* admission_name(Admission a) {
 
 namespace {
 
+/// Service slots an admitted query holds from its project's grant.
+constexpr double kSlotsPerQuery = 1.0;
+
 observe::SloSpec shed_spec(const ServeConfig& c) {
   observe::SloSpec s;
   s.name = "serve.depth";
@@ -31,8 +26,6 @@ observe::SloSpec shed_spec(const ServeConfig& c) {
   s.unit = "queries";
   s.warn = c.shed_warn_depth;
   s.crit = c.shed_crit_depth;
-  s.breach_hold = c.shed_breach_hold;
-  s.clear_after = c.shed_clear_after;
   return s;
 }
 
@@ -44,9 +37,7 @@ LakeServer::LakeServer(const storage::TimeSeriesDb& db, ServeConfig config,
       config_(config),
       rollups_(rollups),
       quotas_(quotas),
-      cache_(CacheConfig{}
-                 .with_total_bytes(config.cache_bytes)
-                 .with_shards(config.cache_shards)),
+      cache_(CacheConfig{}.with_total_bytes(config.cache_bytes)),
       pool_(std::make_unique<common::ThreadPool>(config.threads == 0 ? 1 : config.threads)),
       shed_slo_(shed_spec(config)) {
   auto& reg = observe::default_registry();
@@ -101,7 +92,7 @@ Admission LakeServer::admit(const std::string& project, QueryPriority priority) 
   // Gate 3: project quota (service slots held for the query's lifetime).
   if (quotas_ != nullptr) {
     core::ResourceGrant cost;
-    cost.service_slots = config_.quota_slots_per_query;
+    cost.service_slots = kSlotsPerQuery;
     if (!quotas_->consume(project, cost)) {
       depth_.fetch_sub(1, std::memory_order_relaxed);
       quota_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -128,7 +119,7 @@ Admission LakeServer::admit(const std::string& project, QueryPriority priority) 
 void LakeServer::finish(const std::string& project) {
   if (quotas_ != nullptr) {
     core::ResourceGrant cost;
-    cost.service_slots = config_.quota_slots_per_query;
+    cost.service_slots = kSlotsPerQuery;
     quotas_->release(project, cost);
   }
   const std::size_t depth = depth_.fetch_sub(1, std::memory_order_relaxed) - 1;
@@ -155,14 +146,8 @@ ServeResult LakeServer::run_admitted(const storage::TsQuery& q) {
 
   r.plan = select_plan(q, rollups_);
   storage::QueryFingerprint fp;
-  if (r.plan == PlanKind::kRaw) {
-    r.table = db_.query(q, &fp);
-  } else {
-    // Capture the fingerprint BEFORE reading the rings: an append that
-    // lands mid-read bumps an epoch past this capture, so the cached
-    // entry can only be invalidated early, never served stale.
-    fp = db_.fingerprint(q.metric, q.tag_filter);
-    r.table = rollup_query(q, r.plan);
+  r.table = db_.query(q, &fp, r.plan == PlanKind::kRaw ? nullptr : rollups_);
+  if (r.plan != PlanKind::kRaw) {
     rollup_served_.fetch_add(1, std::memory_order_relaxed);
     m_rollup_served_->inc();
   }
@@ -171,50 +156,6 @@ ServeResult LakeServer::run_admitted(const storage::TsQuery& q) {
   static const std::uint32_t kLabel = observe::intern_label("serve.query");
   observe::flight_mark(kLabel, static_cast<std::uint64_t>(r.plan));
   return r;
-}
-
-sql::Table LakeServer::rollup_query(const storage::TsQuery& q, PlanKind plan) const {
-  const auto keys = db_.matched_keys(q.metric, q.tag_filter);
-  const auto res = plan == PlanKind::kRollup1m ? observe::Resolution::kOneMinute
-                                               : observe::Resolution::kTenMinute;
-  // HistoryStore::query is inclusive on both ends; our range is [t0, t1)
-  // over bucket start times.
-  const TimePoint t1_inc = q.t1 == INT64_MAX ? INT64_MAX : q.t1 - 1;
-
-  std::set<std::string> tag_keys;
-  for (const auto& k : keys) {
-    for (const auto& [tk, _] : k.tags) tag_keys.insert(tk);
-  }
-  Schema schema{{"time", DataType::kInt64}, {"metric", DataType::kString}};
-  for (const auto& k : tag_keys) schema.add({k, DataType::kString});
-  schema.add({"value", DataType::kFloat64});
-  Table out(schema);
-
-  std::vector<Value> row(schema.size());
-  for (const auto& k : keys) {
-    const auto points = rollups_->query(history_series_name(k), q.t0, t1_inc, res);
-    for (const auto& p : points) {
-      double v = 0.0;
-      switch (q.agg) {
-        case AggKind::kSum: v = p.sum; break;
-        case AggKind::kMin: v = p.min; break;
-        case AggKind::kMax: v = p.max; break;
-        case AggKind::kCount: v = static_cast<double>(p.count); break;
-        case AggKind::kLast: v = p.last; break;
-        default: v = p.avg(); break;  // mean
-      }
-      std::size_t c = 0;
-      row[c++] = Value(p.t);
-      row[c++] = Value(k.metric);
-      for (const auto& tk : tag_keys) {
-        const auto it = k.tags.find(tk);
-        row[c++] = it == k.tags.end() ? Value::null() : Value(it->second);
-      }
-      row[c++] = Value(v);
-      out.append_row(row);
-    }
-  }
-  return out;
 }
 
 ServeResult LakeServer::execute(const std::string& project, const storage::TsQuery& q,

@@ -8,11 +8,12 @@
 //   2. Load shedding — an observe::Slo watches the in-flight depth;
 //      Degraded sheds background-priority queries, Breached sheds
 //      everything until the depth SLO recovers (hysteresis per SloSpec).
-//   3. Quota — each admitted query consumes `quota_slots_per_query`
-//      service slots from the project's core::AllocationManager grant,
-//      released at completion; projects over grant get kQuotaExceeded.
-// Admitted queries consult the ResultCache (epoch-validated), then run
-// either a raw LAKE scan or a rollup-ring read per serve::select_plan.
+//   3. Quota — each admitted query holds one service slot of the
+//      project's core::AllocationManager grant, released at completion;
+//      projects over grant get kQuotaExceeded.
+// Admitted queries consult the ResultCache (epoch-validated), then pick
+// a plan (serve::select_plan: a raw LAKE scan or a rollup-ring read) and
+// run it with one TimeSeriesDb::query call.
 //
 // Everything is observable: serve.* metrics in the default registry and
 // kMark flight events on the installed recorder (admission outcomes,
@@ -57,28 +58,21 @@ enum class QueryPriority : std::uint8_t {
 struct ServeConfig {
   std::size_t threads = 4;          ///< scheduler pool size
   std::size_t max_queue = 256;      ///< in-flight (queued + running) cap
-  std::size_t cache_bytes = 8u << 20;
-  std::size_t cache_shards = 8;
-  double quota_slots_per_query = 1.0;  ///< service_slots consumed per in-flight query
+  std::size_t cache_bytes = 8u << 20;  ///< split across the cache's 8 shards
   /// Depth SLO driving shedding: > warn_depth → Degraded (shed
-  /// background), > crit_depth held breach_hold → Breached (shed all).
+  /// background), > crit_depth → Breached (shed all) at once; one
+  /// evaluation at or below warn_depth clears it.
   double shed_warn_depth = 64.0;
   double shed_crit_depth = 192.0;
-  common::Duration shed_breach_hold = 0;
-  std::size_t shed_clear_after = 1;
 
   ServeConfig& with_threads(std::size_t n) { threads = n; return *this; }
   ServeConfig& with_max_queue(std::size_t n) { max_queue = n; return *this; }
   ServeConfig& with_cache_bytes(std::size_t n) { cache_bytes = n; return *this; }
-  ServeConfig& with_cache_shards(std::size_t n) { cache_shards = n; return *this; }
-  ServeConfig& with_quota_slots_per_query(double n) { quota_slots_per_query = n; return *this; }
   ServeConfig& with_shed_depths(double warn, double crit) {
     shed_warn_depth = warn;
     shed_crit_depth = crit;
     return *this;
   }
-  ServeConfig& with_shed_breach_hold(common::Duration d) { shed_breach_hold = d; return *this; }
-  ServeConfig& with_shed_clear_after(std::size_t n) { shed_clear_after = n; return *this; }
 };
 
 struct ServeResult {
@@ -136,7 +130,6 @@ class LakeServer {
   Admission admit(const std::string& project, QueryPriority priority);
   void finish(const std::string& project);
   ServeResult run_admitted(const storage::TsQuery& q);
-  sql::Table rollup_query(const storage::TsQuery& q, PlanKind plan) const;
 
   const storage::TimeSeriesDb& db_;
   ServeConfig config_;

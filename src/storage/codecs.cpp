@@ -29,10 +29,13 @@ void check_count(std::uint64_t n, std::size_t remaining, const char* codec) {
 std::vector<std::uint8_t> encode_int64_delta(std::span<const std::int64_t> values) {
   ByteWriter w;
   w.varint(values.size());
-  std::int64_t prev = 0;
+  // Deltas wrap in uint64_t: neighbours more than INT64_MAX apart would
+  // overflow a signed subtraction (UB), and the wrapped delta round-trips
+  // through svarint and the decoder's wrapping sum.
+  std::uint64_t prev = 0;
   for (std::int64_t v : values) {
-    w.svarint(v - prev);
-    prev = v;
+    w.svarint(static_cast<std::int64_t>(static_cast<std::uint64_t>(v) - prev));
+    prev = static_cast<std::uint64_t>(v);
   }
   return w.take();
 }
@@ -43,10 +46,10 @@ std::vector<std::int64_t> decode_int64_delta(std::span<const std::uint8_t> data)
   check_count(n, r.remaining(), "int64-delta");  // each svarint is >= 1 byte
   std::vector<std::int64_t> out;
   out.reserve(n);
-  std::int64_t prev = 0;
+  std::uint64_t prev = 0;  // wraps like the encoder's deltas
   for (std::uint64_t i = 0; i < n; ++i) {
-    prev += r.svarint();
-    out.push_back(prev);
+    prev += static_cast<std::uint64_t>(r.svarint());
+    out.push_back(static_cast<std::int64_t>(prev));
   }
   return out;
 }

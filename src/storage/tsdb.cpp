@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "observe/history.hpp"
 #include "observe/metrics.hpp"
 
 namespace oda::storage {
@@ -13,7 +14,6 @@ using sql::AggKind;
 using sql::DataType;
 using sql::Schema;
 using sql::Table;
-using sql::Value;
 
 namespace {
 
@@ -33,7 +33,88 @@ void erase_id(std::vector<std::uint32_t>& ids, std::uint32_t id) {
   if (it != ids.end() && *it == id) ids.erase(it);
 }
 
+// The one bucket rule: an aggregate read from the fields a step bucket
+// carries, whether the raw step fold or a rollup ring filled it. An
+// aggregate no bucket carries (p99, stddev, ...) reads as the mean:
+// serve::select_plan never sends one to a ring, and the raw plan has
+// always answered it so.
+double bucket_value(const observe::HistoryPoint& b, AggKind agg) {
+  switch (agg) {
+    case AggKind::kSum: return b.sum;
+    case AggKind::kMin: return b.min;
+    case AggKind::kMax: return b.max;
+    case AggKind::kCount: return static_cast<double>(b.count);
+    case AggKind::kLast: return b.last;
+    default: return b.avg();
+  }
+}
+
 }  // namespace
+
+std::string history_series_name(const SeriesKey& key) {
+  std::string name = key.metric;
+  if (!key.tags.empty()) {
+    name += '{';
+    bool first = true;
+    for (const auto& [k, v] : key.tags) {
+      if (!first) name += ',';
+      first = false;
+      name += k;
+      name += '=';
+      name += v;
+    }
+    name += '}';
+  }
+  return name;
+}
+
+// The result of every read: the schema (time:int64, metric:string,
+// <sorted union of the planned series' tag keys>:string, value:float64)
+// is fixed once from the plan, and rows go straight into typed columns.
+class TimeSeriesDb::ResultBuilder {
+ public:
+  explicit ResultBuilder(const std::vector<Planned>& planned) {
+    for (const auto& p : planned) {
+      for (const auto& [k, _] : p.series->key.tags) tag_keys_.insert(k);
+    }
+    schema_ = Schema{{"time", DataType::kInt64}, {"metric", DataType::kString}};
+    for (const auto& k : tag_keys_) schema_.add({k, DataType::kString});
+    schema_.add({"value", DataType::kFloat64});
+    for (const auto& f : schema_.fields()) columns_.emplace_back(f.type);
+  }
+
+  /// The rows added next belong to `key`: resolve its tag cells once.
+  void begin_series(const SeriesKey& key) {
+    key_ = &key;
+    tags_.clear();
+    for (const auto& k : tag_keys_) {
+      const auto it = key.tags.find(k);
+      tags_.push_back(it == key.tags.end() ? nullptr : &it->second);
+    }
+  }
+
+  void add(TimePoint t, double v) {
+    columns_[0].append_int(t);
+    columns_[1].append_string(key_->metric);
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+      if (tags_[i] == nullptr) {
+        columns_[2 + i].append_null();
+      } else {
+        columns_[2 + i].append_string(*tags_[i]);
+      }
+    }
+    columns_.back().append_double(v);
+  }
+
+  Table finish() && { return Table(std::move(schema_), std::move(columns_)); }
+
+ private:
+  std::set<std::string> tag_keys_;  ///< sorted union of the planned series' tag keys
+  Schema schema_;
+  std::vector<sql::Column> columns_;
+  const SeriesKey* key_ = nullptr;
+  std::vector<const std::string*> tags_;  ///< key_'s value per tag key; null if absent
+};
 
 void TimeSeriesDb::append(const SeriesKey& key, TimePoint t, double value) {
   static observe::Counter* appends = observe::default_registry().counter("lake.points.appended");
@@ -123,10 +204,11 @@ std::vector<TimeSeriesDb::Planned> TimeSeriesDb::plan_locked(
   return out;
 }
 
-Table TimeSeriesDb::query(const TsQuery& q, QueryFingerprint* fp) const {
-  // Plan under the shared catalog lock, then release it: the scan below
-  // runs against pinned series objects under their own reader locks, so
-  // appends to unrelated series (and even catalog growth) proceed.
+Table TimeSeriesDb::query(const TsQuery& q, QueryFingerprint* fp,
+                          const observe::HistoryStore* rollups) const {
+  // Plan once, under the shared catalog lock, then release it: the reads
+  // below run against pinned series objects, so appends to unrelated
+  // series (and even catalog growth) proceed.
   std::vector<Planned> matched;
   std::uint64_t membership = 0;
   {
@@ -141,33 +223,28 @@ Table TimeSeriesDb::query(const TsQuery& q, QueryFingerprint* fp) const {
     fp->series.clear();
     fp->series.reserve(matched.size());
   }
+  const observe::Resolution ring =
+      rollups == nullptr ? observe::Resolution::kRaw : observe::rollup_resolution(q.step);
 
-  std::set<std::string> tag_keys;
+  ResultBuilder out(matched);
   for (const auto& p : matched) {
-    for (const auto& [k, _] : p.series->key.tags) tag_keys.insert(k);
-  }
-
-  Schema schema{{"time", DataType::kInt64}, {"metric", DataType::kString}};
-  for (const auto& k : tag_keys) schema.add({k, DataType::kString});
-  schema.add({"value", DataType::kFloat64});
-  Table out(schema);
-
-  std::vector<Value> row(schema.size());
-  auto emit = [&](const SeriesKey& key, TimePoint t, double v) {
-    std::size_t c = 0;
-    row[c++] = Value(t);
-    row[c++] = Value(key.metric);
-    for (const auto& k : tag_keys) {
-      const auto it = key.tags.find(k);
-      row[c++] = it == key.tags.end() ? Value::null() : Value(it->second);
+    const Series& s = *p.series;
+    out.begin_series(s.key);
+    if (ring != observe::Resolution::kRaw) {
+      // Rollup plan: no series lock. The epoch is loaded BEFORE the ring
+      // read, so an append that lands mid-read bumps it past this capture
+      // and a cached result can only be invalidated early, never served
+      // stale.
+      if (fp != nullptr) fp->series.emplace_back(p.id, s.epoch.load(std::memory_order_acquire));
+      if (q.t0 >= q.t1) continue;
+      // The ring query is inclusive on both ends; the range is [t0, t1)
+      // over bucket start times (t1 > t0, so t1 - 1 cannot overflow).
+      const TimePoint last = q.t1 == INT64_MAX ? INT64_MAX : q.t1 - 1;
+      for (const auto& b : rollups->query(history_series_name(s.key), q.t0, last, ring)) {
+        out.add(b.t, bucket_value(b, q.agg));
+      }
+      continue;
     }
-    row[c++] = Value(v);
-    out.append_row(row);
-  };
-
-  for (const auto& p : matched) {
-    const std::shared_ptr<Series>& sp = p.series;
-    const Series& s = *sp;
     std::shared_lock lk(s.mu);
     if (fp != nullptr) {
       // The reader lock excludes writers, so the epoch read here is the
@@ -177,48 +254,28 @@ Table TimeSeriesDb::query(const TsQuery& q, QueryFingerprint* fp) const {
       fp->series.emplace_back(p.id, s.epoch.load(std::memory_order_acquire));
     }
     // Range is inclusive-exclusive: [t0, t1).
-    const auto lo = std::lower_bound(s.times.begin(), s.times.end(), q.t0) - s.times.begin();
-    const auto hi = std::lower_bound(s.times.begin(), s.times.end(), q.t1) - s.times.begin();
+    const auto lo = static_cast<std::size_t>(
+        std::lower_bound(s.times.begin(), s.times.end(), q.t0) - s.times.begin());
+    const auto hi = static_cast<std::size_t>(
+        std::lower_bound(s.times.begin(), s.times.end(), q.t1) - s.times.begin());
     if (q.step <= 0) {
-      for (auto i = lo; i < hi; ++i) emit(sp->key, s.times[static_cast<std::size_t>(i)],
-                                          s.values[static_cast<std::size_t>(i)]);
+      for (auto i = lo; i < hi; ++i) out.add(s.times[i], s.values[i]);
       continue;
     }
-    // Step-aligned downsampling within the range. Buckets are
-    // epoch-aligned [k*step, (k+1)*step); window_start saturates at the
-    // INT64 timeline edges, so extreme timestamps cannot wrap (UB).
+    // Step fold: buckets are epoch-aligned [k*step, (k+1)*step), each
+    // accumulated into the fields a ring bucket carries. window_start
+    // saturates at the INT64 timeline edges, so extreme timestamps
+    // cannot wrap (UB).
     auto i = lo;
     while (i < hi) {
-      const TimePoint bucket = common::window_start(s.times[static_cast<std::size_t>(i)], q.step);
-      double sum = 0.0, mn = 0.0, mx = 0.0;
-      std::size_t n = 0;
-      double last = 0.0;
-      while (i < hi && common::window_start(s.times[static_cast<std::size_t>(i)], q.step) == bucket) {
-        const double v = s.values[static_cast<std::size_t>(i)];
-        if (n == 0) {
-          mn = mx = v;
-        } else {
-          mn = std::min(mn, v);
-          mx = std::max(mx, v);
-        }
-        sum += v;
-        last = v;
-        ++n;
-        ++i;
-      }
-      double r = 0.0;
-      switch (q.agg) {
-        case AggKind::kSum: r = sum; break;
-        case AggKind::kMin: r = mn; break;
-        case AggKind::kMax: r = mx; break;
-        case AggKind::kCount: r = static_cast<double>(n); break;
-        case AggKind::kLast: r = last; break;
-        default: r = sum / static_cast<double>(n); break;  // mean
-      }
-      emit(sp->key, bucket, r);
+      observe::HistoryPoint b;
+      b.t = common::window_start(s.times[i], q.step);
+      b.min = b.max = s.values[i];
+      while (i < hi && common::window_start(s.times[i], q.step) == b.t) b.fold(s.values[i++]);
+      out.add(b.t, bucket_value(b, q.agg));
     }
   }
-  return out;
+  return std::move(out).finish();
 }
 
 Table TimeSeriesDb::latest(const std::string& metric,
@@ -228,61 +285,17 @@ Table TimeSeriesDb::latest(const std::string& metric,
     std::shared_lock idx(index_mu_);
     matched = plan_locked(metric, tag_filter);
   }
-
-  // Read each series' last point under its reader lock; series emptied by
-  // a racing retention pass simply drop out (as the old scan did).
-  struct Last {
-    const SeriesKey* key;
-    TimePoint t;
-    double v;
-  };
-  std::vector<Last> lasts;
-  std::set<std::string> tag_keys;
-  lasts.reserve(matched.size());
+  // Read each series' last point under its reader lock; a series emptied
+  // by a racing retention pass simply drops out.
+  ResultBuilder out(matched);
   for (const auto& p : matched) {
-    const std::shared_ptr<Series>& sp = p.series;
-    std::shared_lock lk(sp->mu);
-    if (sp->times.empty()) continue;
-    lasts.push_back({&sp->key, sp->times.back(), sp->values.back()});
-    for (const auto& [k, _] : sp->key.tags) tag_keys.insert(k);
+    const Series& s = *p.series;
+    std::shared_lock lk(s.mu);
+    if (s.times.empty()) continue;
+    out.begin_series(s.key);
+    out.add(s.times.back(), s.values.back());
   }
-
-  Schema schema{{"time", DataType::kInt64}, {"metric", DataType::kString}};
-  for (const auto& k : tag_keys) schema.add({k, DataType::kString});
-  schema.add({"value", DataType::kFloat64});
-  Table out(schema);
-  std::vector<Value> row(schema.size());
-  for (const Last& l : lasts) {
-    std::size_t c = 0;
-    row[c++] = Value(l.t);
-    row[c++] = Value(metric);
-    for (const auto& k : tag_keys) {
-      const auto it = l.key->tags.find(k);
-      row[c++] = it == l.key->tags.end() ? Value::null() : Value(it->second);
-    }
-    row[c++] = Value(l.v);
-    out.append_row(row);
-  }
-  return out;
-}
-
-std::vector<SeriesKey> TimeSeriesDb::matched_keys(
-    const std::string& metric, const std::map<std::string, std::string>& tag_filter) const {
-  std::shared_lock idx(index_mu_);
-  std::vector<SeriesKey> out;
-  for (const auto& p : plan_locked(metric, tag_filter)) out.push_back(p.series->key);
-  return out;
-}
-
-QueryFingerprint TimeSeriesDb::fingerprint(
-    const std::string& metric, const std::map<std::string, std::string>& tag_filter) const {
-  std::shared_lock idx(index_mu_);
-  QueryFingerprint fp;
-  if (const MetricIndex* mi = metric_index_locked(metric)) fp.metric_epoch = mi->membership_epoch;
-  for (const auto& p : plan_locked(metric, tag_filter)) {
-    fp.series.emplace_back(p.id, p.series->epoch.load(std::memory_order_acquire));
-  }
-  return fp;
+  return std::move(out).finish();
 }
 
 bool TimeSeriesDb::fingerprint_fresh(const std::string& metric,

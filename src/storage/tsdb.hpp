@@ -3,16 +3,26 @@
 // per-series sorted segments, tag filtering, range queries with
 // step-aligned downsampling, and time-based retention.
 //
-// Concurrency (DESIGN.md §14): the store is built for many concurrent
-// dashboard readers racing a scraper's appends. A shared_mutex guards
-// only the series *catalog* (key → id, plus an inverted index:
-// metric → series ids and tag "k=v" → series ids postings, intersected
-// at plan time); each series carries its own shared_mutex, so a query
-// plans under a brief shared catalog lock, then scans each matched
-// series under that series' reader lock while appends to *other* series
-// proceed untouched. Series objects are shared_ptr-owned: retention can
-// prune a series from the catalog while an in-flight reader finishes
-// its scan on the pinned object.
+// Reads (DESIGN.md §14): query() is the one executor of LAKE reads. It
+// plans once, then fills one typed (time, metric, tags, value) result
+// from one of two sources: each matched series' points (the raw plan,
+// with the step fold), or each series' 1 m / 10 m observe::HistoryStore
+// ring (the rollup plans serve::select_plan picks). A step bucket is an
+// observe::HistoryPoint either way, so both plans read an aggregate from
+// a bucket by one rule.
+//
+// Concurrency: the store is built for many concurrent dashboard readers
+// racing a scraper's appends. A shared_mutex guards only the series
+// *catalog* (key → id, plus an inverted index: metric → series ids and
+// tag "k=v" → series ids postings, intersected at plan time); each
+// series carries its own shared_mutex, so a query plans under a brief
+// shared catalog lock, then scans each matched series under that
+// series' reader lock while appends to *other* series proceed
+// untouched. A rollup plan takes no series lock: it loads the series'
+// epoch, then reads its ring under the HistoryStore's own lock, so no
+// lock of one store is held while the other's is taken. Series objects
+// are shared_ptr-owned: retention can prune a series from the catalog
+// while an in-flight reader finishes its scan on the pinned object.
 //
 // Query semantics (regression-locked in storage_tiers_test):
 //   - The time range is inclusive-exclusive: points with t in [t0, t1).
@@ -44,6 +54,10 @@
 #include "sql/agg.hpp"
 #include "sql/table.hpp"
 
+namespace oda::observe {
+class HistoryStore;
+}  // namespace oda::observe
+
 namespace oda::storage {
 
 struct SeriesKey {
@@ -56,6 +70,11 @@ struct SeriesKey {
   }
   bool operator==(const SeriesKey& o) const { return metric == o.metric && tags == o.tags; }
 };
+
+/// The HistoryStore series name for a LAKE series: "metric{k=v,...}",
+/// the same encoding observe::series_key uses for scraped self-metrics.
+/// A rollup plan reads the ring of this name.
+std::string history_series_name(const SeriesKey& key);
 
 struct TsQuery {
   std::string metric;
@@ -80,24 +99,25 @@ class TimeSeriesDb {
   void append(const SeriesKey& key, common::TimePoint t, double value);
 
   /// Result schema: (time:int64, metric:string, <tag columns>, value:float64).
-  /// Tag columns are the union of tags across matched series; series are
-  /// emitted in SeriesKey order. When `fp` is non-null it receives the
-  /// matched-series fingerprint as of this scan.
-  sql::Table query(const TsQuery& q, QueryFingerprint* fp = nullptr) const;
+  /// Tag columns are the sorted union of tags across matched series (null
+  /// where a series lacks one); series are emitted in SeriesKey order.
+  /// When `fp` is non-null it receives the matched-series fingerprint as
+  /// of this read.
+  ///
+  /// `rollups` picks where step buckets come from. Null: each matched
+  /// series' points (the raw plan). Non-null: the caller has picked a
+  /// rollup plan (serve::select_plan: q.step is a ring width, the range
+  /// is bucket-aligned, q.agg is one a bucket carries), and each series'
+  /// buckets come from its ring in `rollups`, named by
+  /// history_series_name. A step that is no ring's width reads points.
+  sql::Table query(const TsQuery& q, QueryFingerprint* fp = nullptr,
+                   const observe::HistoryStore* rollups = nullptr) const;
 
-  /// Latest value per matched series (dashboard "current state" panels).
+  /// Latest value per matched series (dashboard "current state" panels),
+  /// in query()'s schema.
   sql::Table latest(const std::string& metric,
                     const std::map<std::string, std::string>& tag_filter = {}) const;
 
-  /// Matched series keys in SeriesKey order, without scanning any points
-  /// (plan-only: the serve layer's rollup path uses this to pick history
-  /// ring names).
-  std::vector<SeriesKey> matched_keys(const std::string& metric,
-                                      const std::map<std::string, std::string>& tag_filter) const;
-
-  /// Fingerprint of the current matched-series set, without a scan.
-  QueryFingerprint fingerprint(const std::string& metric,
-                               const std::map<std::string, std::string>& tag_filter) const;
   /// True iff no append/trim/create/remove has touched the fingerprinted
   /// set since it was captured. One shared catalog lock + relaxed epoch
   /// loads — the cache-hit fast path.
@@ -133,6 +153,9 @@ class TimeSeriesDb {
     std::uint32_t id = 0;
     std::shared_ptr<Series> series;
   };
+
+  /// The typed result of every read (tsdb.cpp).
+  class ResultBuilder;
 
   /// Plan: intersect the metric posting with every tag posting; returns
   /// pinned series sorted by key. Caller must hold index_mu_ (shared).

@@ -64,8 +64,8 @@ std::size_t Topic::produce_staged(BatchBuilder& staged) {
     route[p].push_back(r);
   }
   const std::size_t n = staged.entries_.size();
-  obs_produced_records_->inc_unchecked(n);
-  obs_produced_bytes_->inc_unchecked(staged.wire_bytes());
+  obs_produced_records_->inc(n);
+  obs_produced_bytes_->inc(staged.wire_bytes());
   for (std::size_t p = 0; p < route.size(); ++p) {
     if (!route[p].empty()) partitions_[p]->append_encoded_batch(route[p]);
   }
@@ -82,10 +82,10 @@ std::size_t Topic::enforce_retention(common::TimePoint now) {
 
 void Topic::count_fetched(const FetchView& out) {
   if (out.empty()) return;
-  obs_fetched_records_->inc_unchecked(out.size());
+  obs_fetched_records_->inc(out.size());
   std::size_t bytes = 0;
   for (const RecordView& v : out) bytes += v.wire_size();
-  obs_fetched_bytes_->inc_unchecked(bytes);
+  obs_fetched_bytes_->inc(bytes);
 }
 
 TopicStats Topic::stats() const {

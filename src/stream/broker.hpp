@@ -96,9 +96,7 @@ class Topic {
   std::vector<std::unique_ptr<Partition>> partitions_;
   // Produced/fetched accounting lives in the observe registry cells and
   // nowhere else: stats() snapshots the same atomics produce_staged()/poll()
-  // bump (inc_unchecked — they are product accounting, not gated by the
-  // metrics flag), so observability adds zero marginal work to the hot
-  // path. Handles are resolved once here; registry handles are stable for
+  // bump, so observability adds zero marginal work to the hot path. Handles are resolved once here; registry handles are stable for
   // the process lifetime (see observe/metrics.hpp).
   observe::Counter* obs_produced_records_ = nullptr;
   observe::Counter* obs_produced_bytes_ = nullptr;

@@ -29,16 +29,6 @@ TEST(TimeTest, Formatting) {
   EXPECT_EQ(format_duration(500), "500us");
 }
 
-TEST(TimeTest, SimClockMonotone) {
-  SimClock clock(10);
-  clock.advance(5);
-  EXPECT_EQ(clock.now(), 15);
-  clock.advance_to(12);  // backwards: ignored
-  EXPECT_EQ(clock.now(), 15);
-  clock.advance_to(20);
-  EXPECT_EQ(clock.now(), 20);
-}
-
 TEST(RngTest, DeterministicAndSplitIndependent) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());

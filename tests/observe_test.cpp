@@ -94,17 +94,6 @@ TEST(MetricsRegistryTest, ResetValuesKeepsHandlesValid) {
   EXPECT_EQ(reg.metric_count(), 1u);
 }
 
-TEST(MetricsRegistryTest, DisabledMetricsDropWrites) {
-  MetricsRegistry reg;
-  Counter* c = reg.counter("gated");
-  set_metrics_enabled(false);
-  c->inc(100);
-  set_metrics_enabled(true);
-  EXPECT_EQ(c->value(), 0u);
-  c->inc();
-  EXPECT_EQ(c->value(), 1u);
-}
-
 TEST(MetricsRegistryTest, ShardedCounterSlotsIsolateAndMerge) {
   ShardedCounter c;
   c.inc(0, 5);
@@ -140,14 +129,6 @@ TEST(MetricsRegistryTest, ShardedCounterSnapshotsAsPlainCounter) {
   EXPECT_EQ(s->value(), 0u);
   s->inc(2, 3);
   EXPECT_EQ(s->value(), 3u);
-}
-
-TEST(MetricsRegistryTest, ShardedCounterRespectsMetricsGate) {
-  ShardedCounter c;
-  set_metrics_enabled(false);
-  c.inc(0, 100);
-  set_metrics_enabled(true);
-  EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(HistogramTest, QuantilesInterpolate) {

@@ -7,10 +7,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/oda_monitor.hpp"
+#include "common/rng.hpp"
 #include "core/allocations.hpp"
 #include "json_check.hpp"
 #include "observe/history.hpp"
@@ -20,6 +24,7 @@
 #include "serve/server.hpp"
 #include "sql/table.hpp"
 #include "storage/tsdb.hpp"
+#include "table_check.hpp"
 
 namespace oda {
 namespace {
@@ -116,7 +121,7 @@ TEST(ServeCacheTest, HitAfterInsertStaleAfterAppend) {
   cache.insert("k", "power", t, fp);
   auto hit = cache.lookup("k", "power", db);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(sql::to_csv(*hit), sql::to_csv(t));
+  testing::expect_tables_equal(*hit, t);
 
   // Any append to a matched series invalidates at next lookup.
   db.append(k, 200, 2.0);
@@ -171,10 +176,10 @@ TEST(ServeServerTest, CachedAndUncachedResultsAreByteIdentical) {
   const auto second = server.execute("dash", q);
   ASSERT_EQ(second.admission, Admission::kAdmitted);
   EXPECT_TRUE(second.cache_hit);
-  // The acceptance criterion: byte-identical cached vs uncached.
-  EXPECT_EQ(sql::to_csv(first.table), sql::to_csv(second.table));
+  // The acceptance criterion: cell-for-cell identical cached vs uncached.
+  testing::expect_tables_equal(first.table, second.table);
   // And both identical to a direct LAKE scan.
-  EXPECT_EQ(sql::to_csv(first.table), sql::to_csv(f.db.query(q)));
+  testing::expect_tables_equal(first.table, f.db.query(q));
 }
 
 TEST(ServeServerTest, AppendInvalidatesCachedResult) {
@@ -216,7 +221,8 @@ TEST(ServeServerTest, RollupPlanMatchesRawScan) {
     ASSERT_EQ(r.admission, Admission::kAdmitted);
     EXPECT_EQ(r.plan, PlanKind::kRollup1m) << sql::agg_name(agg);
     // Ring-served buckets must be indistinguishable from a raw scan.
-    EXPECT_EQ(sql::to_csv(r.table), sql::to_csv(f.db.query(q))) << sql::agg_name(agg);
+    SCOPED_TRACE(sql::agg_name(agg));
+    testing::expect_tables_equal(r.table, f.db.query(q));
   }
 
   TsQuery q10;
@@ -226,7 +232,123 @@ TEST(ServeServerTest, RollupPlanMatchesRawScan) {
   q10.step = 10 * common::kMinute;
   const auto r10 = server.execute("dash", q10);
   EXPECT_EQ(r10.plan, PlanKind::kRollup10m);
-  EXPECT_EQ(sql::to_csv(r10.table), sql::to_csv(f.db.query(q10)));
+  testing::expect_tables_equal(r10.table, f.db.query(q10));
+}
+
+// window_start saturates at INT64_MIN, so select_plan counts t1 ==
+// INT64_MIN as aligned and picks a rollup plan for the empty range
+// [INT64_MIN, INT64_MIN). The ring read must stay empty, like the raw
+// scan, rather than compute t1 - 1 (signed overflow).
+TEST(ServeServerTest, RollupPlanOnEmptyRangeAtTimelineStartReadsNothing) {
+  Fixture f;
+  for (int i = 0; i < 10; ++i) f.feed(key_for("power", "n1"), i * common::kMinute, i);
+  LakeServer server(f.db, ServeConfig{}.with_threads(1), &f.rollups);
+  TsQuery q;
+  q.metric = "power";
+  q.t0 = INT64_MIN;
+  q.t1 = INT64_MIN;
+  q.step = common::kMinute;
+  const auto r = server.execute("dash", q);
+  ASSERT_EQ(r.admission, Admission::kAdmitted);
+  EXPECT_EQ(r.plan, PlanKind::kRollup1m);
+  EXPECT_EQ(r.table.num_rows(), 0u);
+  testing::expect_tables_equal(r.table, f.db.query(q));
+}
+
+// A LAKE for the digest matrix: 3 h of 15 s points. "power" has four
+// node series, two of which also carry a rack tag (so a fleet result has
+// null tag cells); "temp" is tagged by rack only; "uptime" is tagless.
+// Timestamps are jittered off the 15 s grid and values are random, so
+// bucket edges and the low bits of every aggregate are exercised.
+void feed_digest_lake(Fixture& f) {
+  common::Rng rng(23);
+  for (common::TimePoint t = 0; t < 3 * common::kHour; t += 15 * common::kSecond) {
+    for (int n = 0; n < 4; ++n) {
+      SeriesKey k = key_for("power", "n" + std::to_string(n));
+      if (n % 2 == 1) k.tags["rack"] = "r" + std::to_string(n / 2);
+      f.feed(k, t + n * common::kSecond, rng.uniform(100.0, 400.0));
+    }
+    for (int r = 0; r < 2; ++r) {
+      f.feed(SeriesKey{"temp", {{"rack", "r" + std::to_string(r)}}}, t + 7 * common::kSecond,
+             rng.normal(40.0, 5.0));
+    }
+    f.feed(SeriesKey{"uptime", {}}, t, static_cast<double>(t) / 1e9);
+  }
+}
+
+// Exact-bit digests of the LAKE read path over a matrix of metrics (one
+// absent, one tagless), tag filters, steps (raw, a step no ring has, both
+// ring widths, and 7 m), seven aggregates (p99 is one no ring carries),
+// and aligned, unaligned, empty and open-ended ranges. Every query runs
+// through an uncached LakeServer (raw and rollup plans) and straight
+// through TimeSeriesDb::query; latest() is folded for every filter. The
+// constants were recorded from a reference build: a change that moves
+// one low bit, one null cell or one row of any result fails here.
+TEST(ServeDigestTest, ServedAndScannedResultsMatchRecordedDigests) {
+  Fixture f;
+  feed_digest_lake(f);
+  LakeServer server(f.db, ServeConfig{}.with_threads(1).with_cache_bytes(0), &f.rollups);
+
+  const std::vector<std::pair<std::string, std::map<std::string, std::string>>> filters = {
+      {"power", {}},       {"power", {{"node", "n1"}}}, {"power", {{"rack", "r0"}}},
+      {"temp", {}},        {"temp", {{"rack", "r1"}}},  {"uptime", {}},
+      {"absent", {}},
+  };
+  const common::Duration steps[] = {0, 30 * common::kSecond, common::kMinute,
+                                    10 * common::kMinute, 7 * common::kMinute};
+  const sql::AggKind aggs[] = {sql::AggKind::kMean, sql::AggKind::kSum,   sql::AggKind::kMin,
+                               sql::AggKind::kMax,  sql::AggKind::kCount, sql::AggKind::kLast,
+                               sql::AggKind::kP99};
+  const std::pair<common::TimePoint, common::TimePoint> ranges[] = {
+      {0, 2 * common::kHour},                                           // aligned
+      {37 * common::kSecond, common::kHour + 13 * common::kSecond},     // unaligned
+      {5 * common::kHour, 6 * common::kHour},                           // empty
+      {10 * common::kMinute, INT64_MAX},                                // open-ended
+  };
+
+  testing::TableDigest served;
+  testing::TableDigest scanned;
+  testing::TableDigest latest;
+  std::uint64_t index = 0;
+  std::uint64_t rollups = 0;
+  std::uint64_t rows = 0;
+  for (const auto& [metric, filter] : filters) {
+    for (const auto step : steps) {
+      for (const auto agg : aggs) {
+        for (const auto& [t0, t1] : ranges) {
+          TsQuery q;
+          q.metric = metric;
+          q.tag_filter = filter;
+          q.t0 = t0;
+          q.t1 = t1;
+          q.step = step;
+          q.agg = agg;
+          const auto r = server.execute("dash", q);
+          ASSERT_EQ(r.admission, Admission::kAdmitted);
+          ASSERT_FALSE(r.cache_hit);
+          if (r.plan != PlanKind::kRaw) ++rollups;
+          rows += r.table.num_rows();
+          served.mark(index);
+          served.add(r.table);
+          scanned.mark(index);
+          scanned.add(f.db.query(q));
+          ++index;
+        }
+      }
+    }
+    latest.mark(index++);
+    latest.add(f.db.latest(metric, filter));
+  }
+  latest.add(f.db.latest("power", {{"node", "n9"}}));
+
+  EXPECT_EQ(index, 987u);
+  EXPECT_EQ(rollups, 252u);
+  EXPECT_EQ(rows, 177611u);
+  // Ring-served buckets equal the raw scan's to the bit, so the two
+  // digests are the same constant.
+  EXPECT_EQ(served.value(), 15649064988823300144ull);
+  EXPECT_EQ(scanned.value(), 15649064988823300144ull);
+  EXPECT_EQ(latest.value(), 2224129778574341905ull);
 }
 
 TEST(ServeServerTest, QuotaGateConsumesAndReleasesSlots) {
@@ -237,8 +359,7 @@ TEST(ServeServerTest, QuotaGateConsumesAndReleasesSlots) {
   grant.service_slots = 1.0;
   quotas.grant("dash", grant);
 
-  LakeServer server(f.db, ServeConfig{}.with_threads(1).with_quota_slots_per_query(1.0),
-                    nullptr, &quotas);
+  LakeServer server(f.db, ServeConfig{}.with_threads(1), nullptr, &quotas);
   TsQuery q;
   q.metric = "power";
 

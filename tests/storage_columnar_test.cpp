@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "storage/columnar.hpp"
+#include "table_check.hpp"
 
 namespace oda::storage {
 namespace {
@@ -12,6 +13,7 @@ using sql::DataType;
 using sql::Schema;
 using sql::Table;
 using sql::Value;
+using testing::expect_tables_equal;
 
 Table telemetry_like(std::size_t rows, std::uint64_t seed = 1) {
   common::Rng rng(seed);
@@ -26,16 +28,6 @@ Table telemetry_like(std::size_t rows, std::uint64_t seed = 1) {
                   Value(rng.bernoulli(0.99))});
   }
   return t;
-}
-
-void expect_tables_equal(const Table& a, const Table& b) {
-  ASSERT_EQ(a.schema(), b.schema());
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  for (std::size_t r = 0; r < a.num_rows(); ++r) {
-    for (std::size_t c = 0; c < a.num_columns(); ++c) {
-      EXPECT_EQ(a.column(c).get(r), b.column(c).get(r)) << "row " << r << " col " << c;
-    }
-  }
 }
 
 TEST(ColumnarTest, RoundTripAllTypesWithNulls) {
