@@ -58,53 +58,6 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-layout log-scale histogram for latency-style distributions.
-/// Buckets are powers of `base` starting at `lo`; quantiles interpolate
-/// within buckets. Good enough for p50/p95/p99 reporting.
-class LogHistogram {
- public:
-  explicit LogHistogram(double lo = 1e-7, double base = 1.3, std::size_t nbuckets = 120)
-      : lo_(lo), log_base_(std::log(base)), counts_(nbuckets, 0) {}
-
-  void add(double x) {
-    stats_.add(x);
-    counts_[bucket_of(x)]++;
-  }
-
-  std::size_t count() const { return stats_.count(); }
-  const RunningStats& stats() const { return stats_; }
-
-  double quantile(double q) const {
-    if (stats_.count() == 0) return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const double target = q * static_cast<double>(stats_.count());
-    double cum = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      const double next = cum + static_cast<double>(counts_[i]);
-      if (next >= target) {
-        const double frac = counts_[i] ? (target - cum) / static_cast<double>(counts_[i]) : 0.0;
-        return bucket_lo(i) * std::exp(log_base_ * frac);
-      }
-      cum = next;
-    }
-    return stats_.max();
-  }
-
- private:
-  std::size_t bucket_of(double x) const {
-    if (x <= lo_) return 0;
-    const auto b = static_cast<std::ptrdiff_t>(std::log(x / lo_) / log_base_);
-    if (b < 0) return 0;
-    return std::min(static_cast<std::size_t>(b), counts_.size() - 1);
-  }
-  double bucket_lo(std::size_t i) const { return lo_ * std::exp(log_base_ * static_cast<double>(i)); }
-
-  double lo_;
-  double log_base_;
-  std::vector<std::uint64_t> counts_;
-  RunningStats stats_;
-};
-
 /// Exact quantile over a retained sample (for small n, e.g. bench series).
 inline double exact_quantile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;

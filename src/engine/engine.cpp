@@ -58,7 +58,7 @@ Query::Query(pipeline::QueryConfig config, const SourceSpec& spec, std::size_t w
   obs_rows_ = reg.counter("pipeline.rows.ingested", labels);
   obs_batch_seconds_ = reg.histogram("pipeline.batch.seconds", labels);
   obs_watermark_ = reg.gauge("pipeline.watermark", labels);
-  obs_worker_rows_ = reg.sharded_counter("engine.worker.rows", labels);
+  obs_worker_rows_ = reg.counter("engine.worker.rows", labels);
   obs_e2e_ = reg.histogram("stream.e2e_latency", labels);
   using observe::FlightPhase;
   obs_phase_pct_[static_cast<std::size_t>(FlightPhase::kFetch)] =
@@ -271,7 +271,7 @@ void Query::fetch_lanes(std::size_t w) {
   wk.handoffs.fetch_add(batches.size(), std::memory_order_relaxed);
   wk.rows_fetched.fetch_add(rows, std::memory_order_relaxed);
   wk.last_phase_rows = rows;
-  obs_worker_rows_->inc(w, rows);
+  obs_worker_rows_->inc(rows);
   const std::size_t owned = wk.member->assigned_partitions().size();
   // Ownership change observed through the broker's generation cell: the
   // flight timeline marks the rebalance on the worker that absorbed (or
@@ -590,23 +590,38 @@ std::uint64_t Query::run_until_caught_up(std::size_t max_batches) {
 }
 
 void Query::finalize() {
-  // Drain stateful lane operators in ascending partition order: flush op
-  // i, push the result through the remaining stages, then op i+1 — twice,
-  // because downstream stateful ops may still hold the pushed rows. The
-  // output is a pure function of lane state (worker count invisible).
-  for (int pass = 0; pass < 2; ++pass) {
-    for (Lane& lane : lanes_) {
-      for (std::size_t i = 0; i < lane.ops.size(); ++i) {
-        pipeline::Batch b = lane.ops[i]->flush();
-        if (b.table.num_rows() == 0) continue;
-        for (std::size_t j = i + 1; j < lane.ops.size(); ++j) {
-          b = lane.ops[j]->process(std::move(b));
+  for (pipeline::Sink* s : sinks_) s->begin_batch();
+  for (Lane& lane : lanes_) {
+    for (auto& op : lane.ops) op->begin_batch();
+    lane.began = true;
+  }
+  try {
+    // Drain stateful lane operators in ascending partition order: flush
+    // op i, push the result through the remaining stages, then op i+1 —
+    // twice, because downstream stateful ops may still hold the pushed
+    // rows. The output is a pure function of lane state (worker count
+    // invisible).
+    for (int pass = 0; pass < 2; ++pass) {
+      for (Lane& lane : lanes_) {
+        for (std::size_t i = 0; i < lane.ops.size(); ++i) {
+          pipeline::Batch b = lane.ops[i]->flush();
+          if (b.table.num_rows() == 0) continue;
+          for (std::size_t j = i + 1; j < lane.ops.size(); ++j) {
+            b = lane.ops[j]->process(std::move(b));
+          }
+          for (pipeline::Sink* s : sinks_) s->write(b.table);
         }
-        for (pipeline::Sink* s : sinks_) s->write(b.table);
       }
     }
+    for (pipeline::Sink* s : sinks_) s->flush();
+  } catch (...) {
+    rollback_all_lanes();
+    for (pipeline::Sink* s : sinks_) s->rollback_batch();
+    throw;
   }
-  for (pipeline::Sink* s : sinks_) s->flush();
+  // Same commit order as a generation: sinks, then lane operator state.
+  for (pipeline::Sink* s : sinks_) s->commit_batch();
+  commit_all_lanes();
 }
 
 void Query::checkpoint_to(storage::ObjectStore& store, const std::string& key,

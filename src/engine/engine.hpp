@@ -224,7 +224,11 @@ class Query {
   std::uint64_t run_until_caught_up(std::size_t max_batches = SIZE_MAX);
 
   /// Flush stateful lane operators through the remaining stages to the
-  /// sinks, in ascending partition order (end of stream).
+  /// sinks, in ascending partition order (end of stream). One
+  /// transaction, like a generation: sinks and lanes begin, the flushed
+  /// output is written and the sinks flushed, then sinks and lanes
+  /// commit. On any failure both roll back and the exception propagates,
+  /// so calling finalize() again emits the same output exactly once.
   void finalize();
 
   /// Durable checkpoint of every lane's operator state plus the
@@ -400,9 +404,8 @@ class Query {
   /// Cumulative per-phase time share (engine.phase.*_pct{query=...}),
   /// republished after every committed generation.
   std::array<observe::Gauge*, observe::kFlightPhases> obs_phase_pct_{};
-  /// Per-worker fetched-row accounting on the hot path: each worker bumps
-  /// its own cache-line slot; scrapes merge (observe::ShardedCounter).
-  observe::ShardedCounter* obs_worker_rows_ = nullptr;
+  /// Rows fetched by the team, bumped once per worker per generation.
+  observe::Counter* obs_worker_rows_ = nullptr;
 
   friend class Engine;
 };

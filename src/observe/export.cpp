@@ -8,22 +8,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "observe/scraper.hpp"
+
 namespace oda::observe {
 
 namespace {
-
-std::string format_labels(const Labels& labels) {
-  if (labels.empty()) return "";
-  std::string out = "{";
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i != 0) out += ',';
-    out += labels[i].first;
-    out += '=';
-    out += labels[i].second;
-  }
-  out += '}';
-  return out;
-}
 
 std::string format_double(double v) {
   char buf[64];
@@ -48,8 +37,7 @@ std::string metrics_to_text(const MetricsSnapshot& snap) {
   std::string out;
   char buf[256];
   for (const auto& m : snap) {
-    out += m.name;
-    out += format_labels(m.labels);
+    out += series_key(m.name, m.labels);
     out += ' ';
     out += metric_kind_name(m.kind);
     out += ' ';

@@ -95,7 +95,7 @@ Labels sorted(Labels labels) {
 
 MetricsRegistry::AnyMetric& MetricsRegistry::cell_for(const std::string& name, const Labels& labels,
                                                       MetricKind kind,
-                                                      std::vector<double>* bounds, bool sharded) {
+                                                      std::vector<double>* bounds) {
   const std::string key = encode_key(name, labels);
   Shard& shard = shards_[common::fnv1a(key) % kShards];
   std::lock_guard lk(shard.mu);
@@ -106,13 +106,7 @@ MetricsRegistry::AnyMetric& MetricsRegistry::cell_for(const std::string& name, c
     m.name = name;
     m.labels = labels;
     switch (kind) {
-      case MetricKind::kCounter:
-        if (sharded) {
-          m.sharded = std::make_unique<ShardedCounter>();
-        } else {
-          m.counter = std::make_unique<Counter>();
-        }
-        break;
+      case MetricKind::kCounter: m.counter = std::make_unique<Counter>(); break;
       case MetricKind::kGauge: m.gauge = std::make_unique<Gauge>(); break;
       case MetricKind::kHistogram:
         m.histogram = std::make_unique<Histogram>(bounds ? std::move(*bounds)
@@ -126,12 +120,6 @@ MetricsRegistry::AnyMetric& MetricsRegistry::cell_for(const std::string& name, c
 
 Counter* MetricsRegistry::counter(const std::string& name, Labels labels) {
   return cell_for(name, sorted(std::move(labels)), MetricKind::kCounter, nullptr).counter.get();
-}
-
-ShardedCounter* MetricsRegistry::sharded_counter(const std::string& name, Labels labels) {
-  return cell_for(name, sorted(std::move(labels)), MetricKind::kCounter, nullptr,
-                  /*sharded=*/true)
-      .sharded.get();
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name, Labels labels) {
@@ -154,14 +142,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       v.labels = m.labels;
       v.kind = m.kind;
       switch (m.kind) {
-        case MetricKind::kCounter: {
-          // Sharded counters merge on scrape; exporters see an ordinary
-          // counter either way.
-          const std::uint64_t total = m.counter ? m.counter->value() : m.sharded->value();
-          v.value = static_cast<double>(total);
-          v.count = total;
+        case MetricKind::kCounter:
+          v.count = m.counter->value();
+          v.value = static_cast<double>(v.count);
           break;
-        }
         case MetricKind::kGauge:
           v.value = m.gauge->value();
           break;
@@ -186,10 +170,7 @@ void MetricsRegistry::reset_values() {
     std::lock_guard lk(shard.mu);
     for (auto& [_, m] : shard.metrics) {
       switch (m.kind) {
-        case MetricKind::kCounter:
-          if (m.counter) m.counter->reset();
-          if (m.sharded) m.sharded->reset();
-          break;
+        case MetricKind::kCounter: m.counter->reset(); break;
         case MetricKind::kGauge: m.gauge->reset(); break;
         case MetricKind::kHistogram: m.histogram->reset(); break;
       }

@@ -82,43 +82,6 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Monotonic event count sharded across cache-line-padded slots — for
-/// hot counters written by many threads at once (one slot per engine
-/// worker). A plain Counter's single atomic becomes a coherence hot spot
-/// when W workers bump it every record; here each worker owns a slot on
-/// its own cache line and writes never contend. Readers merge on scrape:
-/// value() sums the slots, and the registry snapshots it as an ordinary
-/// counter (exporters cannot tell the difference).
-class ShardedCounter {
- public:
-  /// Covers any realistic worker count; callers index by worker id
-  /// (wrapped), so oversized fleets share slots rather than overflow.
-  static constexpr std::size_t kSlots = 16;
-
-  void inc(std::size_t shard, std::uint64_t delta = 1) {
-    slots_[shard % kSlots].v.fetch_add(delta, std::memory_order_relaxed);
-  }
-  /// Merge-on-scrape: sum of all slots. Relaxed per-slot loads — the
-  /// usual monotonic-counter staleness, never a torn value.
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const auto& s : slots_) total += s.v.load(std::memory_order_relaxed);
-    return total;
-  }
-  std::uint64_t slot_value(std::size_t shard) const {
-    return slots_[shard % kSlots].v.load(std::memory_order_relaxed);
-  }
-  void reset() {
-    for (auto& s : slots_) s.v.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Slot, kSlots> slots_;
-};
-
 /// Last-written level (lag, watermark, backlog bytes).
 class Gauge {
  public:
@@ -195,11 +158,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter* counter(const std::string& name, Labels labels = {});
-  /// Sharded flavor of counter(): same snapshot/reset semantics (appears
-  /// as MetricKind::kCounter, value = merged slot sum), but writes are
-  /// per-slot and contention-free. A (name, labels) pair is either plain
-  /// or sharded for the process lifetime — pick one per metric.
-  ShardedCounter* sharded_counter(const std::string& name, Labels labels = {});
   Gauge* gauge(const std::string& name, Labels labels = {});
   Histogram* histogram(const std::string& name, Labels labels = {},
                        std::vector<double> bounds = default_latency_bounds_seconds());
@@ -220,7 +178,6 @@ class MetricsRegistry {
     std::string name;
     Labels labels;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<ShardedCounter> sharded;  ///< kCounter cells hold one of counter/sharded
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
@@ -230,7 +187,7 @@ class MetricsRegistry {
   };
 
   AnyMetric& cell_for(const std::string& name, const Labels& labels, MetricKind kind,
-                      std::vector<double>* bounds, bool sharded = false);
+                      std::vector<double>* bounds);
 
   static constexpr std::size_t kShards = 16;
   std::array<Shard, kShards> shards_;

@@ -1,5 +1,6 @@
 #include "observe/scraper.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -166,9 +167,6 @@ bool decode_alert_event(std::string_view payload, AlertEvent* out) {
 
 void ScraperConfig::validate() const {
   if (cadence <= 0) throw std::invalid_argument("ScraperConfig: cadence must be positive");
-  if (metrics_partitions == 0) {
-    throw std::invalid_argument("ScraperConfig: metrics_partitions == 0");
-  }
 }
 
 Scraper::Scraper(MetricsRegistry& registry, StagedProduceFn metrics_out,
@@ -194,29 +192,20 @@ std::size_t Scraper::scrape(common::TimePoint now) {
 
   // Each sample is encoded straight into the reusable staging arena.
   metrics_staging_.clear();
-  // Per-worker sharded counters (engine hot paths) arrive pre-merged:
-  // the registry sums their slots inside snapshot(), so a sharded cell
-  // is one series here with the same delta-suppression semantics as any
-  // plain counter — the scrape cost is per metric, not per worker slot.
   for (const auto& m : registry_.snapshot()) {
-    if (config_.exclude_internal) {
-      bool internal = false;
-      for (const auto& [_, v] : m.labels) {
-        if (stream::is_internal_topic(v)) {
-          internal = true;
-          break;
-        }
-      }
-      if (internal) {
-        ++stats_.series_excluded;
-        continue;
-      }
+    // Self-exclusion: series labelled with an `_oda.*` topic never feed
+    // the loop that carries them.
+    const bool internal = std::any_of(m.labels.begin(), m.labels.end(), [](const auto& l) {
+      return stream::is_internal_topic(l.second);
+    });
+    if (internal) {
+      ++stats_.series_excluded;
+      continue;
     }
     const std::string key = series_key(m.name, m.labels);
     const auto it = last_.find(key);
     const bool is_new = it == last_.end();
-    if (!is_new && !config_.full_snapshots && it->second.first == m.value &&
-        it->second.second == m.count) {
+    if (!is_new && it->second.first == m.value && it->second.second == m.count) {
       ++stats_.samples_suppressed;
       continue;
     }

@@ -73,34 +73,14 @@ using StagedProduceFn = std::function<std::size_t(stream::BatchBuilder&)>;
 struct ScraperConfig {
   /// Virtual time between scrapes (the paper's 15 s collection interval).
   common::Duration cadence = 15 * common::kSecond;
-  /// Emit every series each scrape instead of only changed ones.
-  bool full_snapshots = false;
-  /// Skip series whose labels point at `_oda.*` topics (self-exclusion;
-  /// see stream::kInternalTopicPrefix). Disable only in tests.
-  bool exclude_internal = true;
-  /// Partition count pipeline::make_scraper creates `_oda.metrics` with.
-  std::size_t metrics_partitions = 2;
 
   // Fluent construction: ScraperConfig{}.with_cadence(30 * common::kSecond).
   ScraperConfig& with_cadence(common::Duration d) {
     cadence = d;
     return *this;
   }
-  ScraperConfig& with_full_snapshots(bool on) {
-    full_snapshots = on;
-    return *this;
-  }
-  ScraperConfig& with_exclude_internal(bool on) {
-    exclude_internal = on;
-    return *this;
-  }
-  ScraperConfig& with_metrics_partitions(std::size_t n) {
-    metrics_partitions = n;
-    return *this;
-  }
 
-  /// Throws std::invalid_argument on nonsense (non-positive cadence,
-  /// zero partitions).
+  /// Throws std::invalid_argument on a non-positive cadence.
   void validate() const;
 };
 

@@ -1,5 +1,7 @@
 #include "pipeline/operator.hpp"
 
+#include <limits>
+
 #include "common/bytes.hpp"
 #include "sql/ops.hpp"
 #include "storage/columnar.hpp"
@@ -101,14 +103,9 @@ void WindowAggOp::rollback_batch() {
 }
 
 Batch WindowAggOp::flush() {
-  Batch out;
-  std::vector<Table> ready;
-  for (auto& [w, t] : pending_) {
-    ready.push_back(sql::window_aggregate(t, time_column_, window_, keys_, aggs_));
-    max_emitted_ = std::max(max_emitted_, w);
-  }
-  pending_.clear();
-  if (!ready.empty()) out.table = sql::concat(ready);
+  // Every window is ready; like process(), erasure waits for commit.
+  Batch out = emit_ready(std::numeric_limits<TimePoint>::max());
+  out.watermark = 0;  // a flush carries no watermark downstream
   return out;
 }
 

@@ -32,15 +32,17 @@ class Operator {
   virtual storage::DataClass output_class() const = 0;
   /// Process one batch; may emit zero rows (stateful ops buffer).
   virtual Batch process(Batch in) = 0;
-  /// Flush any buffered state (end of stream / drain).
+  /// Flush any buffered state (end of stream / drain). Runs inside a
+  /// batch like process(): flushed state is released at commit_batch().
   virtual Batch flush() { return Batch{}; }
 
-  /// Batch-transaction hooks: the query brackets every micro-batch with
-  /// begin_batch() ... (process, sinks) ... commit_batch(), and calls
-  /// rollback_batch() instead of commit on failure so a rewound source
-  /// can replay the batch without double-counting. Stateless default:
-  /// no-ops. Implementations must make rollback cheap (O(batch), not
-  /// O(state)) — this runs on every micro-batch.
+  /// Batch-transaction hooks: the query brackets every micro-batch (and
+  /// finalize()'s flush) with begin_batch() ... (process or flush, sinks)
+  /// ... commit_batch(), and calls rollback_batch() instead of commit on
+  /// failure so a rewound source can replay the batch without
+  /// double-counting. Stateless default: no-ops. Implementations must
+  /// make rollback cheap (O(batch), not O(state)) — this runs on every
+  /// micro-batch.
   virtual void begin_batch() {}
   virtual void commit_batch() {}
   virtual void rollback_batch() {}

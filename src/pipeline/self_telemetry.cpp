@@ -37,24 +37,14 @@ sql::Table metric_records_to_table(std::span<const stream::RecordView> records) 
   return t;
 }
 
-void HistorySink::append_rows(const sql::Table& t, std::vector<Row>* out) const {
+void HistorySink::write(const sql::Table& t) {
   if (t.num_rows() == 0) return;
   const auto& time = t.column("time");
   const auto& series = t.column("series");
   const auto& value = t.column("value");
   for (std::size_t r = 0; r < t.num_rows(); ++r) {
-    out->push_back({series.str_at(r), time.int_at(r), value.double_at(r)});
+    staged_.push_back({series.str_at(r), time.int_at(r), value.double_at(r)});
   }
-}
-
-void HistorySink::write(const sql::Table& t) {
-  if (in_batch_) {
-    append_rows(t, &staged_);
-    return;
-  }
-  std::vector<Row> rows;
-  append_rows(t, &rows);
-  for (const auto& row : rows) store_.append(row.series, row.t, row.value);
 }
 
 std::unique_ptr<observe::Scraper> make_scraper(observe::MetricsRegistry& registry,
@@ -62,8 +52,7 @@ std::unique_ptr<observe::Scraper> make_scraper(observe::MetricsRegistry& registr
                                                observe::ScraperConfig config,
                                                chaos::RetryPolicy retry) {
   config.validate();
-  broker.create_topic(stream::kMetricsTopic,
-                      stream::TopicConfig{}.with_partitions(config.metrics_partitions));
+  broker.create_topic(stream::kMetricsTopic, stream::TopicConfig{}.with_partitions(2));
   broker.create_topic(stream::kAlertsTopic, stream::TopicConfig{}.with_partitions(1));
 
   // Each callback owns a cached Producer and a seeded Retrier. A produce

@@ -31,27 +31,19 @@ sql::Schema metric_sample_schema();
 sql::Table metric_records_to_table(std::span<const stream::RecordView> records);
 
 /// Transactional sink appending (time, series, value) rows into a
-/// HistoryStore. Bracketed writes stage and land at commit_batch() so a
-/// rolled-back batch leaves no points behind (replays stay exactly-once);
-/// bracketless writes land immediately, as for the other sinks.
+/// HistoryStore. Writes stage and land at commit_batch(), so a
+/// rolled-back batch leaves no points behind (replays stay exactly-once).
 class HistorySink final : public Sink {
  public:
   explicit HistorySink(observe::HistoryStore& store) : store_(store) {}
 
   void write(const sql::Table& t) override;
-  void begin_batch() override {
-    staged_.clear();
-    in_batch_ = true;
-  }
+  void begin_batch() override { staged_.clear(); }
   void commit_batch() override {
     for (const auto& row : staged_) store_.append(row.series, row.t, row.value);
     staged_.clear();
-    in_batch_ = false;
   }
-  void rollback_batch() override {
-    staged_.clear();
-    in_batch_ = false;
-  }
+  void rollback_batch() override { staged_.clear(); }
 
  private:
   struct Row {
@@ -59,15 +51,13 @@ class HistorySink final : public Sink {
     common::TimePoint t;
     double value;
   };
-  void append_rows(const sql::Table& t, std::vector<Row>* out) const;
 
   observe::HistoryStore& store_;
   std::vector<Row> staged_;
-  bool in_batch_ = false;
 };
 
 /// Build a Scraper producing onto `_oda.metrics` / `_oda.alerts` (topics
-/// created here if absent, `_oda.metrics` with config.metrics_partitions).
+/// created here if absent, `_oda.metrics` with 2 partitions).
 /// Produces retry under `retry` at the "selfobs.produce" chaos seam —
 /// each attempt re-flushes the whole staged batch, and
 /// Topic::produce_staged rejects a faulted flush whole and leaves the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "observe/metrics.hpp"
 #include "sql/ops.hpp"
 #include "storage/columnar.hpp"
 
@@ -14,15 +15,11 @@ using sql::Value;
 void LakeSink::write(const Table& t) {
   if (t.num_rows() == 0) return;
   // Validate column references up front so a bad schema still fails in
-  // write() (the fallible phase), then stage or write through.
+  // write() (the fallible phase), not at commit.
   (void)t.col_index(time_column_);
   (void)t.col_index(value_column_);
   for (const auto& c : tag_columns_) (void)t.col_index(c);
-  if (in_batch_) {
-    staged_.push_back(t);
-    return;
-  }
-  append_rows(t);
+  staged_.push_back(t);
 }
 
 void LakeSink::append_rows(const Table& t) {
@@ -59,7 +56,7 @@ void OceanSink::put_object(const Table& chunk) {
   const auto blob = storage::write_columnar(chunk);
   retrier_.run("pipeline.sink", [&] {
     chaos::fault_point("pipeline.sink");
-    ocean_.put(key, blob, dataset_, class_, now_);
+    ocean_.put(key, blob, dataset_, class_, observe::virtual_now());
   });
   ++part_;  // only after the put landed; a failed put keeps the key stable
 }
@@ -72,18 +69,16 @@ void OceanSink::write(const Table& t) {
     put_object(buffer_.slice(flushed_, flushed_ + rows_per_object_));
     flushed_ += rows_per_object_;
   }
-  compact();
 }
 
 void OceanSink::flush() {
   if (buffered_rows() == 0) return;
   put_object(buffer_.slice(flushed_, buffer_.num_rows()));
   flushed_ = buffer_.num_rows();
-  compact();
 }
 
-void OceanSink::compact() {
-  if (in_batch_ || flushed_ == 0) return;
+void OceanSink::commit_batch() {
+  if (flushed_ == 0) return;
   buffer_ = buffer_.slice(flushed_, buffer_.num_rows());
   flushed_ = 0;
 }

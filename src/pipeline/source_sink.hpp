@@ -25,14 +25,14 @@ using RecordDecoder = std::function<sql::Table(std::span<const stream::RecordVie
 
 /// Sinks participate in the micro-batch transaction protocol:
 ///
-///   begin_batch(); write()...; commit_batch()   — or rollback_batch().
+///   begin_batch(); write()...; [flush();] commit_batch()   — or rollback_batch().
 ///
-/// All fallible I/O (including internal retries) happens in write();
-/// commit_batch() and rollback_batch() MUST be infallible — they only
-/// adjust in-memory bookkeeping, which is what lets engine::Query
+/// Precondition: every write() and flush() runs inside a batch
+/// (engine::Query::run_once() and finalize() both bracket them). All
+/// fallible I/O (including internal retries) happens in write() and
+/// flush(); commit_batch() and rollback_batch() MUST be infallible — they
+/// only adjust in-memory bookkeeping, which is what lets engine::Query
 /// guarantee exactly-once output across fault-driven batch replays.
-/// Sinks used without brackets (direct write calls) behave as before:
-/// every write lands immediately.
 class Sink {
  public:
   virtual ~Sink() = default;
@@ -59,21 +59,13 @@ class TableSink final : public Sink {
     if (table_.num_columns() == 0) table_ = sql::Table(t.schema());
     table_.append_table(t);
   }
-  void begin_batch() override {
-    snap_rows_ = table_.num_rows();
-    in_batch_ = true;
-  }
-  void commit_batch() override { in_batch_ = false; }
-  void rollback_batch() override {
-    if (in_batch_) table_.truncate(snap_rows_);
-    in_batch_ = false;
-  }
+  void begin_batch() override { snap_rows_ = table_.num_rows(); }
+  void rollback_batch() override { table_.truncate(snap_rows_); }
   const sql::Table& table() const { return table_; }
 
  private:
   sql::Table table_;
   std::size_t snap_rows_ = 0;
-  bool in_batch_ = false;
 };
 
 /// Writes each row into the LAKE as time series. Tag columns become
@@ -88,22 +80,14 @@ class LakeSink final : public Sink {
         value_column_(std::move(value_column)),
         tag_columns_(std::move(tag_columns)) {}
 
+  /// Writes stage their rows; the rows land in the LAKE at commit.
   void write(const sql::Table& t) override;
-  /// Bracketed writes stage their rows and land atomically at commit;
-  /// bracketless writes (direct use) land immediately as before.
-  void begin_batch() override {
-    staged_.clear();
-    in_batch_ = true;
-  }
+  void begin_batch() override { staged_.clear(); }
   void commit_batch() override {
     for (const auto& t : staged_) append_rows(t);
     staged_.clear();
-    in_batch_ = false;
   }
-  void rollback_batch() override {
-    staged_.clear();
-    in_batch_ = false;
-  }
+  void rollback_batch() override { staged_.clear(); }
 
  private:
   void append_rows(const sql::Table& t);
@@ -114,21 +98,21 @@ class LakeSink final : public Sink {
   std::string value_column_;
   std::vector<std::string> tag_columns_;
   std::vector<sql::Table> staged_;
-  bool in_batch_ = false;
 };
 
 /// Buffers rows and flushes columnar objects of ~`rows_per_object` into
 /// OCEAN under `dataset/partNNNN`. Part keys are deterministic, so a
 /// replayed batch that re-flushes a chunk overwrites the same object with
 /// identical bytes (put is idempotent by key) — exactly-once at the
-/// object level. Puts retry under the sink retry policy at the
+/// object level. Objects are stamped with the facility clock
+/// (observe::virtual_now()). Puts retry under the sink retry policy at the
 /// "pipeline.sink" seam.
 ///
 /// Flushed rows are not cut out of the buffer: a cursor marks how many
 /// leading rows already sit in objects. Inside a batch the buffer only
-/// grows, so begin_batch() records (rows, cursor, part) in O(1),
-/// rollback_batch() truncates back to them, and commit_batch() compacts
-/// the flushed prefix away. Unbracketed writes compact at once.
+/// grows, so begin_batch() records (rows, part) in O(1), rollback_batch()
+/// truncates back to them, and commit_batch() compacts the flushed prefix
+/// away — so every batch begins with the cursor at 0.
 class OceanSink final : public Sink {
  public:
   OceanSink(storage::ObjectStore& ocean, std::string dataset, storage::DataClass data_class,
@@ -139,35 +123,24 @@ class OceanSink final : public Sink {
   void flush() override;
   void begin_batch() override {
     snap_rows_ = buffer_.num_rows();
-    snap_flushed_ = flushed_;
     snap_part_ = part_;
-    in_batch_ = true;
   }
-  void commit_batch() override {
-    in_batch_ = false;
-    compact();
-  }
+  /// Drops the flushed prefix.
+  void commit_batch() override;
   void rollback_batch() override {
     // Restore the cursor AND the part counter: the replay re-flushes the
     // same rows under the same part keys.
-    if (in_batch_) {
-      buffer_.truncate(snap_rows_);
-      flushed_ = snap_flushed_;
-      part_ = snap_part_;
-    }
-    in_batch_ = false;
+    buffer_.truncate(snap_rows_);
+    flushed_ = 0;
+    part_ = snap_part_;
   }
   std::size_t objects_written() const { return part_; }
   /// Rows written but not yet in an object.
   std::size_t buffered_rows() const { return buffer_.num_rows() - flushed_; }
-  /// Facility time used for object metadata (advance as the pipeline runs).
-  void set_now(common::TimePoint now) { now_ = now; }
   const chaos::RetryStats& retry_stats() const { return retrier_.stats(); }
 
  private:
   void put_object(const sql::Table& chunk);
-  /// Drop the flushed prefix (no-op inside a batch).
-  void compact();
 
   storage::ObjectStore& ocean_;
   std::string dataset_;
@@ -177,11 +150,8 @@ class OceanSink final : public Sink {
   sql::Table buffer_;
   std::size_t flushed_ = 0;  ///< leading buffer_ rows already in objects
   std::size_t part_ = 0;
-  common::TimePoint now_ = 0;
   std::size_t snap_rows_ = 0;
-  std::size_t snap_flushed_ = 0;
   std::size_t snap_part_ = 0;
-  bool in_batch_ = false;
 };
 
 /// Re-publishes micro-batches to another topic as columnar-serialized

@@ -22,8 +22,10 @@
 #include "storage/tiers.hpp"
 #include "storage/tsdb.hpp"
 #include "stream/broker.hpp"
+#include "table_check.hpp"
 #include "telemetry/codec.hpp"
 #include "telemetry/simulator.hpp"
+#include "tiny_facility.hpp"
 
 namespace oda {
 namespace {
@@ -180,19 +182,8 @@ TEST(FaultPointTest, NoPlanInstalledIsANoOp) {
 
 // --- end-to-end chaos flow -------------------------------------------------
 
-telemetry::SystemSpec tiny_spec() {
-  telemetry::SystemSpec s;
-  s.name = "tiny";
-  s.cabinets = 2;
-  s.nodes_per_cabinet = 4;
-  s.components = {
-      {telemetry::ComponentKind::kCpu, 1, 50.0, 200.0, 32.0, 0.1},
-      {telemetry::ComponentKind::kGpu, 1, 60.0, 400.0, 30.0, 0.08},
-  };
-  s.sensor_period = kSecond;
-  s.sample_loss_rate = 0.0;
-  return s;
-}
+using testing::silver_window;
+using testing::tiny_spec;
 
 std::uint64_t table_checksum(const sql::Table& t) {
   std::vector<std::string> rows;
@@ -223,15 +214,6 @@ struct FlowResult {
   std::uint64_t batches_skipped = 0;
   std::uint64_t dropped_records = 0;
 };
-
-/// The Bronze→Silver stage both flows share: a 15 s window per (node,
-/// sensor), one instance per partition lane.
-std::unique_ptr<pipeline::Operator> silver_window() {
-  return std::make_unique<pipeline::WindowAggOp>(
-      "w15", "time", 15 * kSecond, std::vector<std::string>{"node_id", "sensor"},
-      std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"},
-                                {"value", sql::AggKind::kCount, "samples"}});
-}
 
 /// Run the full flow: simulate ~2 minutes of a tiny facility, refine the
 /// power stream Bronze→Silver (windowed agg) into a silver topic + OCEAN
@@ -408,6 +390,88 @@ TEST(ChaosFlowTest, SinkOutageRollsBackThenRecoversExactlyOnce) {
   std::vector<std::pair<std::string, std::size_t>> objects;
   for (const auto& meta : ocean.list()) objects.emplace_back(meta.key, meta.size_bytes);
   EXPECT_EQ(objects, golden.ocean_objects);
+}
+
+struct FinalizeResult {
+  std::uint64_t silver_rows = 0;
+  std::uint64_t silver_checksum = 0;
+  sql::Table topic;
+  std::vector<std::pair<std::string, std::uint64_t>> ocean;  ///< key, FNV-1a of the bytes
+  std::int64_t published_before_fault = 0;  ///< records the faulted finalize() left in the topic
+};
+
+/// Drain two facility-minutes Bronze→Silver into a topic, OCEAN and
+/// memory, then finalize(). With a `plan`, the first finalize() runs
+/// under it and must give up; the plan is removed and finalize() runs
+/// again.
+FinalizeResult run_finalize(chaos::FaultPlan* plan) {
+  stream::Broker broker;
+  storage::ObjectStore ocean;
+  telemetry::SimulatorConfig cfg;
+  cfg.seed = 7;
+  telemetry::FacilitySimulator sim(tiny_spec(), broker, cfg);
+  // One partition: the topic decodes in publish order.
+  broker.create_topic("silver.finalize", stream::TopicConfig{}.with_partitions(1));
+
+  chaos::RetryPolicy rp;
+  rp.max_attempts = 2;  // two consecutive sink faults exhaust any sink
+  pipeline::QueryConfig qc;
+  qc.name = "finalize";
+  qc.max_records_per_batch = 500;
+  qc.allowed_lateness = 20 * kSecond;
+  qc.max_retries = 0;
+  engine::Query q(
+      qc, engine::SourceSpec{&broker, sim.topics().power, "finalize", telemetry::packets_to_bronze},
+      /*workers=*/1);
+  q.add_operator(silver_window);
+  auto table_sink = std::make_unique<pipeline::TableSink>();
+  const auto* silver_table = table_sink.get();
+  q.add_sink(std::make_unique<pipeline::TopicSink>(broker, "silver.finalize", rp));
+  q.add_sink(std::make_unique<pipeline::OceanSink>(ocean, "silver/finalize",
+                                                   storage::DataClass::kSilver, 64, rp));
+  q.add_sink(std::move(table_sink));
+
+  sim.run_until(2 * kMinute);
+  q.run_until_caught_up(100000);
+  const stream::Partition& published = broker.topic("silver.finalize").partition(0);
+  const std::int64_t drained = published.end_offset();
+  FinalizeResult res;
+  if (plan) {
+    chaos::ScopedFaultPlan scoped(*plan);
+    EXPECT_THROW(q.finalize(), chaos::RetriesExhausted);
+    res.published_before_fault = published.end_offset() - drained;
+  }
+  q.finalize();
+
+  res.silver_rows = silver_table->table().num_rows();
+  res.silver_checksum = table_checksum(silver_table->table());
+  res.topic = testing::topic_rows(broker, "silver.finalize");
+  for (const auto& meta : ocean.list()) {
+    res.ocean.emplace_back(meta.key, common::fnv1a(std::span<const std::uint8_t>(*ocean.get(meta.key))));
+  }
+  return res;
+}
+
+TEST(ChaosFlowTest, FaultedFinalizeRollsBackThenReplaysExactlyOnce) {
+  const FinalizeResult golden = run_finalize(nullptr);
+  ASSERT_GT(golden.silver_rows, 0u);
+  ASSERT_EQ(golden.topic.num_rows(), golden.silver_rows);
+  ASSERT_FALSE(golden.ocean.empty());
+
+  // skip_first 0 faults finalize's first sink write; 2 lets the topic
+  // publish a lane's windows first, so the replay must skip that record.
+  for (const std::uint64_t skip : {std::uint64_t{0}, std::uint64_t{2}}) {
+    SCOPED_TRACE("skip_first=" + std::to_string(skip));
+    chaos::FaultPlan plan(1);
+    plan.configure("pipeline.sink", {.skip_first = skip, .every_nth = 1, .max_faults = 2});
+    const FinalizeResult faulted = run_finalize(&plan);
+    EXPECT_EQ(plan.total_faults(), 2u);
+    EXPECT_EQ(faulted.published_before_fault > 0, skip > 0);
+    EXPECT_EQ(faulted.silver_rows, golden.silver_rows);
+    EXPECT_EQ(faulted.silver_checksum, golden.silver_checksum);
+    testing::expect_tables_equal(faulted.topic, golden.topic);
+    EXPECT_EQ(faulted.ocean, golden.ocean);
+  }
 }
 
 TEST(ChaosFlowTest, HardFaultsDeadLetterWithoutCrashing) {

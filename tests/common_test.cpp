@@ -103,15 +103,6 @@ TEST(StatsTest, MergeEqualsSingleStream) {
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
 }
 
-TEST(StatsTest, LogHistogramQuantiles) {
-  LogHistogram h;
-  for (int i = 1; i <= 1000; ++i) h.add(i * 1e-3);  // 1ms..1s uniform
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.15);
-  EXPECT_NEAR(h.quantile(0.95), 0.95, 0.2);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_EQ(LogHistogram().quantile(0.5), 0.0);
-}
-
 TEST(StatsTest, ExactQuantile) {
   EXPECT_EQ(exact_quantile({}, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(exact_quantile({5.0}, 0.5), 5.0);

@@ -16,6 +16,7 @@
 #include "observe/export.hpp"
 #include "observe/flight.hpp"
 #include "storage/columnar.hpp"
+#include "storage/tiers.hpp"
 #include "telemetry/spec.hpp"
 
 namespace oda {
@@ -109,6 +110,36 @@ TEST_F(FrameworkTest, SystemLookupByName) {
   EXPECT_EQ(&fw_.system("Mountain"), sys_);
   EXPECT_THROW(fw_.system("nope"), std::out_of_range);
   EXPECT_EQ(fw_.system_names(), std::vector<std::string>{"Mountain"});
+}
+
+// Pipeline-written OCEAN objects carry the facility time of their put, so
+// an age sweep moves only objects older than ocean_age to GLACIER, however
+// long the facility has been running.
+TEST(FrameworkTierTest, OceanSweepKeepsObjectsYoungerThanOceanAge) {
+  core::FrameworkConfig cfg;
+  cfg.retention.ocean_age = 15 * kMinute;
+  cfg.retention_sweep_period = 365 * common::kDay;  // swept once, below
+  core::OdaFramework fw(cfg);
+  fw.add_system(telemetry::compass_spec(0.01), telemetry::SimulatorConfig{});
+  fw.register_query(fw.make_bronze_to_silver_power("Compass"));
+  fw.register_query(fw.make_bronze_archiver("Compass"));
+
+  fw.advance(5 * kMinute);
+  std::set<std::string> early;
+  for (const auto& meta : fw.ocean().list()) early.insert(meta.key);
+  fw.advance(15 * kMinute);
+  std::vector<std::string> recent;  // put within the last 15 facility-minutes
+  for (const auto& meta : fw.ocean().list()) {
+    if (early.count(meta.key) == 0) recent.push_back(meta.key);
+  }
+  ASSERT_FALSE(recent.empty());
+
+  const auto out = fw.tiers().enforce(fw.now());
+  EXPECT_GT(out.ocean_objects_migrated, 0u);  // objects from the first minutes aged out
+  for (const auto& key : recent) EXPECT_TRUE(fw.ocean().exists(key)) << key;
+  for (const auto& meta : fw.ocean().list()) {
+    EXPECT_GE(meta.created, fw.now() - cfg.retention.ocean_age) << meta.key;
+  }
 }
 
 

@@ -30,6 +30,10 @@
 #include "sql/table.hpp"
 #include "storage/columnar.hpp"
 #include "stream/broker.hpp"
+#include "table_check.hpp"
+#include "telemetry/codec.hpp"
+#include "telemetry/simulator.hpp"
+#include "tiny_facility.hpp"
 
 namespace oda::engine {
 namespace {
@@ -305,6 +309,37 @@ TEST(EngineTest, ScalingCurveIsWorkerCountInvariant) {
       EXPECT_EQ(baseline, bytes) << "workers=" << workers;
     }
   }
+}
+
+// finalize() commits like a generation, so the query resumes afterwards
+// as if it had never stopped: the next generation's Silver record lands
+// in the topic rather than being skipped as a replay of the flush.
+TEST(EngineTest, FinalizeThenResumeKeepsEveryTopicRecord) {
+  stream::Broker broker;
+  telemetry::SimulatorConfig cfg;
+  cfg.seed = 7;
+  telemetry::FacilitySimulator sim(testing::tiny_spec(), broker, cfg);
+  // One partition: the topic decodes in publish order.
+  broker.create_topic("silver.resume", stream::TopicConfig{}.with_partitions(1));
+  Query q(pipeline::QueryConfig{}
+              .with_name("resume")
+              .with_batch_size(500)
+              .with_allowed_lateness(20 * common::kSecond),
+          SourceSpec{&broker, sim.topics().power, "resume", telemetry::packets_to_bronze},
+          /*workers=*/1);
+  q.add_operator(testing::silver_window);
+  q.add_sink(std::make_unique<pipeline::TopicSink>(broker, "silver.resume"));
+  auto sink = std::make_unique<pipeline::TableSink>();
+  const pipeline::TableSink* sink_ptr = sink.get();
+  q.add_sink(std::move(sink));
+
+  for (const common::TimePoint until : {2 * common::kMinute, 4 * common::kMinute}) {
+    sim.run_until(until);
+    q.run_until_caught_up();
+    q.finalize();
+  }
+  ASSERT_GT(sink_ptr->table().num_rows(), 0u);
+  testing::expect_tables_equal(testing::topic_rows(broker, "silver.resume"), sink_ptr->table());
 }
 
 TEST(EngineTest, MultiQueryChainDrainsAcrossRounds) {

@@ -94,43 +94,6 @@ TEST(MetricsRegistryTest, ResetValuesKeepsHandlesValid) {
   EXPECT_EQ(reg.metric_count(), 1u);
 }
 
-TEST(MetricsRegistryTest, ShardedCounterSlotsIsolateAndMerge) {
-  ShardedCounter c;
-  c.inc(0, 5);
-  c.inc(3, 7);
-  c.inc(3);
-  // Writes land in their own slot; value() is the merge.
-  EXPECT_EQ(c.slot_value(0), 5u);
-  EXPECT_EQ(c.slot_value(3), 8u);
-  EXPECT_EQ(c.slot_value(1), 0u);
-  EXPECT_EQ(c.value(), 13u);
-  // Shard indices wrap rather than overflow: shard kSlots aliases slot 0.
-  c.inc(ShardedCounter::kSlots, 2);
-  EXPECT_EQ(c.slot_value(0), 7u);
-  EXPECT_EQ(c.value(), 15u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(MetricsRegistryTest, ShardedCounterSnapshotsAsPlainCounter) {
-  MetricsRegistry reg;
-  ShardedCounter* s = reg.sharded_counter("shard.rows", {{"query", "q"}});
-  ShardedCounter* same = reg.sharded_counter("shard.rows", {{"query", "q"}});
-  EXPECT_EQ(s, same);
-  s->inc(1, 10);
-  s->inc(9, 4);
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  // Exporters see an ordinary pre-merged counter.
-  EXPECT_EQ(snap[0].kind, MetricKind::kCounter);
-  EXPECT_DOUBLE_EQ(snap[0].value, 14.0);
-  // reset_values clears every slot but keeps the handle live.
-  reg.reset_values();
-  EXPECT_EQ(s->value(), 0u);
-  s->inc(2, 3);
-  EXPECT_EQ(s->value(), 3u);
-}
-
 TEST(HistogramTest, QuantilesInterpolate) {
   Histogram h({1.0, 2.0, 4.0, 8.0});
   for (int i = 0; i < 100; ++i) h.add(1.5);  // all in (1, 2]

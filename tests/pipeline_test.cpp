@@ -65,7 +65,9 @@ TEST(WindowAggOpTest, FlushEmitsEverythingPending) {
   (void)op.process({rows_at({{1 * kSecond, 1.0}, {11 * kSecond, 2.0}, {21 * kSecond, 3.0}}),
                     5 * kSecond});
   op.commit_batch();
+  op.begin_batch();
   const Batch out = op.flush();
+  op.commit_batch();
   EXPECT_EQ(out.table.num_rows(), 3u);
   EXPECT_EQ(op.pending_windows(), 0u);
 }
@@ -85,7 +87,9 @@ TEST(WindowAggOpTest, RollbackRestoresPreBatchState) {
   const Batch emitted =
       op.process({rows_at({{2 * kSecond, 100.0}, {15 * kSecond, 50.0}}), 15 * kSecond});
   op.commit_batch();
+  op.begin_batch();
   const Batch flushed = op.flush();
+  op.commit_batch();
   double total = 0.0;
   for (std::size_t r = 0; r < emitted.table.num_rows(); ++r) {
     total += emitted.table.column("s").double_at(r);
@@ -120,8 +124,12 @@ TEST(WindowAggOpTest, CheckpointStateRoundTrips) {
   auto restored = make_op();
   restored.restore_state(state);
   EXPECT_EQ(restored.pending_windows(), op.pending_windows());
+  restored.begin_batch();
+  op.begin_batch();
   const Batch a = restored.flush();
   const Batch b = op.flush();
+  restored.commit_batch();
+  op.commit_batch();
   ASSERT_EQ(a.table.num_rows(), b.table.num_rows());
   for (std::size_t r = 0; r < a.table.num_rows(); ++r) {
     EXPECT_EQ(a.table.column("s").get(r), b.table.column("s").get(r));
@@ -319,9 +327,11 @@ TEST(SinkTest, OceanSinkChunksObjects) {
   OceanSink sink(ocean, "ds", storage::DataClass::kSilver, /*rows_per_object=*/100);
   Table t{Schema{{"time", DataType::kInt64}, {"v", DataType::kFloat64}}};
   for (int i = 0; i < 250; ++i) t.append_row({Value(std::int64_t{i}), Value(1.0)});
+  sink.begin_batch();
   sink.write(t);
   EXPECT_EQ(sink.objects_written(), 2u);  // 2 full chunks, 50 buffered
   sink.flush();
+  sink.commit_batch();
   EXPECT_EQ(sink.objects_written(), 3u);
   std::size_t total = 0;
   for (const auto& meta : ocean.list("ds")) {
@@ -379,7 +389,9 @@ TEST(SinkTest, OceanSinkRollbackAcrossPartsReplaysSameObjects) {
   EXPECT_EQ(sink.buffered_rows(), 0u);
   EXPECT_EQ(first_time("ds/part000002"), 200);
   EXPECT_EQ(storage::read_columnar(*ocean.get("ds/part000002")).num_rows(), 100u);
+  sink.begin_batch();
   sink.flush();  // nothing left to flush
+  sink.commit_batch();
   EXPECT_EQ(sink.objects_written(), 3u);
 }
 
@@ -390,7 +402,9 @@ TEST(SinkTest, LakeSinkWritesTaggedSeries) {
   t.append_row({Value(std::int64_t{100}), Value("a"), Value(1.0)});
   t.append_row({Value(std::int64_t{200}), Value("b"), Value(2.0)});
   t.append_row({Value(std::int64_t{300}), Value("a"), Value::null()});  // skipped
+  sink.begin_batch();
   sink.write(t);
+  sink.commit_batch();
   EXPECT_EQ(lake.series_count(), 2u);
   EXPECT_EQ(lake.point_count(), 2u);
 }
@@ -399,7 +413,9 @@ TEST(SinkTest, TopicSinkRoundTripsThroughDecoder) {
   stream::Broker broker;
   TopicSink sink(broker, "out");
   Table t = rows_at({{5 * kSecond, 1.5}, {6 * kSecond, 2.5}});
+  sink.begin_batch();
   sink.write(t);
+  sink.commit_batch();
   stream::GroupMember c(broker, "g", "out");
   const auto records = c.poll(10);
   ASSERT_EQ(records.size(), 1u);

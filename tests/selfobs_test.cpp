@@ -285,13 +285,6 @@ TEST(ScraperTest, DeltaEncodingSuppressesUnchangedSeries) {
   EXPECT_EQ(scraper.stats().scrapes, 3u);
   EXPECT_EQ(scraper.stats().samples_emitted, 2u);
   EXPECT_GE(scraper.stats().samples_suppressed, 1u);
-
-  // full_snapshots mode re-emits unchanged series every scrape.
-  CapturedRecords full;
-  Scraper full_scraper(reg, full.fn(), {}, ScraperConfig{}.with_full_snapshots(true));
-  full_scraper.scrape(0);
-  full_scraper.scrape(15 * kSecond);
-  EXPECT_EQ(full.all.size(), 2u);
 }
 
 TEST(ScraperTest, PollHonorsVirtualCadence) {
@@ -324,11 +317,6 @@ TEST(ScraperTest, InternalTopicSeriesAreExcluded) {
   ASSERT_TRUE(decode_metric_sample(metrics.all[0].payload, &s));
   EXPECT_NE(s.series.find("collect.power"), std::string::npos);
   EXPECT_EQ(scraper.stats().series_excluded, 1u);
-
-  // Opting out (tests only) emits both.
-  CapturedRecords raw;
-  Scraper unfiltered(reg, raw.fn(), {}, ScraperConfig{}.with_exclude_internal(false));
-  EXPECT_EQ(unfiltered.scrape(0), 2u);
 }
 
 TEST(ScraperTest, SloTransitionsForwardOnceEach) {
@@ -369,7 +357,6 @@ TEST(ScraperTest, SloTransitionsForwardOnceEach) {
 TEST(ScraperTest, ConfigValidateRejectsNonsense) {
   EXPECT_THROW(ScraperConfig{}.with_cadence(0).validate(), std::invalid_argument);
   EXPECT_THROW(ScraperConfig{}.with_cadence(-kSecond).validate(), std::invalid_argument);
-  EXPECT_THROW(ScraperConfig{}.with_metrics_partitions(0).validate(), std::invalid_argument);
   EXPECT_NO_THROW(ScraperConfig{}.validate());
   EXPECT_THROW(observe::HistoryConfig{}.with_raw_capacity(0).validate(), std::invalid_argument);
   EXPECT_THROW(observe::HistoryConfig{}.with_rollup_capacity(0).validate(),
